@@ -98,15 +98,19 @@ def _check_keys(obj, path, required, optional=()):
             raise SchemaError(f"{path}: missing required key '{key}'")
 
 
-def _number(obj, path):
+def _number(obj, path, positive=False):
     if isinstance(obj, bool) or not isinstance(obj, (int, float)):
         raise SchemaError(f"{path}: expected a number")
+    if positive and not obj > 0:
+        raise SchemaError(f"{path}: expected a positive number")
     return float(obj)
 
 
-def _integer(obj, path):
+def _integer(obj, path, minimum=None):
     if isinstance(obj, bool) or not isinstance(obj, int):
         raise SchemaError(f"{path}: expected an integer")
+    if minimum is not None and obj < minimum:
+        raise SchemaError(f"{path}: expected an integer >= {minimum}")
     return int(obj)
 
 
@@ -247,18 +251,25 @@ def _validate_params(kind, params):
     _check_keys(params, "config.params", required, optional)
     if kind == "dimension":
         _integer(params["count"], "config.params.count")
-        for block in ("correlation", "box"):
-            if block in params:
-                _check_keys(
-                    params[block], f"config.params.{block}",
-                    ("levels",), ("r0", "fit_lo", "max_pairs"),
-                )
+        if "sample_tol" in params:
+            _number(params["sample_tol"], "config.params.sample_tol")
+        for name in ("correlation", "box"):
+            if name in params:
+                block, path = params[name], f"config.params.{name}"
+                _check_keys(block, path, ("levels",), ("r0", "fit_lo", "max_pairs"))
+                _integer(block["levels"], f"{path}.levels")
+                if "r0" in block:
+                    _number(block["r0"], f"{path}.r0")
+                if "fit_lo" in block:
+                    _integer(block["fit_lo"], f"{path}.fit_lo")
+                if "max_pairs" in block:
+                    _integer(block["max_pairs"], f"{path}.max_pairs", minimum=1)
         if "energy" in params:
-            _check_keys(
-                params["energy"], "config.params.energy",
-                ("exponents",), ("max_pairs",),
-            )
-            _array(params["energy"]["exponents"], "config.params.energy.exponents")
+            block = params["energy"]
+            _check_keys(block, "config.params.energy", ("exponents",), ("max_pairs",))
+            _array(block["exponents"], "config.params.energy.exponents")
+            if "max_pairs" in block:
+                _integer(block["max_pairs"], "config.params.energy.max_pairs", minimum=1)
     elif kind == "spectrum":
         if "qs" in params:
             _array(params["qs"], "config.params.qs")
@@ -288,6 +299,12 @@ def _validate_params(kind, params):
         _integer(params["subspace_dim"], "config.params.subspace_dim")
         _integer(params["directions"], "config.params.directions")
         _integer(params["count"], "config.params.count")
+        if "tolerance" in params:
+            _number(params["tolerance"], "config.params.tolerance", positive=True)
+        if "max_pairs" in params:
+            _integer(params["max_pairs"], "config.params.max_pairs", minimum=1)
+        if "basis" in params:
+            _array(params["basis"], "config.params.basis")
     elif kind == "transversality":
         for key in ("low", "high", "word_a", "word_b"):
             _array(params[key], f"config.params.{key}")

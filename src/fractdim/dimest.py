@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import linregress
 
 from .errors import EstimationError, PreconditionError
 from .measures import relative_entropy
@@ -207,11 +206,25 @@ class FitEstimate:
     profile: np.ndarray
 
 
+def _linear_fit(x, y):
+    """Least-squares slope of y on x and the slope's standard error.
+
+    The formulas of scipy.stats.linregress (population moments from
+    np.cov, the error from the correlation coefficient), so both give the
+    same numbers; x must not be constant, and a constant y has error 0.
+    """
+    ssxm, ssxym, _, ssym = np.cov(x, y, bias=1).flat
+    slope = ssxym / ssxm
+    if len(x) == 2 or ssym == 0.0:
+        return float(slope), 0.0
+    r = min(max(ssxym / np.sqrt(ssxm * ssym), -1.0), 1.0)
+    return float(slope), float(np.sqrt((1 - r**2) * ssym / ssxm / (len(x) - 2)))
+
+
 def _ols(logx, logy):
     if np.allclose(logy, logy[0], atol=1e-12):
         return 0.0, 0.0
-    res = linregress(logx, logy)
-    return float(res.slope), float(res.stderr)
+    return _linear_fit(logx, logy)
 
 
 def ball_profile(cloud, x, schedule):
@@ -244,76 +257,105 @@ def local_dimension(cloud, x, schedule, min_points=_MIN_BALL_POINTS):
 
 
 _ENERGY_CUTS = (8, 4, 2, 1)
+# pairs per partial bincount: blocks keep the per-bin sums pairwise-accurate
+_BIN_BLOCK = 1024
 
 
-def _pair_profile(cloud, radii, powers, seed, max_pairs, workers):
-    """Correlation/energy sums over a deterministic stratified pair sample.
+def _pair_sample(n, seed, max_pairs):
+    """Deterministic stratified pair sample over an n-point cloud.
 
-    Stratum t pairs every point with a substream(seed, t) permutation of
-    the cloud, so each point appears equally often; strata are truncated
-    to respect max_pairs.  Each stratum reports prefix sums at an eighth,
-    a quarter, half, and all of its pairs, so the nested subsamples used
-    by the divergence detector are fixed, worker-count-independent
-    subsets.  Returns one tuple (pair_weight, hits per radius,
-    zero_weight, energy sums, nonzero_weight) per cut, cumulative, the
-    last covering the full sample.
+    Stratum t pairs point i with entry i of a substream(seed, t)
+    permutation, so each point appears equally often; strata are
+    truncated to respect max_pairs and self-pairs are dropped.  The
+    sample depends on (n, seed, max_pairs) only, so one draw serves every
+    cloud of that size, such as all projections of one sample.  Returns
+    one (a, b) pair of index arrays per stratum.
     """
-    n = cloud.size
+    if n < _MIN_PAIR_POINTS:
+        raise PreconditionError(f"need at least {_MIN_PAIR_POINTS} points")
+    if max_pairs < 1:
+        raise PreconditionError("pair budget must be at least 1")
     n_strata = max(1, min(max_pairs // n, n - 1))
     per_stratum = min(n, max_pairs)
-    pts, w = cloud.points, cloud.weights
+    index = np.int32 if n <= np.iinfo(np.int32).max else np.int64
+    left = np.arange(per_stratum, dtype=index)
+    pairs = []
+    for t in range(n_strata):
+        partner = substream(seed, _STREAM_PAIRS, t).permutation(n)[:per_stratum]
+        keep = partner != left
+        pairs.append((left[keep], partner[keep].astype(index)))
+    return pairs
+
+
+def _pair_profile(cloud, radii, powers, pairs, workers):
+    """Correlation/energy sums of a cloud over a fixed pair sample.
+
+    Strata are the parallel unit and are combined in stratum order, so
+    the sums are identical for any worker count.  Each stratum's pairs
+    split into the disjoint segments [0, c/8), [c/8, c/4), [c/4, c/2)
+    and [c/2, c).  Every pair is binned once by the number of (descending)
+    radii below its distance, so d <= r stays the exact test, and weights
+    are summed per bin in blocks of _BIN_BLOCK pairs.  Cumulative sums
+    over the segments give the nested cuts at an eighth, a quarter, half,
+    and all of the stratum, which the divergence detector compares.
+    Returns one tuple (pair_weight, hits per radius, zero_weight, energy
+    sums, nonzero_weight) per cut, cumulative, the last covering the full
+    sample.
+    """
+    cols = [np.ascontiguousarray(c) for c in cloud.points.T]
+    w = cloud.weights
+    radii = np.asarray(radii, dtype=float)
+    n_bins = radii.size + 1
+    below_dtype = np.min_scalar_type(radii.size)
+    longest = max(a.size for a, _ in pairs)
+    block_base = np.arange(longest) // _BIN_BLOCK * n_bins
+
+    def binned_hits(d, pw):
+        below = np.zeros(d.size, dtype=below_dtype)
+        for r in radii:
+            below += d > r
+        blocks = -(-d.size // _BIN_BLOCK)
+        binned = np.bincount(
+            block_base[: d.size] + below, weights=pw, minlength=blocks * n_bins
+        )
+        per_bin = np.ascontiguousarray(binned.reshape(blocks, n_bins).T).sum(axis=1)
+        # d <= radii[j] iff fewer than radii.size - j radii lie below d
+        return np.cumsum(per_bin)[-2::-1]
+
+    def segment(d, pw):
+        hits = binned_hits(d, pw) if radii.size else ()
+        nz = d > 0
+        pw_nz, d_nz = pw[nz], d[nz]
+        energies = [np.sum(pw_nz * d_nz ** (-s)) for s in powers]
+        return [pw.sum(), *hits, pw[~nz].sum(), *energies, pw_nz.sum()]
 
     def stratum(t, start, stop):
-        rng = substream(seed, _STREAM_PAIRS, t)
-        partner = rng.permutation(n)[:per_stratum]
-        left = np.arange(partner.size)
-        keep = partner != left
-        a = left[keep]
-        b = partner[keep]
-        d = np.sqrt(np.sum((pts[a] - pts[b]) ** 2, axis=1))
+        a, b = pairs[t]
+        # coordinate-wise accumulation: the same rounding as a row sum
+        # for ambient dimension below 8
+        squares = [(c[a] - c[b]) ** 2 for c in cols]
+        d = np.sqrt(sum(squares[1:], squares[0]))
         pw = w[a] * w[b]
+        edges = [0] + [d.size // c for c in _ENERGY_CUTS]
+        rows = [segment(d[lo:hi], pw[lo:hi]) for lo, hi in zip(edges, edges[1:])]
+        return np.cumsum(rows, axis=0)
 
-        def stats(sl):
-            ds, pws = d[sl], pw[sl]
-            nz = ds > 0
-            hits = np.array([pws[ds <= r].sum() for r in radii])
-            energies = np.array([np.sum(pws[nz] * ds[nz] ** (-s)) for s in powers])
-            return (
-                pws.sum(),
-                hits,
-                pws[~nz].sum(),
-                energies,
-                pws[nz].sum(),
-            )
-
-        cuts = [d.size // c for c in _ENERGY_CUTS]
-        return tuple(stats(slice(0, c)) for c in cuts)
-
-    results = run_chunks(stratum, n_strata, workers=workers, chunk=1)
-
-    def combine(rows):
-        total = sum(r[0] for r in rows)
-        hits = sum((r[1] for r in rows), np.zeros(len(radii)))
-        zeros = sum(r[2] for r in rows)
-        energies = sum((r[3] for r in rows), np.zeros(len(powers)))
-        nonzero = sum(r[4] for r in rows)
-        return total, hits, zeros, energies, nonzero
-
-    return tuple(combine([r[k] for r in results]) for k in range(len(_ENERGY_CUTS)))
+    results = run_chunks(stratum, len(pairs), workers=workers, chunk=1)
+    sums = results[0].copy()
+    for r in results[1:]:
+        sums += r
+    h, p = radii.size, len(powers)
+    return tuple(
+        (row[0], row[1 : 1 + h], row[1 + h], row[2 + h : 2 + h + p], row[-1])
+        for row in sums
+    )
 
 
-def correlation_dimension(cloud, schedule, seed=0, max_pairs=_MAX_PAIRS, workers=1):
-    """Slope of the correlation sum log C(r) against log r.
-
-    C(r) is the weighted fraction of sampled point pairs within distance
-    r; pairs are drawn by the deterministic stratified scheme.
-    """
-    if cloud.size < _MIN_PAIR_POINTS:
-        raise PreconditionError(f"need at least {_MIN_PAIR_POINTS} points")
+def _correlation_fit(cloud, schedule, pairs, workers):
+    """Correlation-sum slope of a cloud over a fixed pair sample."""
     schedule.check_floor(cloud)
     radii = schedule.radii
-    full = _pair_profile(cloud, radii, (), seed, max_pairs, workers)[-1]
-    total, hits = full[0], full[1]
+    total, hits = _pair_profile(cloud, radii, (), pairs, workers)[-1][:2]
     corr = hits / total
     win = schedule.fit_slice
     if np.min(corr[win]) <= 0:
@@ -323,6 +365,17 @@ def correlation_dimension(cloud, schedule, seed=0, max_pairs=_MAX_PAIRS, workers
         return FitEstimate(0.0, 0.0, freeze(radii), freeze(corr))
     slope, err = _ols(np.log(radii[win]), np.log(corr[win]))
     return FitEstimate(slope, err, freeze(radii), freeze(corr))
+
+
+def correlation_dimension(cloud, schedule, seed=0, max_pairs=_MAX_PAIRS, workers=1):
+    """Slope of the correlation sum log C(r) against log r.
+
+    C(r) is the weighted fraction of sampled point pairs within distance
+    r; pairs are drawn by the deterministic stratified scheme of
+    _pair_sample, and strata run in parallel.
+    """
+    pairs = _pair_sample(cloud.size, seed, max_pairs)
+    return _correlation_fit(cloud, schedule, pairs, workers)
 
 
 @dataclass(frozen=True)
@@ -341,15 +394,14 @@ def empirical_energy(cloud, s, seed=0, max_pairs=_MAX_PAIRS, workers=1):
 
     The divergence flag fires when the running mean fails to stabilize:
     it is tracked at an eighth, a quarter, half, and all of the pair
-    budget, and any doubling that moves it by more than 10 percent
-    fires.  A finite energy settles; a divergent one keeps shifting
-    through new extreme summands.
+    budget (nested cuts of one pass over the sample), and any doubling
+    that moves it by more than 10 percent fires.  A finite energy
+    settles; a divergent one keeps shifting through new extreme summands.
     """
-    if cloud.size < _MIN_PAIR_POINTS:
-        raise PreconditionError(f"need at least {_MIN_PAIR_POINTS} points")
     if not (s >= 0):
         raise PreconditionError("energy exponent must be nonnegative")
-    blocks = _pair_profile(cloud, (), (s,), seed, max_pairs, workers)
+    pairs = _pair_sample(cloud.size, seed, max_pairs)
+    blocks = _pair_profile(cloud, (), (s,), pairs, workers)
 
     def mean(block):
         nonzero_w = block[4]

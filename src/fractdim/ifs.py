@@ -13,9 +13,8 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy.special import logsumexp
-from scipy.stats import linregress
 
-from .dimest import PointCloud
+from .dimest import PointCloud, _linear_fit
 from .errors import (
     AlphabetMismatchError,
     EstimationError,
@@ -485,10 +484,10 @@ def transversality_exponent(
     used = (counts >= _MIN_FIT_HITS) & (measures < 1.0)
     if used.sum() < 2:
         raise EstimationError("fewer than two resolved, unsaturated radius bins")
-    res = linregress(np.log(radii[used]), np.log(measures[used]))
+    exponent, _ = _linear_fit(np.log(radii[used]), np.log(measures[used]))
     k_hat = float(np.max(measures[used] / radii[used] ** ifs.ambient_dim))
     return TransversalityResult(
-        exponent=float(res.slope),
+        exponent=exponent,
         k_hat=k_hat,
         radii=freeze(radii),
         measures=freeze(measures),

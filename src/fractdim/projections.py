@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dimest import PointCloud, RadiusSchedule, correlation_dimension
+from .dimest import PointCloud, RadiusSchedule, _correlation_fit, _pair_sample
 from .errors import (
     AlphabetMismatchError,
     BudgetExceededError,
@@ -145,8 +145,11 @@ def marstrand_experiment(
 
     Samples one cloud from the measure, projects it onto sampled (or
     supplied) d-planes, and reports how many direction estimates fall
-    within tol of the prediction.  Exceptional directions are expected on
-    a null set, so the report never claims every direction conforms.
+    within tol of the prediction.  Projection keeps the point count, so
+    one pair sample serves every direction; only one projected cloud is
+    held at a time, and each correlation sum runs its strata in parallel.
+    Exceptional directions are expected on a null set, so the report
+    never claims every direction conforms.
     """
     n = ifs.ambient_dim
     if not 1 <= d < n:
@@ -167,14 +170,13 @@ def marstrand_experiment(
         for v in directions:
             if v.ambient != n or v.dim != d:
                 raise PreconditionError("supplied direction has wrong shape")
+    pairs = _pair_sample(cloud.size, seed, max_pairs)
     estimates = np.empty(len(directions))
     stderrs = np.empty(len(directions))
     for j, v in enumerate(directions):
         proj = project_cloud(cloud, v)
         schedule = _projection_schedule(proj, predicted, max_pairs)
-        est = correlation_dimension(
-            proj, schedule, seed=seed, max_pairs=max_pairs, workers=workers
-        )
+        est = _correlation_fit(proj, schedule, pairs, workers)
         estimates[j] = est.value
         stderrs[j] = est.stderr
     within = np.abs(estimates - predicted) <= tol

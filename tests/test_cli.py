@@ -30,6 +30,26 @@ def spectrum_config(**extra):
     return cfg
 
 
+def project_config(**params):
+    return {
+        "schema": 1, "kind": "project", "seed": 13,
+        "ifs": {
+            "ratios": [1 / 3] * 4,
+            "translations": [[0.0, 0.0], [2 / 3, 0.0], [0.0, 2 / 3], [2 / 3, 2 / 3]],
+        },
+        "measure": {"type": "bernoulli", "weights": [0.25] * 4},
+        "params": {"subspace_dim": 1, "directions": 4, "count": 20_000, **params},
+    }
+
+
+def dimension_config(**params):
+    return {
+        "schema": 1, "kind": "dimension", "seed": 3,
+        "ifs": CANTOR_IFS, "measure": UNIFORM2,
+        "params": {"count": 20_000, **params},
+    }
+
+
 def launch(tmp_path, cfg, *args):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg))
@@ -100,6 +120,32 @@ class TestSchemaGate:
     def test_unknown_verify_suite(self, capsys):
         assert cli.main(["verify", "nonsense"]) == 2
         assert "unknown suite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("tolerance", "abc"), ("tolerance", -0.1), ("basis", "xy"),
+         ("max_pairs", "many"), ("max_pairs", 0)],
+    )
+    def test_project_pair_parameters(self, tmp_path, capsys, key, value):
+        code, out = launch(tmp_path, project_config(**{key: value}))
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"schema error: config.params.{key}:")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "block",
+        [{"correlation": {"levels": 8, "max_pairs": 0}},
+         {"correlation": {"levels": 8, "max_pairs": "many"}},
+         {"correlation": {"levels": "8"}},
+         {"box": {"levels": 8, "r0": "half"}},
+         {"energy": {"exponents": [0.5], "max_pairs": 0}},
+         {"energy": {"exponents": [0.5], "max_pairs": 2.5}}],
+    )
+    def test_dimension_pair_parameters(self, tmp_path, capsys, block):
+        code, out = launch(tmp_path, dimension_config(**block))
+        assert code == 2
+        assert capsys.readouterr().err.startswith("schema error: config.params.")
+        assert not out.exists()
 
 
 class TestExitCodes:
@@ -207,16 +253,7 @@ class TestRunners:
         assert summary["quantities"]["all_passed"] == 1.0
 
     def test_project_direction_table(self, tmp_path):
-        cfg = {
-            "schema": 1, "kind": "project", "seed": 13,
-            "ifs": {
-                "ratios": [1 / 3] * 4,
-                "translations": [[0.0, 0.0], [2 / 3, 0.0], [0.0, 2 / 3], [2 / 3, 2 / 3]],
-            },
-            "measure": {"type": "bernoulli", "weights": [0.25] * 4},
-            "params": {"subspace_dim": 1, "directions": 4, "count": 20_000},
-        }
-        code, out = launch(tmp_path, cfg)
+        code, out = launch(tmp_path, project_config())
         assert code == 0
         rows = (out / "directions.csv").read_text().splitlines()
         assert len(rows) == 1 + 4

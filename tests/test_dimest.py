@@ -6,8 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import linregress
 
 from fractdim.dimest import (
+    _ENERGY_CUTS,
+    _STREAM_PAIRS,
     PointCloud,
     RadiusSchedule,
     box_counting,
@@ -19,9 +22,21 @@ from fractdim.dimest import (
     relative_dimension_estimate,
     schedule_for,
     weak_diametric_regularity_check,
+    _linear_fit,
+    _pair_profile,
+    _pair_sample,
 )
 from fractdim.errors import EstimationError, PreconditionError
+from fractdim.ifs import SimilarityIFS, sample_points, symbolic_dimension
 from fractdim.measures import BernoulliMeasure
+from fractdim.projections import (
+    _SAMPLE_TOL,
+    _projection_schedule,
+    marstrand_experiment,
+    project_cloud,
+    sample_subspace,
+)
+from fractdim.runtime import run_chunks, substream
 
 CANTOR_DIM = math.log(2) / math.log(3)
 # -(log(1/4) + log(3/4)) / (2 log(1/3)): exponent of the (1/4, 3/4)
@@ -246,6 +261,162 @@ class TestEnergy:
         a = empirical_energy(cloud, 0.7, seed=9, workers=1)
         b = empirical_energy(cloud, 0.7, seed=9, workers=4)
         assert a.value == b.value and a.half_value == b.half_value
+
+
+def reference_pair_profile(cloud, radii, powers, seed, max_pairs, workers):
+    """The per-call pair profile the binned engine replaced, verbatim.
+
+    Draws its own sample and sums masks over nested prefix cuts.
+    """
+    n = cloud.size
+    n_strata = max(1, min(max_pairs // n, n - 1))
+    per_stratum = min(n, max_pairs)
+    pts, w = cloud.points, cloud.weights
+
+    def stratum(t, start, stop):
+        rng = substream(seed, _STREAM_PAIRS, t)
+        partner = rng.permutation(n)[:per_stratum]
+        left = np.arange(partner.size)
+        keep = partner != left
+        a = left[keep]
+        b = partner[keep]
+        d = np.sqrt(np.sum((pts[a] - pts[b]) ** 2, axis=1))
+        pw = w[a] * w[b]
+
+        def stats(sl):
+            ds, pws = d[sl], pw[sl]
+            nz = ds > 0
+            hits = np.array([pws[ds <= r].sum() for r in radii])
+            energies = np.array([np.sum(pws[nz] * ds[nz] ** (-s)) for s in powers])
+            return (
+                pws.sum(),
+                hits,
+                pws[~nz].sum(),
+                energies,
+                pws[nz].sum(),
+            )
+
+        cuts = [d.size // c for c in _ENERGY_CUTS]
+        return tuple(stats(slice(0, c)) for c in cuts)
+
+    results = run_chunks(stratum, n_strata, workers=workers, chunk=1)
+
+    def combine(rows):
+        total = sum(r[0] for r in rows)
+        hits = sum((r[1] for r in rows), np.zeros(len(radii)))
+        zeros = sum(r[2] for r in rows)
+        energies = sum((r[3] for r in rows), np.zeros(len(powers)))
+        nonzero = sum(r[4] for r in rows)
+        return total, hits, zeros, energies, nonzero
+
+    return tuple(combine([r[k] for r in results]) for k in range(len(_ENERGY_CUTS)))
+
+
+def oracle_cloud(kind):
+    rng = np.random.default_rng(61)
+    if kind == "uniform-1d":
+        return PointCloud(rng.random((4000, 1)))
+    if kind == "dirichlet-2d":
+        return PointCloud(rng.random((3000, 2)), weights=rng.dirichlet(np.ones(3000)))
+    if kind == "coincident-2d":
+        # a 12 x 12 lattice: many sampled pairs sit at distance zero
+        pts = rng.integers(0, 12, (3000, 2)) / 12
+        return PointCloud(pts, weights=rng.dirichlet(np.ones(3000)))
+    pts = rng.integers(0, 40, (2500, 1)) / 40
+    return PointCloud(pts)
+
+
+class TestPairEngine:
+    @pytest.mark.parametrize("n, max_pairs", [(1500, 1000), (1200, 5000), (1000, 10**7)])
+    def test_sample_is_the_per_call_draw(self, n, max_pairs):
+        pairs = _pair_sample(n, 9, max_pairs)
+        per_stratum = min(n, max_pairs)
+        assert len(pairs) == max(1, min(max_pairs // n, n - 1))
+        for t, (a, b) in enumerate(pairs):
+            partner = substream(9, _STREAM_PAIRS, t).permutation(n)[:per_stratum]
+            left = np.arange(partner.size)
+            keep = partner != left
+            assert a.dtype == np.int32 and b.dtype == np.int32
+            assert np.array_equal(a, left[keep])
+            assert np.array_equal(b, partner[keep])
+
+    def test_sample_preconditions(self):
+        with pytest.raises(PreconditionError):
+            _pair_sample(5000, 0, 0)
+        with pytest.raises(PreconditionError):
+            _pair_sample(999, 0, 10_000)
+        sch = RadiusSchedule(r0=0.25, levels=4, fit_lo=0, fit_hi=4)
+        with pytest.raises(PreconditionError):
+            correlation_dimension(uniform_cloud(2000, 1, 0), sch, max_pairs=0)
+
+    @pytest.mark.parametrize(
+        "kind", ["uniform-1d", "dirichlet-2d", "coincident-2d", "coincident-1d"]
+    )
+    @pytest.mark.parametrize("max_pairs", [35_000, 1_500])
+    def test_matches_nested_mask_reference(self, kind, max_pairs):
+        cloud = oracle_cloud(kind)
+        radii = RadiusSchedule(r0=0.5, levels=10, fit_lo=0, fit_hi=10).radii
+        powers = (0.0, 0.4, 1.3)
+        ref = reference_pair_profile(cloud, radii, powers, 3, max_pairs, 1)
+        pairs = _pair_sample(cloud.size, 3, max_pairs)
+        got = _pair_profile(cloud, radii, powers, pairs, 1)
+        again = _pair_profile(cloud, radii, powers, pairs, 3)
+        assert len(got) == len(ref) == len(_ENERGY_CUTS)
+        for cut_got, cut_again, cut_ref in zip(got, again, ref):
+            # pair weight, hits per radius, zero weight, energies, nonzero weight
+            for field_got, field_again, field_ref in zip(cut_got, cut_again, cut_ref):
+                assert np.array_equal(field_got, field_again)
+                np.testing.assert_allclose(field_got, field_ref, rtol=1e-14, atol=0)
+        if kind.startswith("coincident"):
+            assert ref[-1][2] > 0
+
+    def test_marstrand_matches_per_direction_reference(self):
+        ifs = SimilarityIFS(
+            ratios=[1 / 3] * 4,
+            translations=[[0, 0], [2 / 3, 0], [0, 2 / 3], [2 / 3, 2 / 3]],
+        )
+        measure = BernoulliMeasure([0.1, 0.2, 0.3, 0.4])
+        seed, count, max_pairs, directions = 5, 20_000, 200_000, 4
+        rep = marstrand_experiment(
+            ifs, measure, 1, directions, count, seed, max_pairs=max_pairs, workers=2
+        )
+        cloud = sample_points(ifs, measure, count, tol=_SAMPLE_TOL, seed=seed)
+        predicted = min(1.0, symbolic_dimension(measure, ifs).value)
+        for j in range(directions):
+            proj = project_cloud(cloud, sample_subspace(2, 1, seed, index=j))
+            schedule = _projection_schedule(proj, predicted, max_pairs)
+            radii, win = schedule.radii, schedule.fit_slice
+            full = reference_pair_profile(proj, radii, (), seed, max_pairs, 1)[-1]
+            ref = linregress(np.log(radii[win]), np.log(full[1][win] / full[0]))
+            assert rep.estimates[j] == pytest.approx(ref.slope, rel=0, abs=1e-12)
+            assert rep.stderrs[j] == pytest.approx(ref.stderr, rel=1e-9)
+
+
+def fit_cases():
+    rng = np.random.default_rng(8)
+    cases = []
+    for n in (3, 4, 7, 13, 30):
+        x = rng.standard_normal(n)
+        cases.append((x, 2.0 * x + rng.standard_normal(n)))
+    x = np.log(0.5 ** np.arange(12))
+    cases += [
+        (x, 0.63 * x + 1e-13 * rng.standard_normal(12)),  # 1 - r^2 cancels
+        (x, -1.7 * x + 5.0),  # exact line
+        (x[:2], x[:2] ** 2),  # two points carry no error estimate
+        (x[:3], np.array([1.0, 1.0 + 1e-9, 1.0])),  # nearly constant
+        (1e6 + rng.random(6), rng.random(6)),  # large offset in x
+        (np.array([0.0, 1e-8, 2e-8, 1.0]), rng.random(4)),  # clustered x
+    ]
+    return cases
+
+
+class TestLinearFit:
+    @pytest.mark.parametrize("x, y", fit_cases())
+    def test_matches_linregress(self, x, y):
+        slope, stderr = _linear_fit(x, y)
+        ref = linregress(x, y)
+        assert slope == pytest.approx(ref.slope, rel=1e-12, abs=0)
+        assert stderr == pytest.approx(ref.stderr, rel=1e-12, abs=0)
 
 
 class TestBoxCounting:

@@ -176,9 +176,11 @@ class TestMarstrand:
     def test_worker_independent(self):
         kw = dict(num_directions=4, count=20_000, seed=7, max_pairs=200_000)
         a = marstrand_experiment(square_corners(), UNIFORM4, 1, workers=1, **kw)
-        b = marstrand_experiment(square_corners(), UNIFORM4, 1, workers=3, **kw)
-        assert np.array_equal(a.estimates, b.estimates)
-        assert a.fraction_within == b.fraction_within
+        for workers in (2, 3):
+            b = marstrand_experiment(square_corners(), UNIFORM4, 1, workers=workers, **kw)
+            assert np.array_equal(a.estimates, b.estimates)
+            assert np.array_equal(a.stderrs, b.stderrs)
+            assert a.fraction_within == b.fraction_within
 
 
 class TestEDE:
