@@ -72,14 +72,26 @@ def format_value(v):
     return str(v)
 
 
+def _write_artifact(path, text):
+    """Write text to path as a new file, removing any old one first.
+
+    Truncating an existing non-empty file makes some file systems (ext4)
+    flush it, tens of milliseconds per file on a rerun into the same
+    directory; a fresh file does not pay that.
+    """
+    path = Path(path)
+    path.unlink(missing_ok=True)
+    with open(path, "w", newline="") as fh:
+        fh.write(text)
+
+
 def write_csv(path, header, rows):
     lines = [",".join(header)]
     for row in rows:
         if len(row) != len(header):
             raise ValueError("row width does not match the header")
         lines.append(",".join(format_value(v) for v in row))
-    with open(path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_artifact(path, "\n".join(lines) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -114,11 +126,13 @@ def _integer(obj, path, minimum=None):
     return int(obj)
 
 
-def _array(obj, path, dtype=float):
+def _array(obj, path, dtype=float, ndim=None):
     try:
         arr = np.array(obj, dtype=dtype)
     except (TypeError, ValueError):
         raise SchemaError(f"{path}: expected a numeric array")
+    if ndim is not None and arr.ndim != ndim:
+        raise SchemaError(f"{path}: expected a {ndim}-d array")
     if arr.size == 0:
         raise SchemaError(f"{path}: array must be nonempty")
     return arr
@@ -267,7 +281,7 @@ def _validate_params(kind, params):
         if "energy" in params:
             block = params["energy"]
             _check_keys(block, "config.params.energy", ("exponents",), ("max_pairs",))
-            _array(block["exponents"], "config.params.energy.exponents")
+            _array(block["exponents"], "config.params.energy.exponents", ndim=1)
             if "max_pairs" in block:
                 _integer(block["max_pairs"], "config.params.energy.max_pairs", minimum=1)
     elif kind == "spectrum":
@@ -294,7 +308,7 @@ def _validate_params(kind, params):
                 params["holder"], "config.params.holder",
                 ("alphas", "pair_samples"), (),
             )
-            _array(params["holder"]["alphas"], "config.params.holder.alphas")
+            _array(params["holder"]["alphas"], "config.params.holder.alphas", ndim=1)
     elif kind == "project":
         _integer(params["subspace_dim"], "config.params.subspace_dim")
         _integer(params["directions"], "config.params.directions")
@@ -877,13 +891,13 @@ def run(config_path, out_dir, workers=1, seed_override=None):
         "artifacts": [name for name, _, _ in artifacts],
         "wall_seconds": time.perf_counter() - start,
     }
-    (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    _write_artifact(out / "manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     summary = {
         "passed": all(r["passed"] for r in results),
         "assertions": results,
         "quantities": quantities,
     }
-    (out / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    _write_artifact(out / "summary.json", json.dumps(summary, indent=2, sort_keys=True) + "\n")
     for r in results:
         verdict = "pass" if r["passed"] else "FAIL"
         print(f"{verdict}  {r['name']}: got {format_value(r['got'])}")

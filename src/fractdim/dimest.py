@@ -29,6 +29,29 @@ _STREAM_PROBES = 72
 _PAIR_BLOCK_ROWS = 1 << 12
 
 
+def _lattice_ids(k):
+    """Row-major ids of integer lattice cells k, shifted to start at zero.
+
+    Returns (ids, k_min, dims, strides); raises when the id space would
+    reach 2^62, which keeps every id and product exact in int64.
+    """
+    k_min = k.min(axis=0)
+    k = k - k_min
+    dims = k.max(axis=0) + 1
+    if int(np.prod(dims.astype(object))) >= 2**62:
+        raise PreconditionError("grid too fine for the cloud's spread")
+    strides = np.ones_like(dims)
+    strides[:-1] = np.cumprod(dims[::-1])[-2::-1]
+    return k @ strides, k_min, dims, strides
+
+
+def _lattice_cells(points, cell):
+    """Absolute lattice index floor(x / cell) of every point."""
+    if not (cell > 0 and math.isfinite(cell)):
+        raise PreconditionError("cell size must be positive and finite")
+    return np.floor(points / cell).astype(np.int64)
+
+
 class _GridIndex:
     """Uniform grid hash over one cell size, anchored at integer multiples.
 
@@ -38,21 +61,15 @@ class _GridIndex:
     """
 
     def __init__(self, points, cell):
-        if not (cell > 0 and math.isfinite(cell)):
-            raise PreconditionError("cell size must be positive and finite")
         self.cell = float(cell)
-        k = np.floor(points / self.cell).astype(np.int64)
-        self.k_min = k.min(axis=0)
-        k = k - self.k_min
-        self.dims = k.max(axis=0) + 1
-        if int(np.prod(self.dims.astype(object))) >= 2**62:
-            raise PreconditionError("grid too fine for the cloud's spread")
-        self.strides = np.ones_like(self.dims)
-        self.strides[:-1] = np.cumprod(self.dims[::-1])[-2::-1]
-        ids = k @ self.strides
+        k = _lattice_cells(points, self.cell)
+        ids, self.k_min, self.dims, self.strides = _lattice_ids(k)
         self.order = np.argsort(ids, kind="stable")
         self.sorted_ids = ids[self.order]
-        self.cell_ids, self.cell_starts = np.unique(self.sorted_ids, return_index=True)
+        # ids are sorted, so a cell starts wherever the id changes
+        new_cell = np.flatnonzero(self.sorted_ids[1:] != self.sorted_ids[:-1]) + 1
+        self.cell_starts = np.concatenate(([0], new_cell))
+        self.cell_ids = self.sorted_ids[self.cell_starts]
         n = points.shape[1]
         self.offsets = np.array(list(itertools.product((-1, 0, 1), repeat=n)))
 
@@ -424,11 +441,37 @@ def empirical_energy(cloud, s, seed=0, max_pairs=_MAX_PAIRS, workers=1):
     )
 
 
+def _dyadic_box_counts(points, finest, levels):
+    """Occupied boxes of side finest * 2^s for s = 0..levels, finest first.
+
+    Dividing by a power of two is exact, so floor(x / (c * 2^s)) is the
+    finest index floor(x / c) shifted right by s.  The finest cells are
+    sorted once; each coarser level shifts the previous level's distinct
+    cells by one and counts the distinct results.
+    """
+    ids, k_min, dims, strides = _lattice_ids(_lattice_cells(points, finest))
+    ids = np.unique(ids)
+    counts = [ids.size]
+    for _ in range(levels):
+        # absolute indices: shifting min-relative ones would move box edges
+        cells = (ids[:, None] // strides % dims + k_min) >> 1
+        ids, k_min, dims, strides = _lattice_ids(cells)
+        ids = np.unique(ids)
+        counts.append(ids.size)
+    return counts
+
+
 def box_counting(cloud, schedule):
-    """Slope of log N(r) against log(1/r), N(r) = occupied boxes of side r."""
+    """Slope of log N(r) against log(1/r), N(r) = occupied boxes of side r.
+
+    The schedule radii are r0 * 2^-j exactly, so every count comes from one
+    sort of the finest lattice (_dyadic_box_counts); the counts equal those
+    of a grid built at each radius, and no grid is cached on the cloud.
+    """
     schedule.check_floor(cloud)
     radii = schedule.radii
-    counts = np.array([cloud.grid(r).occupied for r in radii], dtype=float)
+    counts = _dyadic_box_counts(cloud.points, float(radii[-1]), schedule.levels)
+    counts = np.array(counts[::-1], dtype=float)
     win = schedule.fit_slice
     slope, err = _ols(np.log(1.0 / radii[win]), np.log(counts[win]))
     return FitEstimate(slope, err, freeze(radii), freeze(counts))

@@ -100,8 +100,12 @@ class BernoulliMeasure:
     def sample_batch(self, count, length, rng):
         cdf = np.cumsum(self.p)
         u = rng.random((int(count), int(length)))
-        idx = np.searchsorted(cdf, u, side="right")
-        return np.minimum(idx, self.m - 1).astype(np.int64)
+        # symbol = #{j < m - 1 : cdf[j] <= u}, the inverse-CDF draw with
+        # u >= cdf[-1] (rounding) sent to the last symbol
+        idx = np.zeros(u.shape, dtype=np.int64)
+        for c in cdf[:-1]:
+            idx += u >= c
+        return idx
 
     def as_markov(self):
         kernel = np.tile(self.p, (self.m, 1))
@@ -512,12 +516,6 @@ class LocallyConstantPotential:
         object.__setattr__(self, "depth", depth)
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "table", freeze(table))
-
-    def sup_norm(self):
-        finite = self.table[np.isfinite(self.table)]
-        if finite.size == 0:
-            raise PreconditionError("potential is identically -inf")
-        return float(np.max(np.abs(finite)))
 
     def finite_range(self):
         finite = self.table[np.isfinite(self.table)]

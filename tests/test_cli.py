@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -148,6 +149,30 @@ class TestSchemaGate:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("exponents", [0.5, [[0.5, 0.9]]])
+    def test_energy_exponents_must_be_a_list(self, tmp_path, capsys, exponents):
+        code, out = launch(tmp_path, dimension_config(energy={"exponents": exponents}))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("schema error: config.params.energy.exponents:")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("alphas", [0.5, [[0.5]]])
+    def test_holder_alphas_must_be_a_list(self, tmp_path, capsys, alphas):
+        cfg = {
+            "schema": 1, "kind": "ede", "seed": 3, "ifs": CANTOR_IFS,
+            "params": {
+                "words": [[0, 1] * 15], "depth_min": 1, "depth_max": 4,
+                "epsilon": 0.1, "holder": {"alphas": alphas, "pair_samples": 10},
+            },
+        }
+        code, out = launch(tmp_path, cfg)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("schema error: config.params.holder.alphas:")
+        assert not out.exists()
+
+
 class TestExitCodes:
     def test_precondition_failure_is_exit_3(self, tmp_path, capsys):
         cfg = spectrum_config(
@@ -210,6 +235,27 @@ class TestArtifacts:
         assert manifest["seed"] == 99
         assert manifest["config"]["seed"] == 99
         assert manifest["seed_overridden"] is True
+
+
+    def test_rerun_writes_fresh_files(self, tmp_path):
+        cfg = dimension_config(box={"r0": 0.5, "levels": 6})
+        _, out = launch(tmp_path, cfg)
+        first = {p.name: p.read_bytes() for p in out.iterdir()}
+        kept = tmp_path / "kept.json"
+        os.link(out / "summary.json", kept)
+        _, again = launch(tmp_path, cfg)
+        assert again == out
+        for name in ("box.csv", "summary.json"):
+            assert (out / name).read_bytes() == first[name]
+        # the old file is left to its other link, not rewritten in place
+        assert not os.path.samefile(out / "summary.json", kept)
+        assert kept.read_bytes() == first["summary.json"]
+
+        def strict(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        manifest = json.loads((out / "manifest.json").read_text(), parse_constant=strict)
+        assert manifest["artifacts"] == ["box.csv"]
 
 
 class TestRunners:

@@ -13,6 +13,7 @@ from fractdim.dimest import (
     _STREAM_PAIRS,
     PointCloud,
     RadiusSchedule,
+    _GridIndex,
     box_counting,
     coarse_spectrum,
     correlation_dimension,
@@ -448,6 +449,81 @@ class TestBoxCounting:
         sch = RadiusSchedule(r0=0.5, levels=6, fit_lo=0, fit_hi=6)
         est = box_counting(cloud, sch)
         assert np.all(np.diff(est.profile) >= 0)
+
+
+def weighted_square_cloud(n, seed):
+    """Weighted 4-map square IFS: two coordinates of biased binary digits."""
+    ifs = SimilarityIFS(
+        ratios=[0.5] * 4, translations=[[0, 0], [0.5, 0], [0, 0.5], [0.5, 0.5]]
+    )
+    return sample_points(ifs, BernoulliMeasure([0.1, 0.2, 0.3, 0.4]), n, tol=1e-7, seed=seed)
+
+
+class TestBoxCountPyramid:
+    """One sort of the finest lattice against a grid built at every radius."""
+
+    @pytest.mark.parametrize(
+        "make_cloud, schedule",
+        [
+            (lambda: cantor_cloud(50_000, 7), RadiusSchedule(0.5, 14, 2, 14)),
+            (lambda: weighted_square_cloud(30_000, 8), RadiusSchedule(0.25, 10, 1, 10)),
+            (
+                lambda: PointCloud(
+                    np.random.default_rng(9).standard_normal((30_000, 3)) - 7.3
+                ),
+                RadiusSchedule(0.8, 9, 1, 9),
+            ),
+            (lambda: uniform_cloud(30_000, 2, 10), RadiusSchedule(0.3, 11, 1, 11)),
+            (lambda: cantor_cloud(30_000, 11), RadiusSchedule(1 / 3, 12, 1, 12)),
+        ],
+        ids=["cantor-1d", "weighted-square-2d", "negative-3d", "r0-0.3", "r0-third"],
+    )
+    def test_counts_match_grid_per_radius(self, make_cloud, schedule):
+        cloud = make_cloud()
+        est = box_counting(cloud, schedule)
+        ref = [_GridIndex(cloud.points, r).occupied for r in schedule.radii]
+        assert est.profile.tolist() == ref
+        assert not cloud._grids
+
+    def test_min_index_off_the_coarse_lattice(self):
+        # a finest minimum index that is no multiple of 2^levels: shifting
+        # indices relative to that minimum would move the coarse box edges
+        rng = np.random.default_rng(12)
+        pts = 5.123 + 0.01 * rng.random((20_000, 2))
+        sch = RadiusSchedule(1 / 3, 16, 1, 16)
+        k_min = _GridIndex(pts, sch.radii[-1]).k_min
+        assert np.all(k_min % 2**sch.levels != 0)
+        est = box_counting(PointCloud(pts), sch)
+        ref = [_GridIndex(pts, r).occupied for r in sch.radii]
+        assert est.profile.tolist() == ref
+
+    def test_grid_too_fine_rejected(self):
+        cloud = PointCloud(np.random.default_rng(13).random((100, 3)) * 1e6)
+        sch = RadiusSchedule(1e-6, 4, 0, 4)
+        with pytest.raises(PreconditionError, match="grid too fine"):
+            box_counting(cloud, sch)
+        with pytest.raises(PreconditionError, match="grid too fine"):
+            _GridIndex(cloud.points, 1e-6)
+
+
+class TestGridIndexCells:
+    @pytest.mark.parametrize("dim, cell", [(1, 2.0**-9), (2, 0.05), (3, 0.2)])
+    def test_cells_match_unique(self, dim, cell):
+        rng = np.random.default_rng(dim)
+        cloud = PointCloud(rng.standard_normal((5000, dim)), weights=rng.dirichlet(np.ones(5000)))
+        grid = _GridIndex(cloud.points, cell)
+        cell_ids, cell_starts = np.unique(grid.sorted_ids, return_index=True)
+        assert np.array_equal(grid.cell_ids, cell_ids)
+        assert np.array_equal(grid.cell_starts, cell_starts)
+        assert grid.cell_starts.dtype == cell_starts.dtype
+        masses, ends = grid.box_masses(cloud.weights)
+        ref = np.add.reduceat(cloud.weights[grid.order], cell_starts)
+        assert np.array_equal(masses, ref)
+        assert np.array_equal(ends, np.append(cell_starts, grid.sorted_ids.size))
+
+    def test_single_point(self):
+        grid = _GridIndex(np.array([[0.3, -0.2]]), 0.1)
+        assert grid.cell_starts.tolist() == [0] and grid.occupied == 1
 
 
 class TestCoarseSpectrum:

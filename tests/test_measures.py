@@ -268,6 +268,14 @@ class TestRationalKernel:
         assert all(np.isfinite(dists))
 
 
+def searchsorted_batch(p, count, length, rng):
+    """The inverse-cdf Bernoulli sampler by searchsorted, as an oracle."""
+    cdf = np.cumsum(p)
+    u = rng.random((int(count), int(length)))
+    idx = np.searchsorted(cdf, u, side="right")
+    return np.minimum(idx, p.size - 1).astype(np.int64)
+
+
 class TestSampling:
     def test_deterministic_in_seed(self):
         mu = BernoulliMeasure([0.3, 0.7])
@@ -303,6 +311,45 @@ class TestSampling:
         codes = batch[:, 0] * 2 + batch[:, 1]
         freq = np.bincount(codes, minlength=4) / 50_000
         assert np.max(np.abs(freq - nu.marginal(2))) < 0.01
+
+    @pytest.mark.parametrize(
+        "p",
+        [
+            [1.0],
+            [0.25, 0.75],
+            [0.2, 0.0, 0.8],
+            [0.0, 0.0, 0.5, 0.5],
+            [0.1, 0.2, 0.3, 0.4, 0.0],
+            [0.0, 0.1, 0.2, 0.3, 0.2, 0.2],
+            [0.5, 0.5 - 5e-10],
+            [1 / 6] * 5 + [1 / 6 - 5e-10],
+        ],
+    )
+    def test_bernoulli_batch_matches_searchsorted(self, p):
+        mu = BernoulliMeasure(p)
+        got = mu.sample_batch(4000, 25, substream(3, 1))
+        ref = searchsorted_batch(mu.p, 4000, 25, substream(3, 1))
+        assert got.dtype == ref.dtype
+        assert np.array_equal(got, ref)
+
+    @pytest.mark.parametrize(
+        "p", [[0.25, 0.75], [0.2, 0.0, 0.3, 0.5], [0.5, 0.5 - 5e-10]]
+    )
+    def test_bernoulli_batch_at_cdf_breakpoints(self, p):
+        # draws exactly at a cdf entry, and above a cdf that sums to
+        # 1 - 5e-10, take the symbols of the inverse-cdf draw
+        mu = BernoulliMeasure(p)
+        cdf = np.cumsum(mu.p)
+        draws = np.concatenate(([0.0], cdf, np.nextafter(cdf, 0.0), [1.0 - 1e-12]))
+        draws = draws[draws < 1.0]
+
+        class Fixed:
+            def random(self, shape):
+                return draws.reshape(shape)
+
+        got = mu.sample_batch(1, draws.size, Fixed())
+        assert np.array_equal(got, searchsorted_batch(mu.p, 1, draws.size, Fixed()))
+        assert got[0, -1] == mu.m - 1
 
     def test_empirical_model_requires_enough_symbols(self):
         with pytest.raises(PreconditionError):
