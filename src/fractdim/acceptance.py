@@ -32,6 +32,7 @@ from .measures import (
     LocallyConstantPotential,
     MarkovMeasure,
     gibbs_from_potential,
+    gibbs_ratio_bounds,
     markov_approximation,
     relative_entropy,
 )
@@ -272,17 +273,8 @@ def gibbs_suite(workers=1):
         worst_lip = max(worst_lip, abs(p1 - p2) - float(np.max(np.abs(t1 - t2))))
     pot = LocallyConstantPotential(3, 2, rng.normal(scale=0.8, size=8))
     gibbs = gibbs_from_potential(pot)
-    hi_ratio, lo_ratio = -math.inf, math.inf
-    for n in range(1, 13):
-        masses = gibbs.marginal(n)
-        s_lo, s_hi = cli._birkhoff_bounds(pot, n)
-        keep = masses > 0
-        hi_ratio = max(
-            hi_ratio, float(np.max(masses[keep] * np.exp(n * gibbs.pressure - s_lo[keep])))
-        )
-        lo_ratio = min(
-            lo_ratio, float(np.min(masses[keep] * np.exp(n * gibbs.pressure - s_hi[keep])))
-        )
+    lo, hi, _ = gibbs_ratio_bounds(gibbs, 12)
+    hi_ratio, lo_ratio = float(hi.max()), float(lo.min())
     return [
         _close("potential log p has zero pressure", gm.pressure, 0.0, 1e-10),
         _close("potential log p gives Bernoulli(p) (level-4 worst)", mass_gap, 0.0, 1e-10),

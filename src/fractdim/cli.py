@@ -16,7 +16,9 @@ import math
 import platform
 import sys
 import time
+from functools import partial
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,8 +33,8 @@ from .measures import (
     BernoulliMeasure,
     LocallyConstantPotential,
     MarkovMeasure,
-    encode_word,
     gibbs_from_potential,
+    gibbs_ratio_bounds,
     markov_approximation,
     relative_entropy,
 )
@@ -51,10 +53,6 @@ SCHEMA_VERSION = 1
 
 # substream key for config-driven word sampling; module streams stay below 100
 _STREAM_CLI_WORDS = 901
-
-_KINDS = ("spectrum", "dimension", "project", "ede", "transversality", "approx", "gibbs")
-_NEEDS_IFS = {"spectrum", "dimension", "project", "ede", "transversality"}
-_NEEDS_MEASURE = {"spectrum", "dimension", "project", "approx"}
 
 
 # ---------------------------------------------------------------------------
@@ -95,8 +93,9 @@ def write_csv(path, header, rows):
 
 
 # ---------------------------------------------------------------------------
-# Schema validation.  Shapes and key sets are checked here (exit 2);
-# numeric ranges are the library's preconditions (exit 3).
+# Schema validation, driven by the KINDS table below.  Shapes, types and
+# key sets are checked here (exit 2); numeric ranges are the library's
+# preconditions (exit 3).
 
 
 def _check_keys(obj, path, required, optional=()):
@@ -138,36 +137,97 @@ def _array(obj, path, dtype=float, ndim=None):
     return arr
 
 
-_PARAM_KEYS = {
-    "spectrum": ((), ("qs", "coarse")),
-    "dimension": (("count",), ("sample_tol", "correlation", "box", "energy")),
-    "project": (
-        ("subspace_dim", "directions", "count"),
-        ("tolerance", "max_pairs", "basis"),
-    ),
-    "ede": (
-        ("depth_min", "depth_max", "epsilon"),
-        ("words", "samples", "word_length", "tolerance", "holder"),
-    ),
-    "transversality": (
-        ("low", "high", "word_a", "word_b", "r0", "levels", "samples"),
-        ("region_low", "region_high"),
-    ),
-    "approx": (("orders",), ()),
-    "gibbs": (("depth", "alphabet", "table"), ("check_depth",)),
+def _increasing(obj, path):
+    if np.any(np.diff(_array(obj, path, dtype=int, ndim=1)) <= 0):
+        raise SchemaError(f"{path}: expected strictly increasing integers")
+
+
+def _words(obj, path):
+    if not isinstance(obj, list) or not obj:
+        raise SchemaError(f"{path}: expected a nonempty list of words")
+    for i, w in enumerate(obj):
+        _array(w, f"{path}[{i}]", dtype=int, ndim=1)
+
+
+_VECTOR = partial(_array, ndim=1)
+_COUNT = partial(_integer, minimum=1)
+_POSITIVE = partial(_number, positive=True)
+
+
+class Field(NamedTuple):
+    """One param key: a checker `check(value, path)`, or a nested Block."""
+
+    check: object
+    required: bool
+
+
+def _req(check):
+    return Field(check, True)
+
+
+def _opt(check):
+    return Field(check, False)
+
+
+class Block(NamedTuple):
+    """A params object: its fields and the quantities its presence adds.
+
+    A quantity name containing `{i}` stands for one name per entry of the
+    array field named by `index`.
+    """
+
+    fields: dict
+    quantities: tuple = ()
+    index: str = None
+
+
+class Kind(NamedTuple):
+    """Everything one experiment kind accepts and produces.
+
+    `measure` is True, False, or the param keys whose presence needs one;
+    `params.quantities` are the quantities every run produces.
+    """
+
+    run: object
+    ifs: bool
+    measure: object
+    params: Block
+
+
+def _check_fields(obj, fields, path):
+    _check_keys(obj, path, [k for k, f in fields.items() if f.required], fields)
+    for key, field in fields.items():
+        if key in obj:
+            if isinstance(field.check, Block):
+                _check_fields(obj[key], field.check.fields, f"{path}.{key}")
+            else:
+                field.check(obj[key], f"{path}.{key}")
+
+
+def _block_quantities(block, obj):
+    count = len(obj[block.index]) if block.index else 1
+    names = {
+        q.format(i=i) for q in block.quantities
+        for i in range(count if "{i}" in q else 1)
+    }
+    for key, field in block.fields.items():
+        if isinstance(field.check, Block) and key in obj:
+            names |= _block_quantities(field.check, obj[key])
+    return names
+
+
+def quantity_names(kind, params):
+    """Exact quantity namespace of a validated config, without running it."""
+    names = _block_quantities(KINDS[kind].params, params)
+    if kind == "gibbs" and params["depth"] == 1:
+        names.add("bernoulli_residual")
+    return names
+
+
+_IFS_FIELDS = {
+    "ratios": _req(_array), "translations": _req(_array),
+    "rotations": _opt(_array), "orthogonal": _opt(_array),
 }
-
-
-def _validate_ifs_spec(spec):
-    _check_keys(spec, "config.ifs", ("ratios", "translations"), ("rotations", "orthogonal"))
-    _array(spec["ratios"], "config.ifs.ratios")
-    _array(spec["translations"], "config.ifs.translations")
-    if "rotations" in spec and "orthogonal" in spec:
-        raise SchemaError("config.ifs: give rotations or orthogonal, not both")
-    if "rotations" in spec:
-        _array(spec["rotations"], "config.ifs.rotations")
-    if "orthogonal" in spec:
-        _array(spec["orthogonal"], "config.ifs.orthogonal")
 
 
 def _validate_measure_spec(spec):
@@ -207,153 +267,34 @@ def _validate_assertion(item, path, known):
                 _number(item[key], f"{path}.{key}")
 
 
-def _quantity_names(kind, params):
-    """Exact quantity namespace of a run, computable without running it."""
-    names = set()
-    if kind == "spectrum":
-        names |= {
-            "T_at_1", "T_at_0", "similarity_dim", "alpha_min", "alpha_max",
-            "alpha_peak", "alpha_at_0", "alpha_at_1",
-        }
-        if "coarse" in params:
-            names |= {
-                "coarse_peak_alpha", "coarse_peak_f", "coarse_f_at_alpha1",
-                "coarse_boxes",
-            }
-    elif kind == "dimension":
-        names |= {"count", "truncation"}
-        if "correlation" in params:
-            names |= {"correlation", "correlation_stderr"}
-        if "box" in params:
-            names |= {"box", "box_stderr"}
-        if "energy" in params:
-            for i in range(len(params["energy"]["exponents"])):
-                names |= {f"energy{i}_value", f"energy{i}_diverged"}
-    elif kind == "project":
-        names |= {
-            "predicted", "fraction_within", "below_count", "directions",
-            "q05", "q25", "q50", "q75", "q95",
-        }
-    elif kind == "ede":
-        names |= {
-            "words", "fraction_passed", "all_passed", "any_overlap",
-            "max_worst_exponent", "min_constant",
-        }
-        if "holder" in params:
-            names.add("holder_stabilized")
-            for i in range(len(params["holder"]["alphas"])):
-                names.add(f"holder{i}_overall")
-    elif kind == "transversality":
-        names |= {
-            "exponent", "k_hat", "degenerate", "constraint_satisfied",
-            "samples", "used_bins",
-        }
-    elif kind == "approx":
-        names |= {
-            "entropy", "max_identity_residual", "monotone",
-            "relative_entropy_first", "relative_entropy_last",
-        }
-    elif kind == "gibbs":
-        names |= {"pressure", "constant", "max_ratio", "min_ratio", "bounds_hold"}
-        if params.get("depth") == 1:
-            names.add("bernoulli_residual")
-    return names
-
-
-def _validate_params(kind, params):
-    required, optional = _PARAM_KEYS[kind]
-    _check_keys(params, "config.params", required, optional)
-    if kind == "dimension":
-        _integer(params["count"], "config.params.count")
-        if "sample_tol" in params:
-            _number(params["sample_tol"], "config.params.sample_tol")
-        for name in ("correlation", "box"):
-            if name in params:
-                block, path = params[name], f"config.params.{name}"
-                _check_keys(block, path, ("levels",), ("r0", "fit_lo", "max_pairs"))
-                _integer(block["levels"], f"{path}.levels")
-                if "r0" in block:
-                    _number(block["r0"], f"{path}.r0")
-                if "fit_lo" in block:
-                    _integer(block["fit_lo"], f"{path}.fit_lo")
-                if "max_pairs" in block:
-                    _integer(block["max_pairs"], f"{path}.max_pairs", minimum=1)
-        if "energy" in params:
-            block = params["energy"]
-            _check_keys(block, "config.params.energy", ("exponents",), ("max_pairs",))
-            _array(block["exponents"], "config.params.energy.exponents", ndim=1)
-            if "max_pairs" in block:
-                _integer(block["max_pairs"], "config.params.energy.max_pairs", minimum=1)
-    elif kind == "spectrum":
-        if "qs" in params:
-            _array(params["qs"], "config.params.qs")
-        if "coarse" in params:
-            _check_keys(
-                params["coarse"], "config.params.coarse",
-                ("count", "scale"), ("delta",),
-            )
-    elif kind == "ede":
-        _integer(params["depth_min"], "config.params.depth_min")
-        _integer(params["depth_max"], "config.params.depth_max")
-        _number(params["epsilon"], "config.params.epsilon")
-        if ("words" in params) == ("samples" in params):
-            raise SchemaError("config.params: give words or samples, not both")
-        if "words" in params:
-            for i, w in enumerate(params["words"]):
-                _array(w, f"config.params.words[{i}]", dtype=int)
-        else:
-            _integer(params["samples"], "config.params.samples")
-        if "holder" in params:
-            _check_keys(
-                params["holder"], "config.params.holder",
-                ("alphas", "pair_samples"), (),
-            )
-            _array(params["holder"]["alphas"], "config.params.holder.alphas", ndim=1)
-    elif kind == "project":
-        _integer(params["subspace_dim"], "config.params.subspace_dim")
-        _integer(params["directions"], "config.params.directions")
-        _integer(params["count"], "config.params.count")
-        if "tolerance" in params:
-            _number(params["tolerance"], "config.params.tolerance", positive=True)
-        if "max_pairs" in params:
-            _integer(params["max_pairs"], "config.params.max_pairs", minimum=1)
-        if "basis" in params:
-            _array(params["basis"], "config.params.basis")
-    elif kind == "transversality":
-        for key in ("low", "high", "word_a", "word_b"):
-            _array(params[key], f"config.params.{key}")
-        _number(params["r0"], "config.params.r0")
-        _integer(params["levels"], "config.params.levels")
-        _integer(params["samples"], "config.params.samples")
-    elif kind == "approx":
-        _array(params["orders"], "config.params.orders", dtype=int)
-    elif kind == "gibbs":
-        _integer(params["depth"], "config.params.depth")
-        _integer(params["alphabet"], "config.params.alphabet")
-        _array(params["table"], "config.params.table")
-
-
 def validate_config(cfg):
     _check_keys(
         cfg, "config",
         ("schema", "kind", "seed", "params"),
         ("ifs", "measure", "assert"),
     )
-    if cfg["schema"] != SCHEMA_VERSION:
+    if type(cfg["schema"]) is not int or cfg["schema"] != SCHEMA_VERSION:
         raise SchemaError(
             f"config.schema: version {cfg['schema']!r} unsupported "
             f"(this build reads {SCHEMA_VERSION})"
         )
     kind = cfg["kind"]
-    if kind not in _KINDS:
+    if not isinstance(kind, str) or kind not in KINDS:
         raise SchemaError(f"config.kind: unknown experiment kind '{kind}'")
+    spec = KINDS[kind]
     _integer(cfg["seed"], "config.seed")
-    if kind in _NEEDS_IFS:
+    if spec.ifs:
         if "ifs" not in cfg:
             raise SchemaError(f"config: kind '{kind}' requires an ifs block")
-        _validate_ifs_spec(cfg["ifs"])
-    needs_measure = kind in _NEEDS_MEASURE or (
-        kind == "ede" and "samples" in cfg.get("params", {})
+        _check_fields(cfg["ifs"], _IFS_FIELDS, "config.ifs")
+        if "rotations" in cfg["ifs"] and "orthogonal" in cfg["ifs"]:
+            raise SchemaError("config.ifs: give rotations or orthogonal, not both")
+    params = cfg["params"]
+    _check_fields(params, spec.params.fields, "config.params")
+    if kind == "ede" and ("words" in params) == ("samples" in params):
+        raise SchemaError("config.params: give words or samples, not both")
+    needs_measure = spec.measure is True or any(
+        key in params for key in spec.measure or ()
     )
     if needs_measure and "measure" not in cfg:
         raise SchemaError(f"config: kind '{kind}' requires a measure block")
@@ -363,10 +304,7 @@ def validate_config(cfg):
             raise SchemaError(
                 "config.measure: the structure function needs product weights"
             )
-    if not isinstance(cfg["params"], dict):
-        raise SchemaError("config.params: expected an object")
-    _validate_params(kind, cfg["params"])
-    known = _quantity_names(kind, cfg["params"])
+    known = quantity_names(kind, params)
     checks = cfg.get("assert", [])
     if not isinstance(checks, list):
         raise SchemaError("config.assert: expected a list")
@@ -715,62 +653,6 @@ def _run_approx(cfg, workers):
     return artifacts, quantities
 
 
-def _birkhoff_bounds(pot, n):
-    """Min/max Birkhoff sums over every length-n cylinder, code order.
-
-    The first n - depth + 1 windows are determined by the word; the last
-    depth - 1 windows straddle the free tail, so their extremes depend only
-    on the final state and are folded in from a per-state enumeration.
-    """
-    m, d = pot.m, pot.depth
-    states = m ** (d - 1)
-    if n < d - 1:
-        # word shorter than the memory: every window straddles the tail
-        lo = np.full(m**n, math.inf)
-        hi = np.full(m**n, -math.inf)
-        for code in range(m**n):
-            word = [(code // m**j) % m for j in reversed(range(n))]
-            for tcode in range(states):
-                tail = [(tcode // m**j) % m for j in reversed(range(d - 1))]
-                full = word + tail
-                s = 0.0
-                for j in range(n):
-                    s += pot.table[encode_word(full[j : j + d], m)]
-                lo[code] = min(lo[code], s)
-                hi[code] = max(hi[code], s)
-        return lo, hi
-    tail_lo = np.zeros(states)
-    tail_hi = np.zeros(states)
-    if d > 1:
-        tail_lo.fill(math.inf)
-        tail_hi.fill(-math.inf)
-        for code in range(states):
-            state = [(code // m**j) % m for j in reversed(range(d - 1))]
-            for tcode in range(states):
-                tail = [(tcode // m**j) % m for j in reversed(range(d - 1))]
-                full = state + tail
-                s = 0.0
-                for j in range(d - 1):
-                    s += pot.table[encode_word(full[j : j + d], m)]
-                tail_lo[code] = min(tail_lo[code], s)
-                tail_hi[code] = max(tail_hi[code], s)
-    # head[w] = sum of fully determined windows, grown level by level
-    head = np.zeros(1)
-    state = np.zeros(1, dtype=int)
-    for level in range(1, n + 1):
-        head = np.repeat(head, m)
-        grown = state[:, None] * m + np.arange(m)[None, :]
-        if level < d:
-            state = grown.ravel()
-            continue
-        window = (state[:, None] % m ** (d - 1)) * m + np.arange(m)[None, :]
-        head = head + pot.table[window.ravel()]
-        state = grown.ravel() % m ** max(d - 1, 1)
-    if d == 1:
-        return head, head
-    return head + tail_lo[state], head + tail_hi[state]
-
-
 def _run_gibbs(cfg, workers):
     params = cfg["params"]
     pot = LocallyConstantPotential(
@@ -780,20 +662,12 @@ def _run_gibbs(cfg, workers):
     )
     gm = gibbs_from_potential(pot)
     check_depth = int(params.get("check_depth", 10))
-    rows = []
-    max_ratio, min_ratio = -math.inf, math.inf
-    for n in range(1, check_depth + 1):
-        masses = gm.marginal(n)
-        s_lo, s_hi = _birkhoff_bounds(pot, n)
-        keep = masses > 0
-        hi = np.max(masses[keep] * np.exp(n * gm.pressure - s_lo[keep]))
-        lo = np.min(masses[keep] * np.exp(n * gm.pressure - s_hi[keep]))
-        rows.append((n, lo, hi, int(keep.sum())))
-        max_ratio = max(max_ratio, hi)
-        min_ratio = min(min_ratio, lo)
+    lo, hi, cylinders = gibbs_ratio_bounds(gm, check_depth)
+    max_ratio, min_ratio = float(hi.max()), float(lo.min())
     holds = max_ratio <= gm.constant * (1 + 1e-9) and min_ratio >= (
         1 / gm.constant
     ) * (1 - 1e-9)
+    rows = list(zip(range(1, check_depth + 1), lo, hi, cylinders))
     artifacts = [
         ("bounds.csv", ["n", "min_ratio", "max_ratio", "cylinders"], rows)
     ]
@@ -812,14 +686,86 @@ def _run_gibbs(cfg, workers):
     return artifacts, quantities
 
 
-_RUNNERS = {
-    "spectrum": _run_spectrum,
-    "dimension": _run_dimension,
-    "project": _run_project,
-    "ede": _run_ede,
-    "transversality": _run_transversality,
-    "approx": _run_approx,
-    "gibbs": _run_gibbs,
+# ---------------------------------------------------------------------------
+# The experiment kinds: the one source of each kind's schema, quantity
+# names and runner.
+
+_FIT = {
+    "levels": _req(_integer), "r0": _opt(_number),
+    "fit_lo": _opt(_integer), "max_pairs": _opt(_COUNT),
+}
+
+KINDS = {
+    "spectrum": Kind(_run_spectrum, ifs=True, measure=True, params=Block(
+        {
+            "qs": _opt(_array),
+            "coarse": _opt(Block(
+                {"count": _req(_integer), "scale": _req(_POSITIVE), "delta": _opt(_number)},
+                ("coarse_peak_alpha", "coarse_peak_f", "coarse_f_at_alpha1", "coarse_boxes"),
+            )),
+        },
+        ("T_at_1", "T_at_0", "similarity_dim", "alpha_min", "alpha_max",
+         "alpha_peak", "alpha_at_0", "alpha_at_1"),
+    )),
+    "dimension": Kind(_run_dimension, ifs=True, measure=True, params=Block(
+        {
+            "count": _req(_integer),
+            "sample_tol": _opt(_number),
+            "correlation": _opt(Block(_FIT, ("correlation", "correlation_stderr"))),
+            "box": _opt(Block(_FIT, ("box", "box_stderr"))),
+            "energy": _opt(Block(
+                {"exponents": _req(_VECTOR), "max_pairs": _opt(_COUNT)},
+                ("energy{i}_value", "energy{i}_diverged"), index="exponents",
+            )),
+        },
+        ("count", "truncation"),
+    )),
+    "project": Kind(_run_project, ifs=True, measure=True, params=Block(
+        {
+            "subspace_dim": _req(_integer), "directions": _req(_integer),
+            "count": _req(_integer),
+            "tolerance": _opt(_POSITIVE),
+            "max_pairs": _opt(_COUNT), "basis": _opt(_array),
+        },
+        ("predicted", "fraction_within", "below_count", "directions",
+         "q05", "q25", "q50", "q75", "q95"),
+    )),
+    "ede": Kind(_run_ede, ifs=True, measure=("samples", "holder"), params=Block(
+        {
+            "depth_min": _req(_integer), "depth_max": _req(_integer),
+            "epsilon": _req(_number),
+            "words": _opt(_words), "samples": _opt(_COUNT),
+            "word_length": _opt(_integer), "tolerance": _opt(_number),
+            "holder": _opt(Block(
+                {"alphas": _req(_VECTOR), "pair_samples": _req(_integer)},
+                ("holder_stabilized", "holder{i}_overall"), index="alphas",
+            )),
+        },
+        ("words", "fraction_passed", "all_passed", "any_overlap",
+         "max_worst_exponent", "min_constant"),
+    )),
+    "transversality": Kind(_run_transversality, ifs=True, measure=False, params=Block(
+        {
+            "low": _req(_array), "high": _req(_array),
+            "word_a": _req(_array), "word_b": _req(_array),
+            "r0": _req(_number), "levels": _req(_integer), "samples": _req(_integer),
+            "region_low": _opt(_array), "region_high": _opt(_array),
+        },
+        ("exponent", "k_hat", "degenerate", "constraint_satisfied",
+         "samples", "used_bins"),
+    )),
+    "approx": Kind(_run_approx, ifs=False, measure=True, params=Block(
+        {"orders": _req(_increasing)},
+        ("entropy", "max_identity_residual", "monotone",
+         "relative_entropy_first", "relative_entropy_last"),
+    )),
+    "gibbs": Kind(_run_gibbs, ifs=False, measure=False, params=Block(
+        {
+            "depth": _req(_integer), "alphabet": _req(_integer),
+            "table": _req(_array), "check_depth": _opt(_COUNT),
+        },
+        ("pressure", "constant", "max_ratio", "min_ratio", "bounds_hold"),
+    )),
 }
 
 
@@ -875,7 +821,7 @@ def run(config_path, out_dir, workers=1, seed_override=None):
     overridden = seed_override is not None
     if overridden:
         cfg["seed"] = int(seed_override)
-    artifacts, quantities = _RUNNERS[cfg["kind"]](cfg, workers)
+    artifacts, quantities = KINDS[cfg["kind"]].run(cfg, workers)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     for name, header, rows in artifacts:

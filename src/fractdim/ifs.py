@@ -21,7 +21,7 @@ from .errors import (
     PreconditionError,
     WordTooShortError,
 )
-from .multifractal import _root_of_log_moment
+from .multifractal import _similarity_dimension
 from .runtime import check_budget, freeze, run_chunks, substream
 from .symbolic import AdaptedMetric, as_word
 
@@ -173,8 +173,7 @@ def pressure(ifs, s):
 
 def similarity_dimension(ifs):
     """Unique root of the pressure: sum lambda_i^s = 1."""
-    loglam = np.log(ifs.ratios)
-    return float(_root_of_log_moment(np.zeros((1, loglam.size)), loglam)[0])
+    return _similarity_dimension(np.log(ifs.ratios))
 
 
 def _one_marginal(measure, m):

@@ -562,6 +562,68 @@ class GibbsMeasure:
         return self.markov.sample_batch(count, length, rng)
 
 
+def _straddle_bounds(pot, length):
+    """Min/max over every tail of the first `length` windows of prefix + tail.
+
+    Indexed by the code of the length-`length` prefix; the tail runs over
+    all depth - 1 symbol strings.  Tails that pass through a forbidden
+    (-inf) window hold no point of the cylinder and are skipped.
+    """
+    m, d = pot.m, pot.depth
+    lo = np.full(m**length, math.inf)
+    hi = np.full(m**length, -math.inf)
+    for code in range(m**length):
+        for tcode in range(m ** (d - 1)):
+            full = decode_word(code, m, length) + decode_word(tcode, m, d - 1)
+            s = 0.0
+            for j in range(length):
+                s += pot.table[encode_word(full[j : j + d], m)]
+            if s > -math.inf:
+                lo[code] = min(lo[code], s)
+                hi[code] = max(hi[code], s)
+    return lo, hi
+
+
+def gibbs_ratio_bounds(gibbs, max_length):
+    """Extremes of the Gibbs mass ratio over cylinders of length 1..max_length.
+
+    For each admissible length-n cylinder [w] the ratio is
+    mu[w] * exp(nP - S_n phi), with the Birkhoff sum S_n phi at its min over
+    the points of [w] (upper ratio) or its max (lower ratio).  The first
+    n - depth + 1 windows are fixed by w; the last depth - 1 straddle the
+    free tail, so their extremes depend only on w's final state.  Returns
+    arrays (lo, hi, cylinders) indexed by n - 1; the Gibbs property is
+    1/C <= lo and hi <= C.
+    """
+    pot = gibbs.potential
+    m, d = pot.m, pot.depth
+    states = m ** (d - 1)
+    tail_lo, tail_hi = _straddle_bounds(pot, d - 1)
+    lo = np.empty(max_length)
+    hi = np.empty(max_length)
+    cylinders = np.empty(max_length, dtype=np.int64)
+    # head[w] = sum of the windows fixed by w, grown level by level
+    head = np.zeros(1)
+    state = np.zeros(1, dtype=np.int64)
+    for n in range(1, max_length + 1):
+        window = (state[:, None] * m + np.arange(m)[None, :]).ravel()
+        head = np.repeat(head, m)
+        if n >= d:
+            head = head + pot.table[window]
+        state = window % states
+        if n < d - 1:
+            # shorter than the memory: every window straddles the tail
+            s_lo, s_hi = _straddle_bounds(pot, n)
+        else:
+            s_lo, s_hi = head + tail_lo[state], head + tail_hi[state]
+        masses = gibbs.marginal(n)
+        keep = masses > 0
+        hi[n - 1] = np.max(masses[keep] * np.exp(n * gibbs.pressure - s_lo[keep]))
+        lo[n - 1] = np.min(masses[keep] * np.exp(n * gibbs.pressure - s_hi[keep]))
+        cylinders[n - 1] = keep.sum()
+    return lo, hi, cylinders
+
+
 def _perron_triplet(matrix):
     """Spectral radius and positive left/right eigenvectors.
 

@@ -85,8 +85,8 @@ class CylinderDepth:
 
     At that depth the metric ball B(w, r) is squeezed between the two
     cylinders: [w[:n+1]] inside the ball, the ball inside [w[:n]].
-    depth_cap is the certified a-priori bound log r / log gamma + slack
-    that the returned depth never exceeds.
+    depth_cap is the certified a-priori bound log r / log gamma, gamma the
+    largest ratio, that the returned depth never exceeds.
     """
 
     depth: int
@@ -129,15 +129,11 @@ class AdaptedMetric:
 
     def weight(self, word):
         """Product of per-symbol ratios; 1.0 for the empty word."""
-        self._validate(word)
         if len(word) > _LOG_SPACE_LEN:
             return math.exp(self.log_weight(word))
+        self._validate(word)
         out = 1.0
         for s in word:
-            if not 0 <= s < len(self.ratios):
-                raise AlphabetMismatchError(
-                    f"symbol {s} outside alphabet of size {len(self.ratios)}"
-                )
             out *= self.ratios[s]
         return out
 
@@ -157,10 +153,6 @@ class AdaptedMetric:
             value=self.weight(prefix), decided=decided, split_depth=n
         )
 
-    def depth_cap_constant(self):
-        """Slack B in the certified bound depth <= log r / log gamma + B."""
-        return 1.0 - math.log(max(self.ratios)) / math.log(self.gamma)
-
     def cylinder_depth(self, word, r):
         """Locate the metric ball B(w, r) between nested cylinders.
 
@@ -176,7 +168,7 @@ class AdaptedMetric:
                 f"radius {r} >= min ratio {self.gamma_min}; depth may be 0"
             )
         self._validate(word)
-        cap = math.log(r) / math.log(self.gamma) + self.depth_cap_constant()
+        cap = math.log(r) / math.log(self.gamma)
         w = 1.0
         prev = 1.0
         for j, s in enumerate(word, start=1):

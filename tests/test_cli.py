@@ -1,13 +1,18 @@
 """Batch driver contract: schema gate, exit codes, artifact formats."""
 
+import itertools
 import json
 import math
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from fractdim import cli
+from fractdim.acceptance import _determinism_configs
+
+CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.json"))
 
 
 CANTOR_IFS = {"ratios": [1 / 3, 1 / 3], "translations": [0.0, 2 / 3]}
@@ -49,6 +54,32 @@ def dimension_config(**params):
         "ifs": CANTOR_IFS, "measure": UNIFORM2,
         "params": {"count": 20_000, **params},
     }
+
+
+def param_leaves(obj, path=()):
+    """Key/index path of every scalar under a params object."""
+    if isinstance(obj, dict):
+        for key, value in obj.items():
+            yield from param_leaves(value, path + (key,))
+    elif isinstance(obj, list):
+        for i, value in enumerate(obj):
+            yield from param_leaves(value, path + (i,))
+    else:
+        yield path
+
+
+MISTYPED = [
+    (cfg_path, leaf)
+    for cfg_path in CONFIGS
+    for leaf in param_leaves(json.loads(cfg_path.read_text())["params"])
+]
+
+
+def strict_json(text):
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    return json.loads(text, parse_constant=reject)
 
 
 def launch(tmp_path, cfg, *args):
@@ -173,6 +204,91 @@ class TestSchemaGate:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize(
+        "kind, key, value",
+        [("transversality", "region_low", "mistyped"),
+         ("transversality", "region_high", "mistyped"),
+         ("ede", "tolerance", "mistyped"),
+         ("ede", "words", 5),
+         ("ede", "words", []),
+         ("ede", "words", [[0, 1], "mistyped"]),
+         ("ede", "samples", 0),
+         ("spectrum", "coarse", {"count": 1000, "scale": -1.0})],
+    )
+    def test_fields_outside_the_shipped_configs(self, tmp_path, capsys, kind, key, value):
+        # fields that no file in configs/ sets, and counts or scales out of range
+        base = {
+            "transversality": {
+                "low": [[0.0], [0.0]], "high": [[1.0], [1.0]],
+                "word_a": [0] * 30, "word_b": [1] * 30,
+                "r0": 0.5, "levels": 5, "samples": 1000,
+            },
+            "ede": {"words": [[0, 1] * 15], "depth_min": 1, "depth_max": 4, "epsilon": 0.1},
+            "spectrum": {"qs": [0.0, 1.0]},
+        }[kind]
+        cfg = {"schema": 1, "kind": kind, "seed": 3, "ifs": CANTOR_IFS,
+               "measure": UNIFORM2, "params": {**base, key: value}}
+        if key == "samples":
+            del cfg["params"]["words"]
+        code, out = launch(tmp_path, cfg)
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"schema error: config.params.{key}")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("version", [True, 1.0])
+    def test_schema_version_must_be_the_integer_one(self, tmp_path, capsys, version):
+        code, out = launch(tmp_path, spectrum_config(schema=version))
+        assert code == 2
+        assert capsys.readouterr().err.startswith("schema error: config.schema:")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("orders", [[5, 4, 3, 2, 1], [1, 2, 2, 3]])
+    def test_approx_orders_strictly_increasing(self, tmp_path, capsys, orders):
+        cfg = {
+            "schema": 1, "kind": "approx", "seed": 1,
+            "measure": {"type": "markov", "order": 1, "kernel": [[0.3, 0.7], [0.6, 0.4]]},
+            "params": {"orders": orders},
+        }
+        code, out = launch(tmp_path, cfg)
+        assert code == 2
+        assert capsys.readouterr().err.startswith("schema error: config.params.orders:")
+        assert not out.exists()
+
+    def test_ede_holder_requires_measure(self, tmp_path, capsys):
+        # words need no measure, but the Holder check samples from one
+        cfg = {
+            "schema": 1, "kind": "ede", "seed": 3, "ifs": CANTOR_IFS,
+            "params": {
+                "words": [[0, 1] * 15], "depth_min": 1, "depth_max": 4,
+                "epsilon": 0.1, "holder": {"alphas": [0.5], "pair_samples": 10},
+            },
+        }
+        code, out = launch(tmp_path, cfg)
+        assert code == 2
+        assert "requires a measure block" in capsys.readouterr().err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "cfg_path, leaf", MISTYPED,
+    ids=[f"{p.stem}-{'.'.join(map(str, leaf))}" for p, leaf in MISTYPED],
+)
+def test_mistyped_param_is_schema_error(tmp_path, capsys, cfg_path, leaf):
+    cfg = json.loads(cfg_path.read_text())
+    parent = cfg["params"]
+    for key in leaf[:-1]:
+        parent = parent[key]
+    parent[leaf[-1]] = "mistyped"
+    code, out = launch(tmp_path, cfg)
+    err = capsys.readouterr().err
+    # an array element's error names the array field that holds it
+    field = ".".join(itertools.takewhile(lambda key: isinstance(key, str), leaf))
+    assert code == 2
+    assert err.startswith(f"schema error: config.params.{field}:")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 class TestExitCodes:
     def test_precondition_failure_is_exit_3(self, tmp_path, capsys):
         cfg = spectrum_config(
@@ -250,11 +366,7 @@ class TestArtifacts:
         # the old file is left to its other link, not rewritten in place
         assert not os.path.samefile(out / "summary.json", kept)
         assert kept.read_bytes() == first["summary.json"]
-
-        def strict(token):
-            raise ValueError(f"non-standard JSON constant {token}")
-
-        manifest = json.loads((out / "manifest.json").read_text(), parse_constant=strict)
+        manifest = strict_json((out / "manifest.json").read_text())
         assert manifest["artifacts"] == ["box.csv"]
 
 
@@ -359,6 +471,34 @@ class TestRunners:
         assert code == 0
         rows = (out / "bounds.csv").read_text().splitlines()
         assert len(rows) == 1 + 6
+
+
+    def test_gibbs_bounds_skip_forbidden_words(self, tmp_path):
+        # golden-mean shift: the word 11 is forbidden
+        cfg = {
+            "schema": 1, "kind": "gibbs", "seed": 0,
+            "params": {"depth": 2, "alphabet": 2, "table": [0.0, 0.0, 0.0, -math.inf]},
+            "assert": [{"quantity": "bounds_hold", "value": 1.0, "tol": 0.0}],
+        }
+        code, out = launch(tmp_path, cfg)
+        assert code == 0
+        quantities = strict_json((out / "summary.json").read_text())["quantities"]
+        assert quantities["max_ratio"] == pytest.approx(1.17, abs=0.01)
+        assert quantities["max_ratio"] <= quantities["constant"]
+
+
+class TestKindTable:
+    @pytest.mark.parametrize(
+        "cfg",
+        [json.loads(p.read_text()) for p in CONFIGS]
+        + list(_determinism_configs(0.02).values()),
+        ids=[p.stem for p in CONFIGS] + [f"determinism-{k}" for k in _determinism_configs(0.02)],
+    )
+    def test_runner_produces_declared_quantities(self, tmp_path, cfg):
+        code, out = launch(tmp_path, cfg, "--workers", "2")
+        assert code == 0
+        produced = json.loads((out / "summary.json").read_text())["quantities"]
+        assert set(produced) == cli.quantity_names(cfg["kind"], cfg["params"])
 
 
 class TestFormatValue:

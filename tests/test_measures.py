@@ -17,6 +17,7 @@ from fractdim.measures import (
     decode_word,
     encode_word,
     gibbs_from_potential,
+    gibbs_ratio_bounds,
     is_ergodic,
     markov_approximation,
     markov_from_word,
@@ -375,6 +376,34 @@ def brute_birkhoff_bounds(pot, word):
     return best_lo, best_hi
 
 
+def brute_ratio_bounds(gm, max_length):
+    """Per-length min/max Gibbs ratio over positive-mass cylinders, by brute force."""
+    pot = gm.potential
+    lo, hi, cylinders = [], [], []
+    for n in range(1, max_length + 1):
+        masses = gm.marginal(n)
+        lows, highs = [], []
+        for word in itertools.product(range(pot.m), repeat=n):
+            mass = masses[encode_word(word, pot.m)]
+            if mass == 0:
+                continue
+            s_lo, s_hi = brute_birkhoff_bounds(pot, word)
+            highs.append(mass * math.exp(n * gm.pressure - s_lo))
+            lows.append(mass * math.exp(n * gm.pressure - s_hi))
+        lo.append(min(lows))
+        hi.append(max(highs))
+        cylinders.append(len(lows))
+    return np.array(lo), np.array(hi), np.array(cylinders)
+
+
+def _no_111(rng):
+    # depth-3 potential that forbids the window 111 (no three 1s in a row),
+    # the other windows carry random finite values
+    table = rng.normal(scale=0.5, size=8)
+    table[7] = -math.inf
+    return LocallyConstantPotential(depth=3, m=2, table=table)
+
+
 class TestGibbs:
     def test_depth_one_recovers_bernoulli(self):
         p = np.array([0.2, 0.5, 0.3])
@@ -434,6 +463,30 @@ class TestGibbs:
                 ratio_lo = mass * math.exp(n * gm.pressure - s_hi)
                 assert ratio_hi <= C * (1 + 1e-9)
                 assert ratio_lo >= (1 / C) * (1 - 1e-9)
+
+    @pytest.mark.parametrize(
+        "make, max_length",
+        [
+            (lambda rng: LocallyConstantPotential(1, 3, rng.normal(size=3)), 6),
+            (lambda rng: LocallyConstantPotential(2, 2, rng.normal(size=4)), 8),
+            (lambda rng: LocallyConstantPotential(2, 3, rng.normal(size=9)), 6),
+            (lambda rng: LocallyConstantPotential(3, 2, rng.normal(scale=0.8, size=8)), 8),
+            (lambda rng: LocallyConstantPotential(3, 3, rng.normal(size=27)), 5),
+            (lambda rng: LocallyConstantPotential(2, 2, [0.0, 0.0, 0.0, -math.inf]), 10),
+            (_no_111, 8),
+        ],
+        ids=["d1m3", "d2m2", "d2m3", "d3m2", "d3m3", "golden-d2", "no111-d3"],
+    )
+    def test_ratio_bounds_match_brute_force(self, make, max_length):
+        # lengths from 1 cover n < depth - 1 for the depth-3 potentials
+        gm = gibbs_from_potential(make(substream(24, 0)))
+        lo, hi, cylinders = gibbs_ratio_bounds(gm, max_length)
+        ref_lo, ref_hi, ref_cylinders = brute_ratio_bounds(gm, max_length)
+        np.testing.assert_allclose(lo, ref_lo, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(hi, ref_hi, rtol=1e-12, atol=0)
+        assert np.array_equal(cylinders, ref_cylinders)
+        assert np.all(hi <= gm.constant * (1 + 1e-9))
+        assert np.all(lo >= (1 / gm.constant) * (1 - 1e-9))
 
     def test_depth_two_markov_matches_direct_mass(self):
         rng = substream(23, 0)
