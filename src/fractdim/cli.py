@@ -256,15 +256,11 @@ def _validate_assertion(item, path, known):
     bounded = "min" in item or "max" in item
     if pinned == bounded:
         raise SchemaError(f"{path}: give value+tol or min/max bounds, not both")
-    if pinned:
-        if "value" not in item or "tol" not in item:
-            raise SchemaError(f"{path}: value and tol must come together")
-        _number(item["value"], f"{path}.value")
-        _number(item["tol"], f"{path}.tol")
-    else:
-        for key in ("min", "max"):
-            if key in item:
-                _number(item[key], f"{path}.{key}")
+    if pinned and ("value" not in item or "tol" not in item):
+        raise SchemaError(f"{path}: value and tol must come together")
+    for key in ("value", "tol", "min", "max"):
+        if key in item and not math.isfinite(_number(item[key], f"{path}.{key}")):
+            raise SchemaError(f"{path}.{key}: expected a finite number")
 
 
 def validate_config(cfg):
@@ -814,6 +810,25 @@ def _versions():
     }
 
 
+def _null_nonfinite(value, path, found):
+    """value with every non-finite float as None (JSON null); their paths go to found."""
+    if isinstance(value, dict):
+        return {
+            k: _null_nonfinite(v, f"{path}.{k}" if path else k, found)
+            for k, v in value.items()
+        }
+    if isinstance(value, list):
+        return [_null_nonfinite(v, f"{path}[{i}]", found) for i, v in enumerate(value)]
+    if isinstance(value, float) and not math.isfinite(value):
+        found.append(path)
+        return None
+    return value
+
+
+def _json_text(obj):
+    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
 def run(config_path, out_dir, workers=1, seed_override=None):
     """Execute one experiment config; returns the process exit code."""
     start = time.perf_counter()
@@ -827,8 +842,9 @@ def run(config_path, out_dir, workers=1, seed_override=None):
     for name, header, rows in artifacts:
         write_csv(out / name, header, rows)
     results = evaluate_assertions(cfg.get("assert", []), quantities)
+    config_nonfinite = []
     manifest = {
-        "config": cfg,
+        "config": _null_nonfinite(cfg, "config", config_nonfinite),
         "seed": cfg["seed"],
         "seed_overridden": overridden,
         "workers": int(workers),
@@ -837,13 +853,21 @@ def run(config_path, out_dir, workers=1, seed_override=None):
         "artifacts": [name for name, _, _ in artifacts],
         "wall_seconds": time.perf_counter() - start,
     }
-    _write_artifact(out / "manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    # strict JSON has no Infinity/NaN: such values are written as null and
+    # their paths (quantity names in the summary) listed under "nonfinite"
+    if config_nonfinite:
+        manifest["nonfinite"] = config_nonfinite
+    _write_artifact(out / "manifest.json", _json_text(manifest))
+    nonfinite = []
+    written = _null_nonfinite(quantities, "", nonfinite)
     summary = {
         "passed": all(r["passed"] for r in results),
-        "assertions": results,
-        "quantities": quantities,
+        "assertions": [{**r, "got": written[r["quantity"]]} for r in results],
+        "quantities": written,
     }
-    _write_artifact(out / "summary.json", json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    if nonfinite:
+        summary["nonfinite"] = nonfinite
+    _write_artifact(out / "summary.json", _json_text(summary))
     for r in results:
         verdict = "pass" if r["passed"] else "FAIL"
         print(f"{verdict}  {r['name']}: got {format_value(r['got'])}")

@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import logsumexp, softmax
 
 from .errors import EstimationError, PreconditionError
 from .measures import BernoulliMeasure, _as_prob_vector
@@ -23,6 +22,12 @@ from .runtime import check_budget, freeze
 
 # residual certified for every returned root of the moment equation
 _RESIDUAL_TOL = 1e-13
+# a root solve stops once its Newton step is at most _STEP_ULPS * (1 + |T|),
+# or at most _STALL_REL * (1 + |T|) but larger than half the step before;
+# _NEWTON_CAP steps without stopping is a failure
+_STEP_ULPS = 4 * 2.0**-52
+_STALL_REL = 1e-8
+_NEWTON_CAP = 100
 # symbols within this tolerance of the extremal exponent join the endpoint set
 _EXPONENT_ATOL = 1e-12
 # alpha values this close to the range boundary take the endpoint branch
@@ -43,48 +48,50 @@ def _as_ratio_vector(obj):
     return lam
 
 
-def _root_of_log_moment(z0, loglam):
-    """Roots in T of logsumexp(z0 + T*loglam, axis=1) = 0, one per row.
+def _log_moment(z):
+    """Row-wise log of sum(exp(z)) and the weights exp(z) / sum(exp(z)).
 
-    The map is strictly decreasing in T because every loglam entry is
-    negative, so a geometrically grown bracket plus bisection is certified;
-    two Newton polish steps push the residual to rounding level.
+    Both come from one exponential shifted by the row maximum, so neither
+    overflows; the weights are the softmax of each row.
     """
-    n = z0.shape[0]
+    top = z.max(axis=-1, keepdims=True)
+    e = np.exp(z - top)
+    total = e.sum(axis=-1, keepdims=True)
+    return (top + np.log(total))[..., 0], e / total
 
-    def value(t):
-        z = z0 + t[:, None] * loglam[None, :]
-        top = z.max(axis=1)
-        return top + np.log(np.exp(z - top[:, None]).sum(axis=1))
 
-    lo = np.full(n, -1.0)
-    hi = np.full(n, 1.0)
-    for _ in range(90):
-        bad_lo = value(lo) <= 0.0
-        bad_hi = value(hi) >= 0.0
-        if not (bad_lo.any() or bad_hi.any()):
+def _root_of_log_moment(z0, loglam):
+    """Roots in T of f(T) = logsumexp(z0 + T*loglam, axis=1) = 0, one per row.
+
+    f'(T) is the moment-weighted mean of loglam and f''(T) its weighted
+    variance, so f is convex and, as every loglam entry is negative,
+    strictly decreasing.  A convex function lies above its tangents, so
+    the first Newton step from T = 0 lands at or left of the root and each
+    later step moves right towards it, quadratically once close: no
+    bracket is needed.  Each row stops on its own once its step is at
+    rounding level, or once a step near rounding level fails to halve
+    (the slope is so small that rounding in f sets the step); that last
+    step is not taken.  Rows never interact, so a root does not depend on
+    its batch.  The residual certificate rejects any root that is off.
+    """
+    root = np.zeros(z0.shape[0])
+    prev = np.full(root.size, np.inf)
+    active = np.arange(root.size)
+    for _ in range(_NEWTON_CAP):
+        t = root[active]
+        value, w = _log_moment(z0[active] + t[:, None] * loglam[None, :])
+        step = value / (w * loglam[None, :]).sum(axis=1)
+        scale = 1.0 + np.abs(t)
+        size = np.abs(step)
+        stalled = (size <= _STALL_REL * scale) & (size > 0.5 * prev[active])
+        root[active] = np.where(stalled, t, t - step)
+        prev[active] = size
+        active = active[~(stalled | (size <= _STEP_ULPS * scale))]
+        if active.size == 0:
             break
-        lo[bad_lo] *= 2.0
-        hi[bad_hi] *= 2.0
     else:
-        raise EstimationError("failed to bracket the moment-equation root")
-    # a loose bracket suffices: the map is smooth and strictly decreasing,
-    # so three Newton steps from here land at rounding level, and the
-    # residual certificate below rejects any escape
-    for _ in range(400):
-        if np.max((hi - lo) / (1.0 + np.abs(hi))) <= 1e-6:
-            break
-        mid = 0.5 * (lo + hi)
-        pos = value(mid) > 0.0
-        lo = np.where(pos, mid, lo)
-        hi = np.where(pos, hi, mid)
-    root = 0.5 * (lo + hi)
-    for _ in range(3):
-        z = z0 + root[:, None] * loglam[None, :]
-        resid = logsumexp(z, axis=1)
-        slope = np.sum(softmax(z, axis=1) * loglam[None, :], axis=1)
-        root = root - resid / slope
-    final = value(root)
+        raise EstimationError("Newton steps on the moment equation did not settle")
+    final, _ = _log_moment(z0 + root[:, None] * loglam[None, :])
     if np.max(np.abs(final) / (1.0 + np.abs(root))) > _RESIDUAL_TOL:
         raise EstimationError("moment-equation residual did not certify")
     return root
@@ -157,8 +164,7 @@ def solve_T(problem, q):
 
 
 def _alpha_at(logp, loglam, q, t):
-    z = q * logp + t * loglam
-    w = softmax(z)
+    _, w = _log_moment(q * logp + t * loglam)
     return float(np.dot(w, logp) / np.dot(w, loglam))
 
 
@@ -194,8 +200,7 @@ def _endpoint_value(problem, alpha_end):
 
 def _slope_curvature(logp, loglam, q, t):
     """alpha(q) and alpha'(q) = -T''(q) from the softmax moment weights."""
-    z = q * logp + t * loglam
-    w = softmax(z)
+    _, w = _log_moment(q * logp + t * loglam)
     su = float(np.dot(w, logp))
     sv = float(np.dot(w, loglam))
     alpha = su / sv

@@ -128,6 +128,23 @@ class TestSchemaGate:
         code, _ = launch(tmp_path, cfg)
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "check",
+        [
+            {"quantity": "T_at_1", "value": 0.0, "tol": math.inf},
+            {"quantity": "T_at_1", "value": math.nan, "tol": 1e-9},
+            {"quantity": "T_at_1", "min": -math.inf},
+            {"quantity": "T_at_1", "max": math.inf},
+        ],
+    )
+    def test_assertion_bounds_must_be_finite(self, tmp_path, capsys, check):
+        cfg = spectrum_config()
+        cfg["assert"] = [check]
+        code, out = launch(tmp_path, cfg)
+        assert code == 2
+        assert "expected a finite number" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_spectrum_rejects_markov_weights(self, tmp_path):
         cfg = spectrum_config(
             measure={"type": "markov", "order": 1, "kernel": [[0.3, 0.7], [0.6, 0.4]]}
@@ -485,6 +502,40 @@ class TestRunners:
         quantities = strict_json((out / "summary.json").read_text())["quantities"]
         assert quantities["max_ratio"] == pytest.approx(1.17, abs=0.01)
         assert quantities["max_ratio"] <= quantities["constant"]
+
+    def test_overlap_writes_strict_json(self, tmp_path):
+        # an exact overlap: maps 2 and 3 coincide, so the separation
+        # exponent of the word 1212... is infinite
+        cfg = {
+            "schema": 1, "kind": "ede", "seed": 3,
+            "ifs": {"ratios": [0.5, 0.5, 0.5], "translations": [[0.0], [0.5], [0.5]]},
+            "params": {
+                "words": [[1, 2] * 15], "depth_min": 1, "depth_max": 6,
+                "epsilon": 0.1, "tolerance": 1e-3,
+            },
+            "assert": [{"quantity": "max_worst_exponent", "min": 0.0}],
+        }
+        code, out = launch(tmp_path, cfg)
+        assert code == 0
+        summary = strict_json((out / "summary.json").read_text())
+        assert summary["quantities"]["max_worst_exponent"] is None
+        assert summary["quantities"]["any_overlap"] == 1.0
+        assert summary["nonfinite"] == ["max_worst_exponent"]
+        assert summary["assertions"][0]["got"] is None
+        manifest = strict_json((out / "manifest.json").read_text())
+        assert "nonfinite" not in manifest
+
+    def test_manifest_nulls_nonfinite_config_values(self, tmp_path):
+        cfg = {
+            "schema": 1, "kind": "gibbs", "seed": 0,
+            "params": {"depth": 2, "alphabet": 2, "table": [0.0, 0.0, 0.0, -math.inf]},
+        }
+        code, out = launch(tmp_path, cfg)
+        assert code == 0
+        manifest = strict_json((out / "manifest.json").read_text())
+        assert manifest["config"]["params"]["table"] == [0.0, 0.0, 0.0, None]
+        assert manifest["nonfinite"] == ["config.params.table[3]"]
+        assert "nonfinite" not in strict_json((out / "summary.json").read_text())
 
 
 class TestKindTable:

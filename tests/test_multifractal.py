@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import logsumexp, softmax
 
-from fractdim.errors import PreconditionError
+from fractdim.errors import EstimationError, PreconditionError
 from fractdim.measures import BernoulliMeasure
 from fractdim.multifractal import (
     SpectrumProblem,
+    _root_of_log_moment,
     T_derivative,
     alpha_range,
     legendre,
@@ -39,6 +41,85 @@ def legendre_gridmin(problem, alpha):
     fine = np.linspace(lo, hi, 4001)
     fvals = alpha * fine + solve_T_many(problem, fine)
     return float(min(vals[i], fvals.min()))
+
+
+def reference_root_of_log_moment(z0, loglam):
+    """Roots in T of logsumexp(z0 + T*loglam, axis=1) = 0, one per row.
+
+    The map is strictly decreasing in T because every loglam entry is
+    negative, so a geometrically grown bracket plus bisection is certified;
+    two Newton polish steps push the residual to rounding level.
+    """
+    n = z0.shape[0]
+
+    def value(t):
+        z = z0 + t[:, None] * loglam[None, :]
+        top = z.max(axis=1)
+        return top + np.log(np.exp(z - top[:, None]).sum(axis=1))
+
+    lo = np.full(n, -1.0)
+    hi = np.full(n, 1.0)
+    for _ in range(90):
+        bad_lo = value(lo) <= 0.0
+        bad_hi = value(hi) >= 0.0
+        if not (bad_lo.any() or bad_hi.any()):
+            break
+        lo[bad_lo] *= 2.0
+        hi[bad_hi] *= 2.0
+    else:
+        raise EstimationError("failed to bracket the moment-equation root")
+    # a loose bracket suffices: the map is smooth and strictly decreasing,
+    # so three Newton steps from here land at rounding level, and the
+    # residual certificate below rejects any escape
+    for _ in range(400):
+        if np.max((hi - lo) / (1.0 + np.abs(hi))) <= 1e-6:
+            break
+        mid = 0.5 * (lo + hi)
+        pos = value(mid) > 0.0
+        lo = np.where(pos, mid, lo)
+        hi = np.where(pos, hi, mid)
+    root = 0.5 * (lo + hi)
+    for _ in range(3):
+        z = z0 + root[:, None] * loglam[None, :]
+        resid = logsumexp(z, axis=1)
+        slope = np.sum(softmax(z, axis=1) * loglam[None, :], axis=1)
+        root = root - resid / slope
+    final = value(root)
+    if np.max(np.abs(final) / (1.0 + np.abs(root))) > 1e-13:
+        raise EstimationError("moment-equation residual did not certify")
+    return root
+
+
+ORACLE_QS = np.array(
+    [-1e8, -1e4, -50.0, -3.0, -1.0, 0.0, 0.5, 1.0, 2.0, 7.0, 50.0, 60.0, 1e4, 1e8]
+)
+# (weights, ratios) on which a weaker stopping rule fails
+HARD_PROBLEMS = [
+    # a ratio near 1 carrying moment weight near 1: the slope is near 0,
+    # so steps at rounding level never shrink and only the halving rule stops
+    ([0.999, 0.001], [0.998, 0.3]),
+    ([0.97, 0.02, 0.01], [0.9975, 0.5, 0.2]),
+    ([0.5, 0.3, 0.2], [0.9999, 0.9, 0.5]),
+    # a ratio near 1e-4 among 5-6 symbols: at q = 60 and 1e4 the first step
+    # overshoots, and stopping at the first f <= 0 misses the certificate
+    ([0.008, 0.237, 0.487, 0.076, 0.13, 0.062],
+     [0.0111, 0.1747, 0.995, 0.000283, 0.7506, 0.059]),
+    ([0.3, 0.25, 0.2, 0.15, 0.1], [0.5, 0.4, 0.3, 0.2, 1.2e-4]),
+    ([0.05, 0.1, 0.15, 0.2, 0.2, 0.3], [0.6, 0.5, 0.4, 0.3, 0.2, 1e-4]),
+]
+
+
+def oracle_problems():
+    rng = np.random.default_rng(20240605)
+    problems = [(np.array(p) / np.sum(p), np.array(lam)) for p, lam in HARD_PROBLEMS]
+    for m in range(2, 7):
+        for concentration in (0.1, 1.0, 10.0):
+            for _ in range(4):
+                p = rng.dirichlet(np.full(m, concentration))
+                p = np.maximum(p, 1e-300)
+                lam = np.exp(rng.uniform(math.log(1e-4), math.log(0.9999), m))
+                problems.append((p / p.sum(), lam))
+    return problems
 
 
 small_probs = st.floats(min_value=0.05, max_value=0.95)
@@ -118,6 +199,31 @@ class TestSolveT:
         qs = np.arange(-4.0, 4.01, 0.5)
         ts = solve_T_many(prob, qs)
         assert np.all(np.diff(ts) < 0)
+
+
+class TestRootSolver:
+    @pytest.mark.parametrize("p, lam", oracle_problems())
+    def test_matches_bracket_bisection_oracle(self, p, lam):
+        z0 = ORACLE_QS[:, None] * np.log(p)[None, :]
+        loglam = np.log(lam)
+        ref = reference_root_of_log_moment(z0, loglam)
+        got = _root_of_log_moment(z0, loglam)
+        assert np.all(np.abs(got - ref) <= 1e-13 * (1.0 + np.abs(ref)))
+
+    @pytest.mark.parametrize(
+        "p, lam",
+        [([0.25, 0.75], [1 / 3, 1 / 3]), ([0.1, 0.2, 0.7], [0.2, 0.3, 0.4])]
+        + HARD_PROBLEMS[:1] + HARD_PROBLEMS[3:4],
+    )
+    def test_rows_independent_of_batch(self, p, lam):
+        prob = SpectrumProblem(p=np.array(p) / np.sum(p), ratios=lam)
+        qs = np.concatenate(
+            [[-1e8, -1e4, -60.0], np.linspace(-20.0, 20.0, 41), [60.0, 1e4, 1e8]]
+        )
+        ts = solve_T_many(prob, qs)
+        for q, t in zip(qs, ts):
+            assert t == solve_T(prob, q)
+        assert np.array_equal(solve_T_many(prob, qs[::-1]), ts[::-1])
 
 
 class TestDerivative:
