@@ -798,14 +798,11 @@ def evaluate_assertions(checks, quantities):
 
 
 def _versions():
-    import scipy
-
     from . import __version__
 
     return {
         "fractdim": __version__,
         "numpy": np.__version__,
-        "scipy": scipy.__version__,
         "python": platform.python_version(),
     }
 

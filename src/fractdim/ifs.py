@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .dimest import PointCloud, _linear_fit
 from .errors import (
@@ -21,6 +20,7 @@ from .errors import (
     PreconditionError,
     WordTooShortError,
 )
+from .measures import _log_moment
 from .multifractal import _similarity_dimension
 from .runtime import check_budget, freeze, run_chunks, substream
 from .symbolic import AdaptedMetric, as_word
@@ -168,7 +168,9 @@ def pressure(ifs, s):
     """log sum lambda_i^s; for similarities the defining limit is exact."""
     if not (s >= 0):
         raise PreconditionError("pressure exponent must be nonnegative")
-    return float(logsumexp(s * np.log(ifs.ratios)))
+    z = s * np.log(ifs.ratios)
+    # s = inf zeroes every term; a shift by the -inf maximum would give nan
+    return float(_log_moment(z)[0]) if z.max() > -math.inf else -math.inf
 
 
 def similarity_dimension(ifs):

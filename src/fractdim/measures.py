@@ -13,9 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
-from scipy.special import logsumexp
 
 from .errors import EstimationError, PreconditionError
 from .runtime import check_budget, freeze, substream
@@ -34,6 +31,18 @@ def _as_prob_vector(p, atol=_PROB_ATOL):
     if abs(p.sum() - 1.0) > atol:
         raise PreconditionError(f"probabilities sum to {p.sum()}, not 1")
     return p
+
+
+def _log_moment(z):
+    """Row-wise log of sum(exp(z)) and the weights exp(z) / sum(exp(z)).
+
+    Both come from one exponential shifted by the row maximum, so neither
+    overflows; the weights are the softmax of each row.
+    """
+    top = z.max(axis=-1, keepdims=True)
+    e = np.exp(z - top)
+    total = e.sum(axis=-1, keepdims=True)
+    return (top + np.log(total))[..., 0], e / total
 
 
 def encode_word(word, m):
@@ -123,17 +132,8 @@ class MarkovMeasure:
     """
 
     def __init__(self, order, stationary, kernel):
-        order = int(order)
-        if order < 1:
-            raise PreconditionError("markov order must be >= 1")
-        kernel = np.array(kernel, dtype=float)
-        if kernel.ndim != 2 or kernel.shape[1] < 1:
-            raise PreconditionError("kernel must be 2-d (states x symbols)")
+        order, kernel = _checked_shape(order, kernel)
         m = kernel.shape[1]
-        if kernel.shape[0] != m**order:
-            raise PreconditionError(
-                f"kernel has {kernel.shape[0]} states, expected {m}**{order}"
-            )
         stationary = _as_prob_vector(stationary)
         if stationary.size != m**order:
             raise PreconditionError("stationary distribution has wrong size")
@@ -190,19 +190,19 @@ class MarkovMeasure:
         states by default) must be strongly connected; that is checked before
         iterating, and the stationary distribution is then unique.
         """
-        kernel = np.asarray(kernel, dtype=float)
+        order, kernel = _checked_shape(order, kernel)
         n_states = kernel.shape[0]
         if support is None:
             support = np.arange(n_states)
         support = np.asarray(support, dtype=np.int64)
-        graph = _state_graph(kernel, order, support)
-        ncomp, _ = connected_components(graph, directed=True, connection="strong")
-        if ncomp != 1:
+        if support.ndim != 1 or np.any((support < 0) | (support >= n_states)):
+            raise PreconditionError(f"support must list states in [0, {n_states})")
+        op = _restricted_operator(kernel, order, support)
+        if not _strongly_connected(op > 0):
             raise PreconditionError(
                 "kernel graph is not strongly connected on the given support; "
                 "stationary distribution would not be unique"
             )
-        op = _restricted_operator(kernel, order, support)
         dist = np.full(support.size, 1.0 / support.size)
         for _ in range(_POWER_MAX_ITERS):
             nxt = dist @ op
@@ -300,24 +300,37 @@ class MarkovMeasure:
         return out
 
 
-def _state_graph(kernel, order, support):
-    """Sparse positive-transition graph restricted to `support` states."""
-    m = kernel.shape[1]
-    pos_of = -np.ones(kernel.shape[0], dtype=np.int64)
-    pos_of[support] = np.arange(support.size)
-    rows, cols = [], []
-    for i, s in enumerate(support):
-        base = (s % m ** (order - 1)) * m
-        for a in range(m):
-            if kernel[s, a] > 0:
-                j = pos_of[base + a]
-                if j >= 0:
-                    rows.append(i)
-                    cols.append(j)
-    data = np.ones(len(rows))
-    return sp.coo_matrix(
-        (data, (rows, cols)), shape=(support.size, support.size)
-    ).tocsr()
+def _checked_shape(order, kernel):
+    """order >= 1 and a float kernel of shape (m**order, m), else rejected."""
+    order = int(order)
+    if order < 1:
+        raise PreconditionError("markov order must be >= 1")
+    kernel = np.array(kernel, dtype=float)
+    shape = kernel.shape
+    if len(shape) != 2 or shape[1] < 1 or shape[0] != shape[1] ** order:
+        raise PreconditionError(f"kernel of shape {shape} is not (m**{order}, m)")
+    return order, kernel
+
+
+def _strongly_connected(adj):
+    """Whether state 0 reaches every state along adj and along adj.T.
+
+    Each sweep reads a row once, when its state is first reached.  The
+    empty graph counts as not strongly connected.
+    """
+    n = adj.shape[0]
+    if n == 0:
+        return False
+    for edges in (adj, adj.T):
+        seen = np.arange(n) == 0
+        frontier = np.flatnonzero(seen)
+        while frontier.size:
+            fresh = edges[frontier].any(axis=0) & ~seen
+            seen |= fresh
+            frontier = np.flatnonzero(fresh)
+        if not seen.all():
+            return False
+    return True
 
 
 def _restricted_operator(kernel, order, support):
@@ -356,9 +369,8 @@ def is_ergodic(measure):
     support = np.flatnonzero(markov.stationary > 0)
     if support.size == 0:
         raise PreconditionError("measure has empty support")
-    graph = _state_graph(markov.kernel, markov.order, support)
-    ncomp, _ = connected_components(graph, directed=True, connection="strong")
-    return bool(ncomp == 1)
+    op = _restricted_operator(markov.kernel, markov.order, support)
+    return _strongly_connected(op > 0)
 
 
 def markov_approximation(measure, order):
@@ -673,7 +685,7 @@ def gibbs_from_potential(potential):
     pot = potential
     m, d = pot.m, pot.depth
     if d == 1:
-        pressure = float(logsumexp(pot.table))
+        pressure = float(_log_moment(pot.table)[0])
         p = np.exp(pot.table - pressure)
         markov = BernoulliMeasure(p / p.sum()).as_markov()
         return GibbsMeasure(pot, pressure, markov, 1.0)
@@ -687,9 +699,7 @@ def gibbs_from_potential(potential):
     for u in range(n_states):
         for a in range(m):
             W[u, (u * m + a) % n_states] += weights[u * m + a]
-    graph = sp.csr_matrix((W > 0).astype(float))
-    ncomp, _ = connected_components(graph, directed=True, connection="strong")
-    if ncomp != 1:
+    if not _strongly_connected(W > 0):
         raise PreconditionError(
             "induced transition structure is not irreducible; "
             "equilibrium state is not unique at this scope"

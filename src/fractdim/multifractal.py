@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import EstimationError, PreconditionError
-from .measures import BernoulliMeasure, _as_prob_vector
+from .measures import BernoulliMeasure, _as_prob_vector, _log_moment
 from .runtime import check_budget, freeze
 
 # residual certified for every returned root of the moment equation
@@ -46,18 +46,6 @@ def _as_ratio_vector(obj):
     if not np.all((lam > 0) & (lam < 1)):
         raise PreconditionError("contraction ratios must lie strictly in (0, 1)")
     return lam
-
-
-def _log_moment(z):
-    """Row-wise log of sum(exp(z)) and the weights exp(z) / sum(exp(z)).
-
-    Both come from one exponential shifted by the row maximum, so neither
-    overflows; the weights are the softmax of each row.
-    """
-    top = z.max(axis=-1, keepdims=True)
-    e = np.exp(z - top)
-    total = e.sum(axis=-1, keepdims=True)
-    return (top + np.log(total))[..., 0], e / total
 
 
 def _root_of_log_moment(z0, loglam):

@@ -4,6 +4,8 @@ import itertools
 import json
 import math
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +14,8 @@ import pytest
 from fractdim import cli
 from fractdim.acceptance import _determinism_configs
 
-CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.json"))
+ROOT = Path(__file__).resolve().parent.parent
+CONFIGS = sorted((ROOT / "configs").glob("*.json"))
 
 
 CANTOR_IFS = {"ratios": [1 / 3, 1 / 3], "translations": [0.0, 2 / 3]}
@@ -315,6 +318,25 @@ class TestExitCodes:
         assert code == 3
         assert "(0, 1)" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"kernel": [[0.2, 0.8], [0.5, 0.5], [0.9, 0.1]]},
+            {"order": 0},
+            {"kernel": [0.5, 0.5]},
+        ],
+        ids=["three-rows-at-order-2", "order-0", "one-d-kernel"],
+    )
+    def test_malformed_markov_kernel_is_exit_3(self, tmp_path, capsys, change):
+        cfg = json.loads((ROOT / "configs" / "markov_approximation.json").read_text())
+        cfg["measure"].update(change)
+        code, out = launch(tmp_path, cfg)
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("precondition violated:")
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_failed_assertion_is_exit_1(self, tmp_path, capsys):
         cfg = spectrum_config()
         cfg["assert"] = [{"quantity": "T_at_1", "value": 1.0, "tol": 1e-6}]
@@ -330,6 +352,20 @@ class TestExitCodes:
         printed = capsys.readouterr().out
         assert printed.count("pass") == 2
         assert (out / "structure.csv").exists()
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    """The runtime is numpy-only: importing the CLI loads no scipy module."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    probe = (
+        "import sys, fractdim.cli; "
+        "print(sorted(n for n in sys.modules if n.split('.')[0] == 'scipy'))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+        check=True,
+    )
+    assert done.stdout.strip() == "[]"
 
 
 class TestArtifacts:
@@ -358,8 +394,7 @@ class TestArtifacts:
         assert manifest["workers"] == 1
         assert manifest["wall_seconds"] >= 0
         assert set(manifest["artifacts"]) == {"structure.csv"}
-        for pkg in ("python", "numpy", "scipy", "fractdim"):
-            assert pkg in manifest["versions"]
+        assert set(manifest["versions"]) == {"python", "numpy", "fractdim"}
 
     def test_seed_override_recorded(self, tmp_path):
         code, out = launch(tmp_path, spectrum_config(), "--seed-override", "99")

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import logsumexp
 
 from fractdim.errors import (
     AlphabetMismatchError,
@@ -119,6 +120,22 @@ class TestPressureAndDimension:
     def test_negative_exponent_rejected(self):
         with pytest.raises(PreconditionError):
             pressure(cantor(), -0.5)
+
+    def test_pressure_matches_logsumexp(self):
+        rng = np.random.default_rng(20240604)
+        for _ in range(2_000):
+            m = int(rng.integers(2, 9))
+            F = SimilarityIFS(
+                ratios=rng.uniform(1e-4, 0.9999, size=m),
+                translations=rng.random(m),
+            )
+            s = 10.0 ** rng.uniform(-3, 3)
+            z = s * np.log(F.ratios)
+            bound = 8 * np.spacing(max(abs(z.max()), 1.0))
+            assert abs(pressure(F, s) - logsumexp(z)) <= bound
+
+    def test_pressure_at_infinite_exponent(self):
+        assert pressure(cantor(), math.inf) == -math.inf
 
     def test_similarity_dimension_closed_forms(self):
         halves = SimilarityIFS(ratios=[0.5, 0.5], translations=[0.0, 0.5])

@@ -5,8 +5,11 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse.csgraph import connected_components
+from scipy.special import logsumexp
 
 from fractdim.errors import EstimationError, PreconditionError
 from fractdim.measures import (
@@ -14,6 +17,8 @@ from fractdim.measures import (
     GibbsMeasure,
     LocallyConstantPotential,
     MarkovMeasure,
+    _restricted_operator,
+    _strongly_connected,
     decode_word,
     encode_word,
     gibbs_from_potential,
@@ -131,6 +136,32 @@ class TestMarkov:
         with pytest.raises(PreconditionError):
             MarkovMeasure.from_kernel(np.eye(2), order=1)
 
+    def test_from_kernel_rejects_empty_support(self):
+        kernel = np.array([[0.5, 0.5], [0.5, 0.5]])
+        with pytest.raises(PreconditionError, match="not strongly connected"):
+            MarkovMeasure.from_kernel(kernel, 1, support=[])
+
+    @pytest.mark.parametrize("support", [[0, 2], [-1, 0], [[0, 1]]])
+    def test_from_kernel_rejects_support_out_of_range(self, support):
+        kernel = np.array([[0.5, 0.5], [0.5, 0.5]])
+        with pytest.raises(PreconditionError, match="support"):
+            MarkovMeasure.from_kernel(kernel, 1, support=support)
+
+    @pytest.mark.parametrize(
+        "kernel, order",
+        [
+            ([[0.2, 0.8], [0.5, 0.5], [0.9, 0.1]], 2),
+            ([[0.2, 0.8], [0.5, 0.5]], 0),
+            ([[0.2, 0.8], [0.5, 0.5]], -1),
+            ([0.5, 0.5], 1),
+            (np.ones((2, 2, 2)) / 2, 1),
+        ],
+        ids=["rows-not-m**order", "order-0", "order-negative", "1-d", "3-d"],
+    )
+    def test_from_kernel_rejects_bad_shape(self, kernel, order):
+        with pytest.raises(PreconditionError):
+            MarkovMeasure.from_kernel(kernel, order)
+
 
 class TestErgodicity:
     def test_mixing_chain_is_ergodic(self):
@@ -150,6 +181,107 @@ class TestErgodicity:
     def test_dirac_fixed_point_is_ergodic(self):
         nu = MarkovMeasure(order=1, stationary=[1.0, 0.0], kernel=np.eye(2))
         assert is_ergodic(nu)
+
+
+def reference_state_graph(kernel, order, support):
+    """Sparse positive-transition graph on `support`: the scipy-era builder."""
+    m = kernel.shape[1]
+    pos_of = -np.ones(kernel.shape[0], dtype=np.int64)
+    pos_of[support] = np.arange(support.size)
+    rows, cols = [], []
+    for i, s in enumerate(support):
+        base = (s % m ** (order - 1)) * m
+        for a in range(m):
+            if kernel[s, a] > 0:
+                j = pos_of[base + a]
+                if j >= 0:
+                    rows.append(i)
+                    cols.append(j)
+    data = np.ones(len(rows))
+    return sp.coo_matrix(
+        (data, (rows, cols)), shape=(support.size, support.size)
+    ).tocsr()
+
+
+def reference_connected(graph):
+    ncomp, _ = connected_components(graph, directed=True, connection="strong")
+    return ncomp == 1
+
+
+def random_kernel(m, order, rng):
+    """Kernel with random zeros; every row keeps one positive entry."""
+    n = m**order
+    kernel = rng.uniform(0.2, 1.0, size=(n, m))
+    kernel[rng.random((n, m)) < rng.uniform(0.2, 0.7)] = 0.0
+    empty = ~(kernel > 0).any(axis=1)
+    kernel[empty, rng.integers(0, m, size=int(empty.sum()))] = 1.0
+    return kernel / kernel.sum(axis=1, keepdims=True)
+
+
+def limiting_stationary(kernel, order):
+    """Limit of the lazy chain from the uniform start: stationary, maybe
+    spread over several closed classes."""
+    n = kernel.shape[0]
+    op = 0.5 * (np.eye(n) + _restricted_operator(kernel, order, np.arange(n)))
+    for _ in range(60):
+        op = op @ op
+    dist = np.full(n, 1.0 / n) @ op
+    return dist / dist.sum()
+
+
+class TestStrongConnectivity:
+    """The two-sweep test against scipy's strong components."""
+
+    def test_empty_graph_not_connected(self):
+        assert _strongly_connected(np.zeros((0, 0), dtype=bool)) is False
+
+    def test_random_graphs_match_scipy(self):
+        rng = np.random.default_rng(20240601)
+        verdicts = []
+        for _ in range(2_000):
+            n = int(rng.integers(0, 31))
+            density = rng.uniform(0.0, min(1.0, 4.0 / max(n, 1)))
+            adj = rng.random((n, n)) < density
+            got = _strongly_connected(adj)
+            expect = reference_connected(sp.csr_matrix(adj.astype(float)))
+            assert got == expect, adj
+            verdicts.append(got)
+        assert 300 <= sum(verdicts) <= 1_700
+
+    def test_random_kernels_match_scipy(self):
+        rng = np.random.default_rng(20240602)
+        verdicts = []
+        for trial in range(300):
+            m = int(rng.integers(2, 4))
+            order = int(rng.integers(1, 4 if m == 2 else 3))
+            kernel = random_kernel(m, order, rng)
+            n = m**order
+            if trial % 3 == 0:
+                support = np.arange(n)
+            else:
+                size = int(rng.integers(1, n + 1))
+                support = np.sort(rng.choice(n, size=size, replace=False))
+            graph = reference_state_graph(kernel, order, support)
+            expect = reference_connected(graph)
+            op = _restricted_operator(kernel, order, support)
+            assert _strongly_connected(op > 0) == expect
+            try:
+                MarkovMeasure.from_kernel(kernel, order, support=support)
+                rejected = False
+            except PreconditionError as exc:
+                rejected = "not strongly connected" in str(exc)
+            assert rejected == (not expect)
+            verdicts.append(expect)
+
+            stationary = limiting_stationary(kernel, order)
+            nu = MarkovMeasure(order=order, stationary=stationary, kernel=kernel)
+            positive = np.flatnonzero(nu.stationary > 0)
+            ergodic = reference_connected(
+                reference_state_graph(kernel, order, positive)
+            )
+            assert is_ergodic(nu) == ergodic
+            verdicts.append(ergodic)
+        assert 100 <= sum(verdicts) <= 500
 
 
 class TestRelativeEntropy:
@@ -431,6 +563,19 @@ class TestGibbs:
         # measure of maximal entropy: entropy equals pressure
         assert gm.entropy() == pytest.approx(gm.pressure, abs=1e-9)
         assert gm.cylinder_mass((1, 1)) == 0.0
+
+    def test_depth_one_pressure_matches_logsumexp(self):
+        rng = np.random.default_rng(20240603)
+        for _ in range(2_000):
+            m = int(rng.integers(1, 9))
+            table = rng.normal(scale=10.0 ** rng.uniform(-2, 2), size=m)
+            table[rng.random(m) < 0.2] = -math.inf
+            if not np.isfinite(table).any():
+                continue
+            pot = LocallyConstantPotential(depth=1, m=m, table=table)
+            got = gibbs_from_potential(pot).pressure
+            bound = 8 * np.spacing(max(abs(table.max()), 1.0))
+            assert abs(got - logsumexp(table)) <= bound
 
     def test_non_irreducible_rejected(self):
         table = np.array([0.0, -math.inf, -math.inf, 0.0])
