@@ -125,9 +125,9 @@ def _integer(obj, path, minimum=None):
     return int(obj)
 
 
-def _array(obj, path, dtype=float, ndim=None):
+def _array(obj, path, ndim=None):
     try:
-        arr = np.array(obj, dtype=dtype)
+        arr = np.array(obj, dtype=float)
     except (TypeError, ValueError):
         raise SchemaError(f"{path}: expected a numeric array")
     if ndim is not None and arr.ndim != ndim:
@@ -137,8 +137,19 @@ def _array(obj, path, dtype=float, ndim=None):
     return arr
 
 
+def _integers(obj, path):
+    """A nonempty list of JSON integers; floats and bools are rejected."""
+    if not isinstance(obj, list) or not obj:
+        raise SchemaError(f"{path}: expected a nonempty list of integers")
+    for i, v in enumerate(obj):
+        if isinstance(v, bool) or not isinstance(v, int):
+            raise SchemaError(f"{path}: entry {i} is not an integer")
+    return obj
+
+
 def _increasing(obj, path):
-    if np.any(np.diff(_array(obj, path, dtype=int, ndim=1)) <= 0):
+    ints = _integers(obj, path)
+    if any(b <= a for a, b in zip(ints, ints[1:])):
         raise SchemaError(f"{path}: expected strictly increasing integers")
 
 
@@ -146,7 +157,7 @@ def _words(obj, path):
     if not isinstance(obj, list) or not obj:
         raise SchemaError(f"{path}: expected a nonempty list of words")
     for i, w in enumerate(obj):
-        _array(w, f"{path}[{i}]", dtype=int, ndim=1)
+        _integers(w, f"{path}[{i}]")
 
 
 _VECTOR = partial(_array, ndim=1)
@@ -512,7 +523,7 @@ def _run_ede(cfg, workers):
     ifs = build_ifs(cfg["ifs"])
     seed = cfg["seed"]
     if "words" in params:
-        words = [tuple(int(s) for s in w) for w in params["words"]]
+        words = [tuple(w) for w in params["words"]]
     else:
         measure = build_measure(cfg["measure"])
         length = int(params.get("word_length", max(40, int(params["depth_max"]) * 2)))
@@ -584,22 +595,16 @@ def _run_transversality(cfg, workers):
     ifs = build_ifs(cfg["ifs"])
     family = TranslationFamily(
         ifs,
-        low=np.array(params["low"], dtype=float),
-        high=np.array(params["high"], dtype=float),
-        region_low=(
-            np.array(params["region_low"], dtype=float)
-            if "region_low" in params else None
-        ),
-        region_high=(
-            np.array(params["region_high"], dtype=float)
-            if "region_high" in params else None
-        ),
+        low=params["low"],
+        high=params["high"],
+        region_low=params.get("region_low"),
+        region_high=params.get("region_high"),
     )
     radii = float(params["r0"]) * 0.5 ** np.arange(int(params["levels"]) + 1)
     res = transversality_exponent(
         family,
-        tuple(int(s) for s in params["word_a"]),
-        tuple(int(s) for s in params["word_b"]),
+        params["word_a"],
+        params["word_b"],
         radii,
         param_samples=int(params["samples"]),
         seed=cfg["seed"],
@@ -625,11 +630,11 @@ def _run_approx(cfg, workers):
     rows = []
     rels = []
     residuals = []
-    for k in np.array(params["orders"], dtype=int):
-        approx = markov_approximation(measure, int(k))
+    for k in params["orders"]:
+        approx = markov_approximation(measure, k)
         rel = relative_entropy(measure, approx)
         residual = abs(rel - (approx.entropy() - base_entropy))
-        rows.append((int(k), approx.entropy(), rel, residual))
+        rows.append((k, approx.entropy(), rel, residual))
         rels.append(rel)
         residuals.append(residual)
     artifacts = [
@@ -743,7 +748,7 @@ KINDS = {
     "transversality": Kind(_run_transversality, ifs=True, measure=False, params=Block(
         {
             "low": _req(_array), "high": _req(_array),
-            "word_a": _req(_array), "word_b": _req(_array),
+            "word_a": _req(_integers), "word_b": _req(_integers),
             "r0": _req(_number), "levels": _req(_integer), "samples": _req(_integer),
             "region_low": _opt(_array), "region_high": _opt(_array),
         },

@@ -32,10 +32,6 @@ _STREAM_PARAMS = 12
 _MIN_FIT_HITS = 50
 
 
-def _identity_stack(m, n):
-    return np.broadcast_to(np.eye(n), (m, n, n)).copy()
-
-
 @dataclass(frozen=True)
 class SimilarityIFS:
     """Finitely many contracting similarities sharing an ambient space.
@@ -44,6 +40,13 @@ class SimilarityIFS:
     bound radius >= max ||f_i(c) - c|| / (1 - lambda_i) and then verified
     invariant, so every f_word(ball) encloses the corresponding cylinder
     of the attractor.
+
+    A cylinder node is (c, psi, A): the enclosure f_w(ball) has center c
+    and radius psi * radius, and A is the linear part of f_w.  Child s of
+    that node is (c + A steps[s], psi ratios[s], A linear[s]), where
+    steps[s] = f_s(center) - center and linear[s] = ratios[s] O_s are
+    computed once per system; `child` applies that rule, and the root is
+    (center, 1, I).
     """
 
     ratios: np.ndarray
@@ -51,6 +54,8 @@ class SimilarityIFS:
     orthogonal: np.ndarray = None
     center: np.ndarray = field(init=False)
     radius: float = field(init=False)
+    steps: np.ndarray = field(init=False)
+    linear: np.ndarray = field(init=False)
 
     def __post_init__(self):
         lam = np.array(self.ratios, dtype=float)
@@ -65,7 +70,7 @@ class SimilarityIFS:
             raise PreconditionError("one translation per map required")
         n = trans.shape[1]
         if self.orthogonal is None:
-            orth = _identity_stack(lam.size, n)
+            orth = np.tile(np.eye(n), (lam.size, 1, 1))
         else:
             orth = np.array(self.orthogonal, dtype=float)
             if orth.shape != (lam.size, n, n):
@@ -90,6 +95,9 @@ class SimilarityIFS:
             raise EstimationError("bounding ball failed its invariance check")
         object.__setattr__(self, "center", freeze(c))
         object.__setattr__(self, "radius", r)
+        steps = [self.map_point(s, self.center) - self.center for s in range(lam.size)]
+        object.__setattr__(self, "steps", freeze(np.array(steps)))
+        object.__setattr__(self, "linear", freeze(lam[:, None, None] * orth))
 
     @property
     def m(self):
@@ -114,6 +122,10 @@ class SimilarityIFS:
 
     def map_point(self, i, x):
         return self.ratios[i] * self.orthogonal[i] @ x + self.translations[i]
+
+    def child(self, s, c, psi, amat):
+        """Child s of the cylinder node (c, psi, amat)."""
+        return c + amat @ self.steps[s], psi * self.ratios[s], amat @ self.linear[s]
 
     def map_points(self, idx, x):
         """Apply maps idx[k] to the single point x, or rowwise to points x."""
@@ -241,22 +253,15 @@ def cylinder_balls(ifs, depth):
     scales = np.ones(1)
     straight = ifs._straight()
     mats = None if straight else np.eye(n)[None, :, :].copy()
-    step_c = ifs.map_points(np.arange(m), ifs.center) - ifs.center[None, :]
     for _ in range(depth):
         k = centers.shape[0]
-        new_c = np.empty((k, m, n))
-        for s in range(m):
-            if straight:
-                new_c[:, s, :] = centers + scales[:, None] * step_c[s]
-            else:
-                new_c[:, s, :] = centers + np.einsum("kij,j->ki", mats, step_c[s])
+        if straight:
+            new_c = centers[:, None, :] + scales[:, None, None] * ifs.steps[None]
+        else:
+            new_c = centers[:, None, :] + np.einsum("kij,sj->ksi", mats, ifs.steps)
+            mats = np.einsum("kij,sjl->ksil", mats, ifs.linear).reshape(k * m, n, n)
         centers = new_c.reshape(k * m, n)
         scales = (scales[:, None] * ifs.ratios[None, :]).reshape(k * m)
-        if not straight:
-            new_m = np.empty((k, m, n, n))
-            for s in range(m):
-                new_m[:, s] = ifs.ratios[s] * (mats @ ifs.orthogonal[s])
-            mats = new_m.reshape(k * m, n, n)
     return CylinderBalls(
         ifs=ifs,
         depth=depth,

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EstimationError, PreconditionError
-from .runtime import check_budget, freeze, substream
+from .runtime import check_budget, check_table_budget, freeze, substream
 
 _PROB_ATOL = 1e-9
 _STATIONARY_RESIDUAL = 1e-13
@@ -97,7 +97,7 @@ class BernoulliMeasure:
         n = int(n)
         if n < 0:
             raise PreconditionError("marginal level must be >= 0")
-        check_budget(self.m**n, "marginal table")
+        check_table_budget(self.m, n, "marginal table")
         table = np.ones(1)
         for _ in range(n):
             table = (table[:, None] * self.p[None, :]).ravel()
@@ -137,8 +137,6 @@ class MarkovMeasure:
         stationary = _as_prob_vector(stationary)
         if stationary.size != m**order:
             raise PreconditionError("stationary distribution has wrong size")
-        if np.any(kernel < 0) or np.any(~np.isfinite(kernel)):
-            raise PreconditionError("kernel entries must be finite and non-negative")
         pos = stationary > 0
         rows = kernel.sum(axis=1)
         if np.any(np.abs(rows[pos] - 1.0) > _PROB_ATOL):
@@ -255,7 +253,7 @@ class MarkovMeasure:
         if n < 0:
             raise PreconditionError("marginal level must be >= 0")
         m, k = self.m, self.order
-        check_budget(m ** max(n, k), "marginal table")
+        check_table_budget(m, max(n, k), "marginal table")
         if n <= k:
             return self.stationary.reshape(m**n, m ** (k - n)).sum(axis=1)
         table = np.array(self.stationary)
@@ -301,7 +299,7 @@ class MarkovMeasure:
 
 
 def _checked_shape(order, kernel):
-    """order >= 1 and a float kernel of shape (m**order, m), else rejected."""
+    """order >= 1 and a finite non-negative kernel of shape (m**order, m)."""
     order = int(order)
     if order < 1:
         raise PreconditionError("markov order must be >= 1")
@@ -309,6 +307,8 @@ def _checked_shape(order, kernel):
     shape = kernel.shape
     if len(shape) != 2 or shape[1] < 1 or shape[0] != shape[1] ** order:
         raise PreconditionError(f"kernel of shape {shape} is not (m**{order}, m)")
+    if np.any(kernel < 0) or np.any(~np.isfinite(kernel)):
+        raise PreconditionError("kernel entries must be finite and non-negative")
     return order, kernel
 
 

@@ -238,23 +238,18 @@ def _enemy_distance_bound(ifs, word, depth, x, budget, spent):
     The path of the excluded word is always refined; its depth-n node is
     the one cylinder left out.
     """
-    m = ifs.m
-    ratios, orth, trans = ifs.ratios, ifs.orthogonal, ifs.translations
-    center, radius = ifs.center, ifs.radius
-    straight = ifs._straight()
-    base = np.eye(ifs.ambient_dim)
+    radius = ifs.radius
     best = math.inf
-    # node: (depth, center, scale, composite map or None, on excluded path)
-    stack = [(0, center, 1.0, base if not straight else None, True)]
+    # node: (bound, depth, center, scale, composite linear map, on excluded path)
+    stack = [(-math.inf, 0, ifs.center, 1.0, np.eye(ifs.ambient_dim), True)]
     while stack:
-        k, c, psi, amat, on_path = stack.pop()
+        bound, k, c, psi, amat, on_path = stack.pop()
         spent[0] += 1
         if spent[0] > budget:
             raise BudgetExceededError(
                 f"separation search exceeded the enumeration budget ({budget})"
             )
         if not on_path:
-            bound = float(np.linalg.norm(x - c)) - psi * radius
             if bound >= best:
                 continue
             if k == depth:
@@ -263,21 +258,13 @@ def _enemy_distance_bound(ifs, word, depth, x, budget, spent):
         elif k == depth:
             continue
         children = []
-        for s in range(m):
-            img = ifs.map_point(s, center)
-            if straight:
-                child_c = c + psi * (img - center)
-                child_a = None
-            else:
-                child_c = c + amat @ (img - center)
-                child_a = amat @ (ratios[s] * orth[s])
+        for s in range(ifs.m):
+            child_c, child_psi, child_a = ifs.child(s, c, psi, amat)
+            child_bound = float(np.linalg.norm(x - child_c)) - child_psi * radius
             child_on = on_path and k < len(word) and s == word[k]
-            children.append((k + 1, child_c, psi * ratios[s], child_a, child_on))
+            children.append((child_bound, k + 1, child_c, child_psi, child_a, child_on))
         # visit nearest child first so the minimum tightens early
-        children.sort(
-            key=lambda node: np.linalg.norm(x - node[1]) - node[2] * radius,
-            reverse=True,
-        )
+        children.sort(key=lambda node: node[0], reverse=True)
         stack.extend(children)
     return best
 
@@ -403,35 +390,24 @@ def _greedy_enemy_leaf(ifs, word, deviate_at, x, length):
     to x.  Purely deterministic; gives an empirical (not certified)
     nearest enemy for the Holder ratio.
     """
-    ratios, center, radius = ifs.ratios, ifs.center, ifs.radius
-    straight = ifs._straight()
-    m = ifs.m
-    c = center.copy()
-    psi = 1.0
-    amat = None if straight else np.eye(ifs.ambient_dim)
+    node = (ifs.center, 1.0, np.eye(ifs.ambient_dim))
     out = []
     for j in range(length):
-        best_s, best_c, best_val = None, None, math.inf
-        for s in range(m):
-            if j == deviate_at - 1 and s == word[j]:
-                continue
-            img = ifs.map_point(s, center)
-            child_c = c + (psi * (img - center) if straight else amat @ (img - center))
-            val = float(np.linalg.norm(x - child_c)) - psi * ratios[s] * radius
-            if val < best_val:
-                best_s, best_c, best_val = s, child_c, val
         if j < deviate_at - 1:
             # stay on the base path until the forced deviation
             best_s = word[j]
-            img = ifs.map_point(best_s, center)
-            best_c = c + (
-                psi * (img - center) if straight else amat @ (img - center)
-            )
+            best = ifs.child(best_s, *node)
+        else:
+            best_s, best, best_val = None, None, math.inf
+            for s in range(ifs.m):
+                if j == deviate_at - 1 and s == word[j]:
+                    continue
+                cand = ifs.child(s, *node)
+                val = float(np.linalg.norm(x - cand[0])) - cand[1] * ifs.radius
+                if val < best_val:
+                    best_s, best, best_val = s, cand, val
         out.append(best_s)
-        c = best_c
-        if not straight:
-            amat = amat @ (ratios[best_s] * ifs.orthogonal[best_s])
-        psi *= ratios[best_s]
+        node = best
     return out
 
 

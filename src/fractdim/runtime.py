@@ -61,6 +61,18 @@ def check_budget(requested, what="enumeration"):
     return budget
 
 
+def check_table_budget(m, n, what):
+    """check_budget(m**n), refusing before m**n is built when n alone is over."""
+    budget = enumeration_budget()
+    # for m >= 2, m**n > budget once n exceeds the budget's bit length
+    if n > budget or (m > 1 and n > budget.bit_length()):
+        raise BudgetExceededError(
+            f"{what} needs {m}**{n} nodes, budget is {budget} "
+            f"(raise {BUDGET_ENV} to override)"
+        )
+    return check_budget(m**n, what)
+
+
 def chunk_ranges(n_items, chunk=CHUNK):
     """Yield (chunk_index, start, stop) covering range(n_items)."""
     n_items = int(n_items)

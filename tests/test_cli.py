@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -274,6 +275,31 @@ class TestSchemaGate:
         assert capsys.readouterr().err.startswith("schema error: config.params.orders:")
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "cfg_name, change, field",
+        [
+            ("cantor_separation", {"words": [[1.5, 0.2] * 20]}, "words[0]"),
+            ("transversality_family", {"word_a": [0.9] * 40}, "word_a"),
+            ("transversality_family", {"word_b": [True] * 40}, "word_b"),
+            ("markov_approximation", {"orders": [1.5, 2.5, 3.9]}, "orders"),
+        ],
+        ids=["ede-words", "word_a", "word_b-bool", "orders"],
+    )
+    def test_symbols_and_orders_must_be_integers(
+        self, tmp_path, capsys, cfg_name, change, field
+    ):
+        # each of these once truncated to integers and ran
+        cfg = json.loads((ROOT / "configs" / f"{cfg_name}.json").read_text())
+        if "words" in change:
+            del cfg["params"]["samples"]
+        cfg["params"].update(change)
+        code, out = launch(tmp_path, cfg)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"schema error: config.params.{field}: entry 0 ")
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_ede_holder_requires_measure(self, tmp_path, capsys):
         # words need no measure, but the Holder check samples from one
         cfg = {
@@ -319,22 +345,39 @@ class TestExitCodes:
         assert "(0, 1)" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "change",
+        "change, message",
         [
-            {"kernel": [[0.2, 0.8], [0.5, 0.5], [0.9, 0.1]]},
-            {"order": 0},
-            {"kernel": [0.5, 0.5]},
+            ({"kernel": [[0.2, 0.8], [0.5, 0.5], [0.9, 0.1]]}, "is not (m**2, m)"),
+            ({"order": 0}, "order must be >= 1"),
+            ({"kernel": [0.5, 0.5]}, "is not (m**2, m)"),
+            (
+                {"kernel": [[math.nan, 0.8], [0.5, 0.5], [0.9, 0.1], [0.4, 0.6]]},
+                "kernel entries must be finite and non-negative",
+            ),
         ],
-        ids=["three-rows-at-order-2", "order-0", "one-d-kernel"],
+        ids=["three-rows-at-order-2", "order-0", "one-d-kernel", "nan-entry"],
     )
-    def test_malformed_markov_kernel_is_exit_3(self, tmp_path, capsys, change):
+    def test_malformed_markov_kernel_is_exit_3(self, tmp_path, capsys, change, message):
         cfg = json.loads((ROOT / "configs" / "markov_approximation.json").read_text())
         cfg["measure"].update(change)
+        start = time.perf_counter()
         code, out = launch(tmp_path, cfg)
+        # rejected before the power iteration, not after it gives up
+        assert time.perf_counter() - start < 1.0
         assert code == 3
         err = capsys.readouterr().err
         assert err.startswith("precondition violated:")
+        assert message in err
         assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_huge_approx_order_is_exit_3(self, tmp_path, capsys):
+        cfg = json.loads((ROOT / "configs" / "markov_approximation.json").read_text())
+        cfg["params"]["orders"] = [1, 2**70]
+        code, out = launch(tmp_path, cfg)
+        err = capsys.readouterr().err
+        assert code == 3
+        assert "marginal table needs" in err
         assert not out.exists()
 
     def test_failed_assertion_is_exit_1(self, tmp_path, capsys):

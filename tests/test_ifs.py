@@ -266,6 +266,15 @@ class TestCylinderBalls:
             word = balls.word(k)
             a, b = F.word_map(word)
             assert balls.centers[k] == pytest.approx(a @ F.center + b, abs=1e-13)
+        c, s = math.cos(0.4), math.sin(0.4)
+        rotated = SimilarityIFS(
+            ratios=[0.3, 0.3], translations=[[0, 0], [1, 0]],
+            orthogonal=[[[c, -s], [s, c]], [[c, s], [-s, c]]],
+        )
+        balls = cylinder_balls(rotated, 6)
+        for k, (word, center, _) in enumerate(balls):
+            a, b = rotated.word_map(word)
+            assert center == pytest.approx(a @ rotated.center + b, abs=1e-13), k
 
 
 class TestSamplePoints:

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from scipy.sparse.csgraph import connected_components
 from scipy.special import logsumexp
 
-from fractdim.errors import EstimationError, PreconditionError
+from fractdim.errors import BudgetExceededError, EstimationError, PreconditionError
 from fractdim.measures import (
     BernoulliMeasure,
     GibbsMeasure,
@@ -161,6 +161,16 @@ class TestMarkov:
     def test_from_kernel_rejects_bad_shape(self, kernel, order):
         with pytest.raises(PreconditionError):
             MarkovMeasure.from_kernel(kernel, order)
+
+    @pytest.mark.parametrize("entry", [math.nan, -0.1, math.inf])
+    def test_from_kernel_rejects_bad_entry_before_iterating(self, entry):
+        # a NaN keeps the positive-entry graph connected, so without the
+        # entry check the power iteration would run to its step limit
+        kernel = [[entry, 1.0], [0.5, 0.5]]
+        with pytest.raises(
+            PreconditionError, match="kernel entries must be finite and non-negative"
+        ):
+            MarkovMeasure.from_kernel(kernel, 1)
 
 
 class TestErgodicity:
@@ -342,6 +352,13 @@ class TestMarkovApproximation:
         gap = relative_entropy(mu, nu)
         assert gap == pytest.approx(nu.entropy() - mu.entropy(), abs=1e-12)
         assert gap > 0  # generic order-2 chain is not order-1
+
+    @pytest.mark.parametrize("order", [23, 2**70])
+    def test_huge_order_refused_before_the_table(self, order):
+        # 2**(2**70) would exhaust memory before any budget comparison
+        for mu in (BernoulliMeasure([0.5, 0.5]), two_state_chain(0.85, 0.55)):
+            with pytest.raises(BudgetExceededError, match="marginal table"):
+                markov_approximation(mu, order)
 
     def test_distance_non_increasing_in_order(self):
         rng = substream(5, 0)

@@ -13,13 +13,20 @@ from fractdim.errors import (
     BudgetExceededError,
     PreconditionError,
 )
-from fractdim.ifs import SimilarityIFS, sample_points
+from fractdim.ifs import (
+    SimilarityIFS,
+    cylinder_balls,
+    natural_projection,
+    sample_points,
+)
 from fractdim.measures import BernoulliMeasure
 from fractdim.projections import (
     EDEReport,
     HolderReport,
     MarstrandReport,
     Subspace,
+    _enemy_distance_bound,
+    _greedy_enemy_leaf,
     ede_check,
     holder_inverse_check,
     marstrand_experiment,
@@ -294,3 +301,161 @@ class TestHolder:
     def test_needs_samples(self):
         with pytest.raises(PreconditionError):
             holder_inverse_check(cantor(), UNIFORM2, [0.5], 0, seed=0)
+
+
+# Oracle copies of the cylinder-tree walkers as they stood before they were
+# rewritten on SimilarityIFS.child; the rewrite must agree with them bitwise.
+
+
+def reference_enemy_distance_bound(ifs, word, depth, x, budget, spent):
+    m = ifs.m
+    ratios, orth, trans = ifs.ratios, ifs.orthogonal, ifs.translations
+    center, radius = ifs.center, ifs.radius
+    straight = ifs._straight()
+    base = np.eye(ifs.ambient_dim)
+    best = math.inf
+    # node: (depth, center, scale, composite map or None, on excluded path)
+    stack = [(0, center, 1.0, base if not straight else None, True)]
+    while stack:
+        k, c, psi, amat, on_path = stack.pop()
+        spent[0] += 1
+        if spent[0] > budget:
+            raise BudgetExceededError(
+                f"separation search exceeded the enumeration budget ({budget})"
+            )
+        if not on_path:
+            bound = float(np.linalg.norm(x - c)) - psi * radius
+            if bound >= best:
+                continue
+            if k == depth:
+                best = bound
+                continue
+        elif k == depth:
+            continue
+        children = []
+        for s in range(m):
+            img = ifs.map_point(s, center)
+            if straight:
+                child_c = c + psi * (img - center)
+                child_a = None
+            else:
+                child_c = c + amat @ (img - center)
+                child_a = amat @ (ratios[s] * orth[s])
+            child_on = on_path and k < len(word) and s == word[k]
+            children.append((k + 1, child_c, psi * ratios[s], child_a, child_on))
+        # visit nearest child first so the minimum tightens early
+        children.sort(
+            key=lambda node: np.linalg.norm(x - node[1]) - node[2] * radius,
+            reverse=True,
+        )
+        stack.extend(children)
+    return best
+
+
+def reference_greedy_enemy_leaf(ifs, word, deviate_at, x, length):
+    ratios, center, radius = ifs.ratios, ifs.center, ifs.radius
+    straight = ifs._straight()
+    m = ifs.m
+    c = center.copy()
+    psi = 1.0
+    amat = None if straight else np.eye(ifs.ambient_dim)
+    out = []
+    for j in range(length):
+        best_s, best_c, best_val = None, None, math.inf
+        for s in range(m):
+            if j == deviate_at - 1 and s == word[j]:
+                continue
+            img = ifs.map_point(s, center)
+            child_c = c + (psi * (img - center) if straight else amat @ (img - center))
+            val = float(np.linalg.norm(x - child_c)) - psi * ratios[s] * radius
+            if val < best_val:
+                best_s, best_c, best_val = s, child_c, val
+        if j < deviate_at - 1:
+            # stay on the base path until the forced deviation
+            best_s = word[j]
+            img = ifs.map_point(best_s, center)
+            best_c = c + (
+                psi * (img - center) if straight else amat @ (img - center)
+            )
+        out.append(best_s)
+        c = best_c
+        if not straight:
+            amat = amat @ (ratios[best_s] * ifs.orthogonal[best_s])
+        psi *= ratios[best_s]
+    return out
+
+
+def rotated_pair():
+    c, s = math.cos(0.4), math.sin(0.4)
+    rot = [[[c, -s], [s, c]], [[c, s], [-s, c]]]
+    return SimilarityIFS(
+        ratios=[0.3, 0.3], translations=[[0, 0], [1, 0]], orthogonal=rot
+    )
+
+
+def tetra_corners():
+    t = np.vstack([np.zeros(3), 0.7 * np.eye(3)])
+    return SimilarityIFS(ratios=[0.3] * 4, translations=t)
+
+
+def negative_line():
+    return SimilarityIFS(ratios=[0.3, 0.25, 0.2], translations=[-1.0, 0.0, 0.9])
+
+
+WALK_SYSTEMS = {
+    "cantor": cantor,
+    "overlap": overlap_pair,
+    "negative": negative_line,
+    "square": square_corners,
+    "tetra": tetra_corners,
+    "rotated": rotated_pair,
+}
+
+
+def coded_points(ifs, seed, count=3):
+    """Seeded 40-symbol words with the points they code."""
+    rng = substream(seed, 77)
+    for _ in range(count):
+        word = tuple(int(s) for s in rng.integers(0, ifs.m, 40))
+        yield word, natural_projection(ifs, word, 1e-6)[0]
+
+
+def same_bits(a, b):
+    return np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+class TestTreeWalkOracle:
+    @pytest.mark.parametrize("name", sorted(WALK_SYSTEMS))
+    def test_enemy_bound_matches_reference(self, name):
+        F = WALK_SYSTEMS[name]()
+        for word, x in coded_points(F, 41):
+            for depth in range(1, 13):
+                spent, ref_spent = [0], [0]
+                bound = _enemy_distance_bound(F, word, depth, x, 10**7, spent)
+                ref = reference_enemy_distance_bound(
+                    F, word, depth, x, 10**7, ref_spent
+                )
+                assert same_bits(bound, ref), (word, depth, bound, ref)
+                assert spent == ref_spent
+
+    @pytest.mark.parametrize("name", sorted(WALK_SYSTEMS))
+    def test_greedy_leaf_matches_reference(self, name):
+        F = WALK_SYSTEMS[name]()
+        length = 12
+        for word, x in coded_points(F, 43):
+            for deviate_at in range(1, length + 1):
+                leaf = _greedy_enemy_leaf(F, word, deviate_at, x, length)
+                ref = reference_greedy_enemy_leaf(F, word, deviate_at, x, length)
+                assert leaf == ref, (word, deviate_at)
+
+    @pytest.mark.parametrize("name", ["square", "rotated"])
+    def test_enemy_bound_matches_brute_force(self, name):
+        F = WALK_SYSTEMS[name]()
+        for word, x in coded_points(F, 47):
+            for depth in range(1, 7):
+                balls = cylinder_balls(F, depth)
+                own = sum(s * F.m ** (depth - 1 - j) for j, s in enumerate(word[:depth]))
+                gaps = np.linalg.norm(x - balls.centers, axis=1) - balls.radii
+                brute = float(np.delete(gaps, own).min())
+                bound = _enemy_distance_bound(F, word, depth, x, 10**7, [0])
+                assert bound == pytest.approx(brute, abs=1e-12)
