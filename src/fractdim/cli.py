@@ -425,6 +425,13 @@ def _fit_schedule(cloud, block):
     )
 
 
+def _fitted_rows(est, schedule, profile):
+    """(radius, profile, fitted) rows; fitted is 1 inside the fit window."""
+    fitted = np.zeros(est.radii.size, dtype=int)
+    fitted[schedule.fit_slice] = 1
+    return list(zip(est.radii, profile, fitted))
+
+
 def _run_dimension(cfg, workers):
     params = cfg["params"]
     ifs = build_ifs(cfg["ifs"])
@@ -443,26 +450,14 @@ def _run_dimension(cfg, workers):
             cloud, schedule, seed=seed,
             max_pairs=int(block.get("max_pairs", 2_000_000)), workers=workers,
         )
-        fitted = np.zeros(est.radii.size, dtype=int)
-        fitted[schedule.fit_slice] = 1
-        artifacts.append(
-            (
-                "correlation.csv", ["radius", "correlation", "fitted"],
-                list(zip(est.radii, est.profile, fitted)),
-            )
-        )
+        artifacts.append(("correlation.csv", ["radius", "correlation", "fitted"],
+                          _fitted_rows(est, schedule, est.profile)))
         quantities.update(correlation=est.value, correlation_stderr=est.stderr)
     if "box" in params:
         schedule = _fit_schedule(cloud, params["box"])
         est = box_counting(cloud, schedule)
-        fitted = np.zeros(est.radii.size, dtype=int)
-        fitted[schedule.fit_slice] = 1
-        artifacts.append(
-            (
-                "box.csv", ["radius", "boxes", "fitted"],
-                list(zip(est.radii, est.profile.astype(int), fitted)),
-            )
-        )
+        artifacts.append(("box.csv", ["radius", "boxes", "fitted"],
+                          _fitted_rows(est, schedule, est.profile.astype(int))))
         quantities.update(box=est.value, box_stderr=est.stderr)
     if "energy" in params:
         block = params["energy"]
@@ -628,15 +623,11 @@ def _run_approx(cfg, workers):
     measure = build_measure(cfg["measure"])
     base_entropy = measure.entropy()
     rows = []
-    rels = []
-    residuals = []
     for k in params["orders"]:
         approx = markov_approximation(measure, k)
         rel = relative_entropy(measure, approx)
-        residual = abs(rel - (approx.entropy() - base_entropy))
-        rows.append((k, approx.entropy(), rel, residual))
-        rels.append(rel)
-        residuals.append(residual)
+        rows.append((k, approx.entropy(), rel, abs(rel - (approx.entropy() - base_entropy))))
+    _, _, rels, residuals = zip(*rows)
     artifacts = [
         (
             "approx.csv",
@@ -726,7 +717,7 @@ KINDS = {
             "subspace_dim": _req(_integer), "directions": _req(_integer),
             "count": _req(_integer),
             "tolerance": _opt(_POSITIVE),
-            "max_pairs": _opt(_COUNT), "basis": _opt(_array),
+            "max_pairs": _opt(_COUNT), "basis": _opt(partial(_array, ndim=3)),
         },
         ("predicted", "fraction_within", "below_count", "directions",
          "q05", "q25", "q50", "q75", "q95"),

@@ -77,10 +77,6 @@ class _GridIndex:
     def occupied(self):
         return self.cell_ids.size
 
-    def box_masses(self, weights):
-        ends = np.append(self.cell_starts, self.sorted_ids.size)
-        return np.add.reduceat(weights[self.order], self.cell_starts), ends
-
     def candidates(self, x):
         """Indices of all points in the 3^n cell neighborhood of x."""
         kx = np.floor(x / self.cell).astype(np.int64) - self.k_min
@@ -494,15 +490,23 @@ class CoarseSpectrum:
     occupied: int
 
 
+def _box_masses(cloud, r):
+    """Positive weights of the lattice boxes of side r, in box-id order."""
+    ids, _, dims, _ = _lattice_ids(_lattice_cells(cloud.points, r))
+    if np.prod(dims) > ids.size:
+        # more cells than points: bin by the rank of each occupied cell
+        ids = np.unique(ids, return_inverse=True)[1]
+    masses = np.bincount(ids, weights=cloud.weights)
+    return masses[masses > 0]
+
+
 def coarse_spectrum(cloud, r, alpha_bins=None, delta=0.05):
     """Coarse multifractal spectrum from box masses at scale r."""
     if not (0 < r < 1):
         raise PreconditionError("scale r must lie in (0, 1)")
     if not (delta > 0):
         raise PreconditionError("window half-width delta must be positive")
-    grid = cloud.grid(r)
-    masses, _ = grid.box_masses(cloud.weights)
-    masses = masses[masses > 0]
+    masses = _box_masses(cloud, r)
     if masses.size < _MIN_BOXES:
         raise EstimationError(
             f"only {masses.size} occupied boxes; need {_MIN_BOXES}"

@@ -182,11 +182,12 @@ class MarkovMeasure:
 
     @classmethod
     def from_kernel(cls, kernel, order, support=None):
-        """Build the stationary measure of a kernel by power iteration.
+        """Build the stationary measure of a kernel.
 
         The positive-entry transition graph restricted to `support` (all
         states by default) must be strongly connected; that is checked before
-        iterating, and the stationary distribution is then unique.
+        solving, and the stationary distribution is then unique.  A linear
+        solve gives it and the lazy power iteration certifies it.
         """
         order, kernel = _checked_shape(order, kernel)
         n_states = kernel.shape[0]
@@ -201,7 +202,12 @@ class MarkovMeasure:
                 "kernel graph is not strongly connected on the given support; "
                 "stationary distribution would not be unique"
             )
-        dist = np.full(support.size, 1.0 / support.size)
+        # dist (I - op) = 0 with sum(dist) = 1 as its last equation is
+        # nonsingular for strongly connected op; abs() undoes rounding signs
+        eqs = np.eye(support.size) - op.T
+        eqs[-1] = 1.0
+        dist = np.abs(np.linalg.solve(eqs, np.eye(support.size)[-1]))
+        dist /= dist.sum()
         for _ in range(_POWER_MAX_ITERS):
             nxt = dist @ op
             total = nxt.sum()
@@ -518,6 +524,7 @@ class LocallyConstantPotential:
         depth, m = int(self.depth), int(self.m)
         if depth < 1 or m < 1:
             raise PreconditionError("potential depth and alphabet must be >= 1")
+        check_table_budget(m, depth, "potential table")
         table = np.array(self.table, dtype=float).ravel()
         if table.size != m**depth:
             raise PreconditionError(
@@ -609,6 +616,7 @@ def gibbs_ratio_bounds(gibbs, max_length):
     """
     pot = gibbs.potential
     m, d = pot.m, pot.depth
+    check_table_budget(m, max_length, "Gibbs ratio table")
     states = m ** (d - 1)
     tail_lo, tail_hi = _straddle_bounds(pot, d - 1)
     lo = np.empty(max_length)

@@ -151,17 +151,36 @@ def solve_T(problem, q):
     return float(solve_T_many(problem, np.array([float(q)]))[0])
 
 
-def _alpha_at(logp, loglam, q, t):
-    _, w = _log_moment(q * logp + t * loglam)
-    return float(np.dot(w, logp) / np.dot(w, loglam))
+def _alpha_slope(logp, loglam, qs, ts):
+    """alpha(q) = -T'(q) and alpha'(q) = -T''(q) per row, from the softmax weights.
+
+    Each weighted sum is one (1, m) @ (m, 1) product per row, so no row's
+    values depend on its batch.
+    """
+    _, w = _log_moment(qs[:, None] * logp + ts[:, None] * loglam)
+    su, sv, uu, uv, vv = (
+        (w[:, None, :] @ v[:, None])[:, 0, 0]
+        for v in (logp, loglam, logp * logp, logp * loglam, loglam * loglam)
+    )
+    alpha = su / sv
+    curv = uu - su * su - 2.0 * (uv - su * sv) * alpha + (vv - sv * sv) * alpha * alpha
+    return alpha, curv / sv
+
+
+def _state_at(logp, loglam, q):
+    """T(q), alpha(q) and alpha'(q) at one exponent q."""
+    qs = np.array([q])
+    ts = _root_of_log_moment(qs[:, None] * logp, loglam)
+    alpha, slope = _alpha_slope(logp, loglam, qs, ts)
+    return float(ts[0]), float(alpha[0]), float(slope[0])
 
 
 def T_derivative(problem, q):
     """Analytic T'(q) at the solved root: weighted log-ratio quotient."""
-    q = float(q)
-    t = solve_T(problem, q)
-    logp, loglam = _supported_logs(problem, q)
-    return -_alpha_at(logp, loglam, q, t)
+    qs = np.array([float(q)])
+    logp, loglam = _supported_logs(problem, qs[0])
+    alpha, _ = _alpha_slope(logp, loglam, qs, solve_T_many(problem, qs))
+    return -float(alpha[0])
 
 
 def alpha_range(problem):
@@ -186,62 +205,50 @@ def _endpoint_value(problem, alpha_end):
     return math.log(k) / chi
 
 
-def _slope_curvature(logp, loglam, q, t):
-    """alpha(q) and alpha'(q) = -T''(q) from the softmax moment weights."""
-    _, w = _log_moment(q * logp + t * loglam)
-    su = float(np.dot(w, logp))
-    sv = float(np.dot(w, loglam))
-    alpha = su / sv
-    uu = float(np.dot(w, logp * logp)) - su * su
-    uv = float(np.dot(w, logp * loglam)) - su * sv
-    vv = float(np.dot(w, loglam * loglam)) - sv * sv
-    tpp = -(uu - 2.0 * uv * alpha + vv * alpha * alpha) / sv
-    return alpha, -tpp
-
-
 def _solve_q(problem, alpha):
-    """Exponent q with alpha(q) = alpha, or None when outside all brackets.
+    """(q, T(q)) with alpha(q) = alpha, or None when outside all brackets.
 
     alpha(q) = -T'(q) is non-increasing, so a geometrically grown bracket
     is certified for interior alpha; inside it, Newton steps with the
     analytic curvature converge quadratically and fall back to bisection
-    whenever they leave the bracket.
+    whenever they leave the bracket or alpha'(q) >= 0.  The loop stops on
+    the root solve's rule or on a collapsed bracket (near an endpoint a
+    rounding-level step can stay above the stall bound) and returns the
+    last (q, T(q)) without taking the final step: alpha q + T(q) is
+    stationary in q, so that step would move T*(alpha) only at second order.
     """
-    logp, loglam = _supported_logs(problem, -1.0)
-
-    def alpha_of(q):
-        t = solve_T(problem, q)
-        return _alpha_at(logp, loglam, q, t)
-
+    logp, loglam = np.log(problem.p), np.log(problem.ratios)
     lo, hi = -1.0, 1.0
     for _ in range(60):
-        if alpha_of(lo) > alpha:
+        if _state_at(logp, loglam, lo)[1] > alpha:
             break
         lo *= 2.0
     else:
         return None
     for _ in range(60):
-        if alpha_of(hi) < alpha:
+        if _state_at(logp, loglam, hi)[1] < alpha:
             break
         hi *= 2.0
     else:
         return None
     q = 0.5 * (lo + hi)
+    prev = math.inf
     for _ in range(200):
-        t = solve_T(problem, q)
-        a, ap = _slope_curvature(logp, loglam, q, t)
+        t, a, ap = _state_at(logp, loglam, q)
         if a > alpha:
             lo = q
         else:
             hi = q
         if hi - lo <= 1e-14 * (1.0 + abs(hi)):
-            break
-        step = (a - alpha) / ap if ap < 0 else math.nan
-        nxt = q - step
-        if not (lo < nxt < hi):
-            nxt = 0.5 * (lo + hi)
-        q = nxt
-    return 0.5 * (lo + hi)
+            return q, t
+        step = (a - alpha) / ap if ap < 0 else math.inf
+        size, scale = abs(step), 1.0 + abs(q)
+        stalled = size <= _STALL_REL * scale and size > 0.5 * prev
+        if stalled or size <= _STEP_ULPS * scale:
+            return q, t
+        prev = size
+        q = q - step if lo < q - step < hi else 0.5 * (lo + hi)
+    raise EstimationError("Newton steps on alpha(q) = alpha did not settle")
 
 
 def _classify_alpha(problem, alpha):
@@ -259,11 +266,11 @@ def _classify_alpha(problem, alpha):
         return ("endpoint", a_min)
     if alpha >= a_max - _EDGE_ATOL * (1 + span):
         return ("endpoint", a_max)
-    q = _solve_q(problem, alpha)
-    if q is None:
+    root = _solve_q(problem, alpha)
+    if root is None:
         # bracket growth exhausted: alpha is numerically at an endpoint
         return ("endpoint", a_min if alpha - a_min < a_max - alpha else a_max)
-    return ("interior", q)
+    return ("interior", root)
 
 
 def legendre(problem, alpha):
@@ -278,8 +285,8 @@ def legendre(problem, alpha):
         return problem.similarity_dim
     if kind == "endpoint":
         return _endpoint_value(problem, datum)
-    q = datum
-    return q * float(alpha) + solve_T(problem, q)
+    q, t = datum
+    return q * float(alpha) + t
 
 
 def optimal_measure(problem, alpha):
@@ -296,12 +303,11 @@ def optimal_measure(problem, alpha):
         mask = _endpoint_set(problem, datum)
         w = mask / mask.sum()
         return BernoulliMeasure(w)
-    q = datum
-    t = solve_T(problem, q)
-    logw = q * np.log(problem.p) + t * np.log(problem.ratios)
-    w = np.exp(logw)
+    q, t = datum
+    w = np.exp(q * np.log(problem.p) + t * np.log(problem.ratios))
     total = w.sum()
-    if abs(total - 1.0) > 1e-12:
+    # the exponents cancel terms of size ~|T|, whose rounding moves the sum
+    if abs(total - 1.0) > 1e-12 * (1.0 + abs(t)):
         raise EstimationError("optimal weights failed the moment identity")
     return BernoulliMeasure(w / total)
 
@@ -378,30 +384,24 @@ def spectrum_curve(problem, q_grid=None):
         raise PreconditionError("need at least two grid points")
     logp, loglam = _supported_logs(problem, float(qs[0]) if qs[0] < 0 else -1.0)
     ts = solve_T_many(problem, qs)
-    alphas = np.array(
-        [_alpha_at(logp, loglam, q, t) for q, t in zip(qs, ts)]
-    )
+    alphas, _ = _alpha_slope(logp, loglam, qs, ts)
     rows = list(zip(qs.tolist(), ts.tolist(), alphas.tolist()))
     for sign in (1.0, -1.0):
         q = sign * max(1.0, abs(qs[-1 if sign > 0 else 0]))
         prev = alphas[-1] if sign > 0 else alphas[0]
         while abs(q) <= _Q_CAP:
             q = 2.0 * q
-            t = solve_T(problem, q)
-            a = _alpha_at(logp, loglam, q, t)
+            t, a, _ = _state_at(logp, loglam, q)
             rows.append((q, t, a))
             if abs(a - prev) < _ALPHA_TAIL_TOL:
                 break
             prev = a
-    rows.sort(key=lambda r: r[0])
-    qs = np.array([r[0] for r in rows])
-    ts = np.array([r[1] for r in rows])
-    alphas = np.array([r[2] for r in rows])
+    qs, ts, alphas = np.array(sorted(rows)).T
     fs = qs * alphas + ts
     _curve_checks(qs, ts, alphas, fs, s0)
     fs = np.maximum(fs, 0.0)
     a_min, a_max = alpha_range(problem)
-    alpha_peak = _alpha_at(logp, loglam, 0.0, solve_T(problem, 0.0))
+    peak, _ = _alpha_slope(logp, loglam, np.zeros(1), np.array([s0]))
     qs = np.concatenate([[-math.inf], qs, [math.inf]])
     ts = np.concatenate([[math.nan], ts, [math.nan]])
     alphas = np.concatenate([[a_max], alphas, [a_min]])
@@ -418,7 +418,7 @@ def spectrum_curve(problem, q_grid=None):
         endpoint=freeze(endpoint),
         alpha_min=a_min,
         alpha_max=a_max,
-        alpha_peak=alpha_peak,
+        alpha_peak=float(peak[0]),
         similarity_dim=s0,
         degenerate=False,
     )

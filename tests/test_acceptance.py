@@ -5,6 +5,8 @@ failure, the offending comparison rows.  The same bundles back the
 ``fractdim verify`` subcommand.
 """
 
+import inspect
+
 from fractdim import acceptance
 
 
@@ -58,3 +60,10 @@ def test_10_transversality_exponent():
 
 def test_11_worker_determinism():
     _gate("worker determinism", acceptance.determinism_suite())
+
+
+def test_every_suite_takes_workers():
+    # `run_suite` calls each suite as fn(workers=...)
+    for name, fns in acceptance.SUITES.items():
+        for fn in fns:
+            inspect.signature(fn).bind(workers=1)

@@ -177,6 +177,7 @@ class TestSchemaGate:
     @pytest.mark.parametrize(
         "key, value",
         [("tolerance", "abc"), ("tolerance", -0.1), ("basis", "xy"),
+         ("basis", 5), ("basis", [[1.0, 0.0]]),
          ("max_pairs", "many"), ("max_pairs", 0)],
     )
     def test_project_pair_parameters(self, tmp_path, capsys, key, value):
@@ -378,6 +379,25 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert code == 3
         assert "marginal table needs" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [("check_depth", 10**12, "Gibbs ratio table needs 2**1000000000000 nodes"),
+         ("depth", 2**40, "potential table needs 2**1099511627776 nodes")],
+    )
+    def test_huge_gibbs_depth_is_exit_3(self, tmp_path, capsys, key, value, message):
+        # refused before m**depth is formed or a table is allocated
+        cfg = json.loads((ROOT / "configs" / "gibbs_bounds.json").read_text())
+        cfg["params"][key] = value
+        start = time.perf_counter()
+        code, out = launch(tmp_path, cfg)
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("precondition violated:")
+        assert message in err
+        assert "Traceback" not in err
         assert not out.exists()
 
     def test_failed_assertion_is_exit_1(self, tmp_path, capsys):

@@ -85,6 +85,57 @@ class TestBernoulli:
             assert mu.cylinder_mass(word + (s,)) <= m0 + 1e-15
 
 
+def reference_power_stationary(kernel, order, support):
+    """Stationary vector on `support` by lazy power iteration from uniform.
+
+    The former `MarkovMeasure.from_kernel` solve: it stops once a lazy step
+    moves no entry by more than 1e-13, which leaves an error of about
+    1e-13 over the spectral gap.
+    """
+    op = _restricted_operator(kernel, order, support)
+    dist = np.full(support.size, 1.0 / support.size)
+    for _ in range(1_000_000):
+        nxt = dist @ op
+        nxt = 0.5 * (dist + nxt / nxt.sum())
+        if np.max(np.abs(nxt - dist)) <= 1e-13:
+            return nxt / nxt.sum()
+        dist = nxt
+    raise EstimationError("power iteration failed to converge")
+
+
+class TestStationarySolve:
+    def test_matches_power_iteration_oracle(self):
+        rng = np.random.default_rng(20240607)
+        for trial in range(90):
+            m = int(rng.integers(2, 4))
+            order = int(rng.integers(1, 4))
+            kernel = rng.dirichlet(np.full(m, (0.3, 1.0, 5.0)[trial % 3]), size=m**order)
+            support = np.arange(m**order)
+            got = MarkovMeasure.from_kernel(kernel, order).stationary
+            assert np.max(np.abs(got - reference_power_stationary(kernel, order, support))) <= 1e-8
+            # the solve is stationary to rounding, the oracle only to ~1e-13
+            assert np.max(np.abs(got @ _restricted_operator(kernel, order, support) - got)) <= 1e-15
+
+    def test_slow_mixing_chain(self):
+        # lazy steps contract by 1 - 3 * 2**-25 here, so the power iteration
+        # from uniform runs out of its 10**6 steps (about 4 s); the entries
+        # are exact in binary
+        a, b = 2.0**-24, 2.0**-23
+        mu = MarkovMeasure.from_kernel([[1 - a, a], [b, 1 - b]], 1)
+        assert np.max(np.abs(mu.stationary - [2 / 3, 1 / 3])) <= 1e-15
+
+    def test_periodic_chains(self):
+        cycle = MarkovMeasure.from_kernel([[0.0, 1.0], [1.0, 0.0]], 1)
+        assert np.all(cycle.stationary == 0.5)
+        # order 2 on the states 00 -> 01 -> 11 -> 10 -> 00, period 4
+        kernel = [[0.0, 1.0], [0.0, 1.0], [1.0, 0.0], [1.0, 0.0]]
+        assert np.all(MarkovMeasure.from_kernel(kernel, 2).stationary == 0.25)
+
+    def test_state_without_successor_is_not_closed(self):
+        with pytest.raises(PreconditionError, match="not closed"):
+            MarkovMeasure.from_kernel([[0.0, 1.0], [1.0, 0.0]], 1, support=[0])
+
+
 class TestMarkov:
     def test_uniform_symmetric_chain_mass(self):
         nu = two_state_chain(0.9, 0.9)

@@ -8,11 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import logsumexp, softmax
 
+import fractdim.multifractal as mf
 from fractdim.errors import EstimationError, PreconditionError
-from fractdim.measures import BernoulliMeasure
+from fractdim.measures import BernoulliMeasure, _log_moment
 from fractdim.multifractal import (
+    _EDGE_ATOL,
     SpectrumProblem,
     _root_of_log_moment,
+    _solve_q,
+    _supported_logs,
     T_derivative,
     alpha_range,
     legendre,
@@ -90,6 +94,59 @@ def reference_root_of_log_moment(z0, loglam):
     return root
 
 
+def reference_solve_q(problem, alpha):
+    """Exponent q with alpha(q) = alpha, or None when outside all brackets.
+
+    The bracket-collapse solve: a geometrically grown bracket, then Newton
+    steps that fall back to bisection, until the bracket is 1e-14 wide;
+    the bracket midpoint is returned.
+    """
+    logp, loglam = _supported_logs(problem, -1.0)
+
+    def alpha_of(q):
+        t = solve_T(problem, q)
+        _, w = _log_moment(q * logp + t * loglam)
+        return float(np.dot(w, logp) / np.dot(w, loglam))
+
+    lo, hi = -1.0, 1.0
+    for _ in range(60):
+        if alpha_of(lo) > alpha:
+            break
+        lo *= 2.0
+    else:
+        return None
+    for _ in range(60):
+        if alpha_of(hi) < alpha:
+            break
+        hi *= 2.0
+    else:
+        return None
+    q = 0.5 * (lo + hi)
+    for _ in range(200):
+        t = solve_T(problem, q)
+        _, w = _log_moment(q * logp + t * loglam)
+        su = float(np.dot(w, logp))
+        sv = float(np.dot(w, loglam))
+        a = su / sv
+        uu = float(np.dot(w, logp * logp)) - su * su
+        uv = float(np.dot(w, logp * loglam)) - su * sv
+        vv = float(np.dot(w, loglam * loglam)) - sv * sv
+        tpp = -(uu - 2.0 * uv * a + vv * a * a) / sv
+        ap = -tpp
+        if a > alpha:
+            lo = q
+        else:
+            hi = q
+        if hi - lo <= 1e-14 * (1.0 + abs(hi)):
+            break
+        step = (a - alpha) / ap if ap < 0 else math.nan
+        nxt = q - step
+        if not (lo < nxt < hi):
+            nxt = 0.5 * (lo + hi)
+        q = nxt
+    return 0.5 * (lo + hi)
+
+
 ORACLE_QS = np.array(
     [-1e8, -1e4, -50.0, -3.0, -1.0, 0.0, 0.5, 1.0, 2.0, 7.0, 50.0, 60.0, 1e4, 1e8]
 )
@@ -107,6 +164,29 @@ HARD_PROBLEMS = [
     ([0.3, 0.25, 0.2, 0.15, 0.1], [0.5, 0.4, 0.3, 0.2, 1.2e-4]),
     ([0.05, 0.1, 0.15, 0.2, 0.2, 0.3], [0.6, 0.5, 0.4, 0.3, 0.2, 1e-4]),
 ]
+
+
+# (ratios, local dimensions log p_i / log lambda_i up to a common shift)
+# whose two largest or two smallest dimensions differ by 0.01: near those
+# endpoints alpha'(q) is tiny, so Newton steps at rounding level are large
+NEAR_TIE_PROBLEMS = [
+    ([0.3, 0.5, 0.4, 0.6], [0.0, 0.01, 0.6, 0.61]),
+    ([0.2, 0.7, 0.45], [0.0, 0.01, 0.02]),
+    ([0.3, 0.6], [0.0, 0.01]),
+]
+
+
+def near_tie_problems():
+    problems = []
+    for lam, dims in NEAR_TIE_PROBLEMS:
+        lam, dims = np.array(lam), np.array(dims)
+        lo, hi = 0.0, 5.0  # sum lam^(dims + c) = 1 is decreasing in c
+        for _ in range(200):
+            c = 0.5 * (lo + hi)
+            lo, hi = (c, hi) if np.sum(lam ** (dims + c)) > 1.0 else (lo, c)
+        p = lam ** (dims + c)
+        problems.append((p / p.sum(), lam))
+    return problems
 
 
 def oracle_problems():
@@ -321,6 +401,64 @@ class TestLegendre:
             assert legendre(prob, a) == pytest.approx(
                 legendre_gridmin(prob, a), abs=1e-6
             )
+
+
+class TestQSolve:
+    @pytest.mark.parametrize("p, lam", oracle_problems() + near_tie_problems())
+    def test_matches_bracket_collapse_oracle(self, p, lam):
+        prob = SpectrumProblem(p=p, ratios=lam)
+        lo, hi = alpha_range(prob)
+        inside = np.array([1e-6, 1e-7, 1e-8, 1e-9])
+        alphas = np.concatenate([lo + (hi - lo) * np.arange(1, 20) / 20, lo + inside, hi - inside])
+        # alpha inside the edge band takes the endpoint branch, with no q-solve
+        edge = _EDGE_ATOL * (1.0 + hi - lo)
+        for a in alphas[(alphas - lo > edge) & (hi - alphas > edge)]:
+            q = reference_solve_q(prob, a)
+            if q is None:
+                assert _solve_q(prob, a) is None
+                continue
+            t = solve_T(prob, q)
+            f = q * a + t
+            # near an endpoint |q| runs to thousands, and q * a + t cancels
+            # two terms that large: a few of their ulps are allowed on top
+            ulps = 8 * np.spacing(abs(q * a) + abs(t))
+            assert abs(legendre(prob, a) - f) <= 1e-12 * (1.0 + abs(f)) + ulps
+            w = np.exp(q * np.log(prob.p) + t * np.log(prob.ratios))
+            w = w / w.sum()
+            got = optimal_measure(prob, a).p
+            assert np.all(np.abs(got - w) <= 1e-12 * (1.0 + np.abs(w)))
+
+    @pytest.mark.parametrize("p, lam", oracle_problems()[:12])
+    def test_returns_T_at_its_q(self, p, lam):
+        prob = SpectrumProblem(p=p, ratios=lam)
+        lo, hi = alpha_range(prob)
+        for a in lo + (hi - lo) * np.array([0.05, 0.3, 0.5, 0.7, 0.95]):
+            q, t = _solve_q(prob, a)
+            assert t == solve_T(prob, q)
+            assert legendre(prob, a) == q * a + t
+
+    def test_bisection_alone_converges(self, monkeypatch):
+        # with alpha' never negative the loop only bisects, and the bracket
+        # collapse ends it at the bracket-collapse answer
+        state_at = mf._state_at
+        monkeypatch.setattr(mf, "_state_at", lambda *args: (*state_at(*args)[:2], 0.0))
+        a = -T_derivative(THIRDS, 0.7)
+        q = reference_solve_q(THIRDS, a)
+        f = q * a + solve_T(THIRDS, q)
+        assert abs(legendre(THIRDS, a) - f) <= 1e-12 * (1.0 + abs(f))
+        w = np.exp(q * np.log(THIRDS.p) + solve_T(THIRDS, q) * np.log(THIRDS.ratios))
+        assert np.all(np.abs(optimal_measure(THIRDS, a).p - w / w.sum()) <= 1e-12)
+
+    def test_unsettled_solve_raises(self, monkeypatch):
+        # a slope 1000 times too steep: each Newton step covers 1/1000 of
+        # the way to the root at q = 0.3, so neither the step nor the
+        # bracket settles in 200 rounds: an error, not the bracket midpoint
+        a = -T_derivative(THIRDS, 0.7)
+        monkeypatch.setattr(mf, "_state_at", lambda logp, loglam, q: (0.0, a - (q - 0.3), -1e3))
+        with pytest.raises(EstimationError, match="did not settle"):
+            legendre(THIRDS, a)
+        with pytest.raises(EstimationError, match="did not settle"):
+            optimal_measure(THIRDS, a)
 
 
 class TestOptimalMeasure:
