@@ -47,7 +47,7 @@ from .dimest import (
     empirical_energy,
 )
 from .projections import Subspace, ede_check, holder_inverse_check, marstrand_experiment
-from .runtime import enumeration_budget, substream
+from .runtime import check_budget, enumeration_budget, substream
 
 SCHEMA_VERSION = 1
 
@@ -521,13 +521,13 @@ def _run_ede(cfg, workers):
         words = [tuple(w) for w in params["words"]]
     else:
         measure = build_measure(cfg["measure"])
-        length = int(params.get("word_length", max(40, int(params["depth_max"]) * 2)))
+        length = params.get("word_length", max(40, params["depth_max"] * 2))
+        check_budget(params["samples"] * length, "EDE word sample")
         rng = substream(seed, _STREAM_CLI_WORDS)
         words = [
-            tuple(row)
-            for row in measure.sample_batch(int(params["samples"]), length, rng)
+            tuple(row) for row in measure.sample_batch(params["samples"], length, rng)
         ]
-    depths = range(int(params["depth_min"]), int(params["depth_max"]) + 1)
+    depths = range(params["depth_min"], params["depth_max"] + 1)
     epsilon = float(params["epsilon"])
     tol = float(params.get("tolerance", 1e-12))
     rows = []
@@ -563,7 +563,7 @@ def _run_ede(cfg, workers):
         rep = holder_inverse_check(
             ifs, measure,
             alphas=np.array(block["alphas"], dtype=float),
-            pair_samples=int(block["pair_samples"]),
+            pair_samples=block["pair_samples"],
             seed=seed,
         )
         hrows = []

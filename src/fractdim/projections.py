@@ -19,7 +19,7 @@ from .errors import (
     PreconditionError,
 )
 from .ifs import _project_batch, natural_projection, sample_points, symbolic_dimension
-from .runtime import enumeration_budget, substream
+from .runtime import check_budget, enumeration_budget, substream
 from .symbolic import as_word
 
 _FRAME_TOL = 1e-10
@@ -32,6 +32,9 @@ _STREAM_FRAMES = 21
 _STREAM_CLOUD = 22
 _STREAM_BASE_WORDS = 23
 _STREAM_PARTNERS = 24
+# base words per batched Holder descent; rows are independent, so this
+# sets memory only, never a result
+_HOLDER_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -229,19 +232,50 @@ class EDEReport:
         return bool(self.passed.all()) and not self.partial
 
 
-def _enemy_distance_bound(ifs, word, depth, x, budget, spent):
+def _children(ifs, x, k, c, psi, amat, on_symbol=None):
+    """Stack entries for the m children of a level-k node, nearest last.
+
+    Entry (bound, depth, center, scale, composite linear map, on excluded
+    path): bound is |x - center| - radius, and only child on_symbol is
+    marked as lying on the excluded path.
+    """
+    children = []
+    for s in range(ifs.m):
+        child_c, child_psi, child_a = ifs.child(s, c, psi, amat)
+        child_bound = float(np.linalg.norm(x - child_c)) - child_psi * ifs.radius
+        children.append((child_bound, k + 1, child_c, child_psi, child_a, s == on_symbol))
+    # visit nearest child first so the minimum tightens early
+    children.sort(key=lambda node: node[0], reverse=True)
+    return children
+
+
+def _path_children(ifs, word, x, depth, path):
+    """Grow path so path[k], for k < depth, holds the children of word[:k].
+
+    The excluded path is the same at every depth, so one list per level
+    serves every search along the word.
+    """
+    while len(path) < depth:
+        k = len(path)
+        if k == 0:
+            node = (ifs.center, 1.0, np.eye(ifs.ambient_dim))
+        else:
+            node = next(entry[2:5] for entry in path[-1] if entry[5])
+        path.append(_children(ifs, x, k, *node, on_symbol=word[k]))
+    return path
+
+
+def _enemy_distance_bound(ifs, path, depth, x, budget, spent):
     """Min over enemy depth-n cylinders of |x - center| - radius.
 
     Depth-first branch and bound over the cylinder tree.  A node bound
     never exceeds any bound in its subtree (nested enclosures), so
     subtrees opening at or above the running minimum are pruned exactly.
-    The path of the excluded word is always refined; its depth-n node is
-    the one cylinder left out.
+    The excluded word's path is always refined, from the child lists that
+    `_path_children` built; its depth-n node is the one cylinder left out.
     """
-    radius = ifs.radius
     best = math.inf
-    # node: (bound, depth, center, scale, composite linear map, on excluded path)
-    stack = [(-math.inf, 0, ifs.center, 1.0, np.eye(ifs.ambient_dim), True)]
+    stack = [(-math.inf, 0, None, None, None, True)]
     while stack:
         bound, k, c, psi, amat, on_path = stack.pop()
         spent[0] += 1
@@ -249,23 +283,16 @@ def _enemy_distance_bound(ifs, word, depth, x, budget, spent):
             raise BudgetExceededError(
                 f"separation search exceeded the enumeration budget ({budget})"
             )
-        if not on_path:
-            if bound >= best:
-                continue
-            if k == depth:
-                best = bound
-                continue
-        elif k == depth:
+        if on_path:
+            if k < depth:
+                stack.extend(path[k])
             continue
-        children = []
-        for s in range(ifs.m):
-            child_c, child_psi, child_a = ifs.child(s, c, psi, amat)
-            child_bound = float(np.linalg.norm(x - child_c)) - child_psi * radius
-            child_on = on_path and k < len(word) and s == word[k]
-            children.append((child_bound, k + 1, child_c, child_psi, child_a, child_on))
-        # visit nearest child first so the minimum tightens early
-        children.sort(key=lambda node: node[0], reverse=True)
-        stack.extend(children)
+        if bound >= best:
+            continue
+        if k == depth:
+            best = bound
+            continue
+        stack.extend(_children(ifs, x, k, c, psi, amat))
     return best
 
 
@@ -285,8 +312,8 @@ def ede_check(ifs, word, depth_range, epsilon, tol):
     depths = sorted(set(int(n) for n in depth_range))
     if not depths or depths[0] < 1:
         raise PreconditionError("depths must be positive integers")
-    if epsilon < 0:
-        raise PreconditionError("epsilon must be nonnegative")
+    if not (epsilon >= 0 and math.isfinite(epsilon)):
+        raise PreconditionError("epsilon must be finite and nonnegative")
     if depths[-1] > len(word):
         raise PreconditionError(
             f"word has {len(word)} symbols; deepest requested depth is {depths[-1]}"
@@ -295,13 +322,15 @@ def ede_check(ifs, word, depth_range, epsilon, tol):
     metric = ifs.metric
     budget = enumeration_budget()
     spent = [0]
+    path = []
     dist_lower = []
     diam = []
     done = []
     partial = False
     for n in depths:
         try:
-            bound = _enemy_distance_bound(ifs, word, n, x, budget, spent)
+            _path_children(ifs, word, x, n, path)
+            bound = _enemy_distance_bound(ifs, path, n, x, budget, spent)
         except BudgetExceededError:
             partial = True
             break
@@ -382,33 +411,52 @@ class HolderReport:
         return (deep <= margin * shallow) & np.isfinite(deep)
 
 
-def _greedy_enemy_leaf(ifs, word, deviate_at, x, length):
-    """Leaf word leaving the base path at one level, descending toward x.
+def _norms(v):
+    """Euclidean norms over the last axis of v.
 
-    Follows the base word up to deviate_at - 1, takes the nearest other
-    child there, then always the child whose enclosure ball sits closest
-    to x.  Purely deterministic; gives an empirical (not certified)
-    nearest enemy for the Holder ratio.
+    Each norm is the square root of one BLAS dot of its vector, which is
+    what np.linalg.norm computes for a single vector, so a batched norm
+    keeps the bits of the one-vector call; a summed square need not.
     """
-    node = (ifs.center, 1.0, np.eye(ifs.ambient_dim))
-    out = []
+    return np.sqrt(np.matmul(v[..., None, :], v[..., None])[..., 0, 0])
+
+
+def _greedy_enemy_leaves(ifs, base, x, max_depth):
+    """Leaf words leaving each base path at levels 1..max_depth, descending to x.
+
+    Row (i, d) of the result follows base[i] up to level d - 2, takes the
+    nearest other child at level d - 1, then always the child whose
+    enclosure ball sits closest to x[i], the first one on ties.  All rows
+    descend together, one tree level per step.  Purely deterministic;
+    gives an empirical (not certified) nearest enemy for the Holder ratio.
+    Returns symbols of shape (count, max_depth, length) for base words
+    of shape (count, length).
+    """
+    count, length = base.shape
+    n = ifs.ambient_dim
+    rows = count * max_depth
+    words = np.repeat(base, max_depth, axis=0)
+    target = np.repeat(x, max_depth, axis=0)
+    deviate = np.tile(np.arange(max_depth), count)
+    every = np.arange(rows)
+    c = np.broadcast_to(ifs.center, (rows, n))
+    psi = np.ones(rows)
+    amat = np.broadcast_to(np.eye(n), (rows, n, n)).copy()
+    steps = ifs.steps[:, :, None]
+    leaves = np.empty((rows, length), dtype=np.int64)
     for j in range(length):
-        if j < deviate_at - 1:
-            # stay on the base path until the forced deviation
-            best_s = word[j]
-            best = ifs.child(best_s, *node)
-        else:
-            best_s, best, best_val = None, None, math.inf
-            for s in range(ifs.m):
-                if j == deviate_at - 1 and s == word[j]:
-                    continue
-                cand = ifs.child(s, *node)
-                val = float(np.linalg.norm(x - cand[0])) - cand[1] * ifs.radius
-                if val < best_val:
-                    best_s, best, best_val = s, cand, val
-        out.append(best_s)
-        node = best
-    return out
+        # child s of every row, as SimilarityIFS.child builds it
+        cand = c[:, None, :] + np.matmul(amat[:, None], steps)[..., 0]
+        radii = psi[:, None] * ifs.ratios * ifs.radius
+        val = _norms(target[:, None, :] - cand) - radii
+        at = deviate == j
+        val[every[at], words[at, j]] = math.inf
+        sym = np.where(deviate > j, words[:, j], np.argmin(val, axis=1))
+        leaves[:, j] = sym
+        c = cand[every, sym]
+        psi = psi * ifs.ratios[sym]
+        amat = np.matmul(amat, ifs.linear[sym])
+    return leaves.reshape(count, max_depth, length)
 
 
 def holder_inverse_check(
@@ -421,7 +469,7 @@ def holder_inverse_check(
     cylinders of that depth, so the ratio probes every separation scale.
     """
     alphas = np.atleast_1d(np.asarray(alphas, dtype=float))
-    if np.any(alphas <= 0.0) or np.any(alphas >= 1.0):
+    if not np.all((alphas > 0.0) & (alphas < 1.0)):
         raise PreconditionError("Holder exponents must lie strictly in (0, 1)")
     if measure.m != ifs.m:
         raise AlphabetMismatchError(
@@ -432,12 +480,14 @@ def holder_inverse_check(
     if base_words is None:
         if pair_samples < 1:
             raise PreconditionError("need at least one base sample")
+        check_budget(pair_samples * length, "Holder base sample")
         rng_base = substream(seed, _STREAM_BASE_WORDS)
         base = measure.sample_batch(pair_samples, length, rng_base)
     else:
-        base = np.array([as_word(w, ifs.m) for w in base_words], dtype=np.int64)
-        if base.ndim != 2 or base.shape[1] < 4:
+        words = [as_word(w, ifs.m) for w in base_words]
+        if not words or len({len(w) for w in words}) > 1 or len(words[0]) < 4:
             raise PreconditionError("base words must share a length of at least 4")
+        base = np.array(words, dtype=np.int64)
         length = base.shape[1]
     if max_depth is None:
         max_depth = length // 2
@@ -452,27 +502,30 @@ def holder_inverse_check(
     skipped = np.zeros(max_depth, dtype=np.int64)
     pairs = np.full(max_depth, n_base, dtype=np.int64)
     tiny = 1e-300
-    for i in range(n_base):
-        word = tuple(int(s) for s in base[i])
-        x = x_base[i]
-        e_base = base_psi[i, -1] * ifs.radius
-        running = np.zeros(alphas.size)
-        coincided = False
-        for d in range(1, max_depth + 1):
-            # a partner deviating at level j <= d is an enemy at depth d,
-            # so the per-depth ratio accumulates over deviation levels
-            leaf = _greedy_enemy_leaf(ifs, word, d, x, length)
-            y = _project_batch(ifs, np.array([leaf]))[0]
-            e_leaf = math.exp(float(np.sum(log_lam[leaf]))) * ifs.radius
-            gap = float(np.linalg.norm(x - y))
-            rho = metric.weight(word[: d - 1])
-            if gap <= e_base + e_leaf + 1e-15:
-                coincided = True
-            else:
-                running = np.maximum(running, rho / max(gap, tiny) ** alphas)
-            if coincided:
-                skipped[d - 1] += 1
-            worst[:, d - 1] = np.maximum(worst[:, d - 1], running)
+    for lo in range(0, n_base, _HOLDER_BLOCK):
+        block = base[lo : lo + _HOLDER_BLOCK]
+        x = x_base[lo : lo + _HOLDER_BLOCK]
+        leaves = _greedy_enemy_leaves(ifs, block, x, max_depth).reshape(-1, length)
+        y = _project_batch(ifs, leaves).reshape(-1, max_depth, ifs.ambient_dim)
+        # libm exp per leaf: numpy's vector exp may round differently
+        e_leaf = np.array(
+            [math.exp(v) for v in np.sum(log_lam[leaves], axis=1).tolist()]
+        ).reshape(-1, max_depth) * ifs.radius
+        gap = _norms(x[:, None, :] - y)
+        rho = np.array(
+            [[metric.weight(w[: d - 1]) for d in range(1, max_depth + 1)]
+             for w in block.tolist()]
+        )
+        e_base = base_psi[lo : lo + _HOLDER_BLOCK, -1] * ifs.radius
+        # a partner deviating at level j <= d is an enemy at depth d, so the
+        # per-depth ratio accumulates over deviation levels; once a partner
+        # coincides with the base point, every deeper depth counts a skip
+        hit = gap <= e_base[:, None] + e_leaf + 1e-15
+        skipped += np.logical_or.accumulate(hit, axis=1).sum(axis=0)
+        ratio = rho[..., None] / np.maximum(gap, tiny)[..., None] ** alphas
+        ratio[hit] = 0.0
+        running = np.maximum.accumulate(ratio, axis=1)
+        worst = np.maximum(worst, running.max(axis=0).T)
     overall = worst.max(axis=1)
     out = (alphas, np.arange(1, max_depth + 1), worst, overall, skipped, pairs)
     for arr in out:

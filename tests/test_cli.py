@@ -400,6 +400,31 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "keys, value, message",
+        [
+            (("epsilon",), math.nan, "epsilon must be finite and nonnegative"),
+            (("holder", "alphas"), [math.nan, 0.5], "Holder exponents must lie"),
+            (("samples",), 10**12, "EDE word sample needs 40000000000000 nodes"),
+            (("holder", "pair_samples"), 10**12, "Holder base sample needs"),
+        ],
+        ids=["nan-epsilon", "nan-alpha", "huge-samples", "huge-pair-samples"],
+    )
+    def test_bad_separation_param_is_exit_3(self, tmp_path, capsys, keys, value, message):
+        # rejected before any sample is drawn or any artifact written
+        cfg = json.loads((ROOT / "configs" / "cantor_separation.json").read_text())
+        block = cfg["params"]
+        for key in keys[:-1]:
+            block = block[key]
+        block[keys[-1]] = value
+        code, out = launch(tmp_path, cfg)
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("precondition violated:")
+        assert message in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_failed_assertion_is_exit_1(self, tmp_path, capsys):
         cfg = spectrum_config()
         cfg["assert"] = [{"quantity": "T_at_1", "value": 1.0, "tol": 1e-6}]

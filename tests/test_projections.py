@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import kstest, ks_2samp
 
+from fractdim import projections
 from fractdim.errors import (
     AlphabetMismatchError,
     BudgetExceededError,
@@ -15,6 +16,7 @@ from fractdim.errors import (
 )
 from fractdim.ifs import (
     SimilarityIFS,
+    _project_batch,
     cylinder_balls,
     natural_projection,
     sample_points,
@@ -25,8 +27,10 @@ from fractdim.projections import (
     HolderReport,
     MarstrandReport,
     Subspace,
+    _STREAM_BASE_WORDS,
     _enemy_distance_bound,
-    _greedy_enemy_leaf,
+    _greedy_enemy_leaves,
+    _path_children,
     ede_check,
     holder_inverse_check,
     marstrand_experiment,
@@ -34,6 +38,7 @@ from fractdim.projections import (
     sample_subspace,
 )
 from fractdim.runtime import substream
+from fractdim.symbolic import as_word
 
 CANTOR_DIM = math.log(2) / math.log(3)
 
@@ -236,8 +241,9 @@ class TestEDE:
             ede_check(cantor(), (0, 1, 0), range(1, 5), 0.1, tol=1.0)
 
     def test_negative_epsilon_rejected(self):
-        with pytest.raises(PreconditionError):
-            ede_check(cantor(), (0,) * 20, range(1, 5), -0.1, tol=1e-6)
+        for epsilon in (-0.1, math.nan, math.inf):
+            with pytest.raises(PreconditionError):
+                ede_check(cantor(), (0,) * 20, range(1, 5), epsilon, tol=1e-6)
 
     def test_budget_partial_then_error(self, monkeypatch):
         monkeypatch.setenv("FRACTDIM_BUDGET", "60")
@@ -289,9 +295,23 @@ class TestHolder:
         assert over.overall[0] > 10.0 * ssc.overall[0]
 
     def test_alpha_domain(self):
-        for alpha in (0.0, 1.0, -0.3, 1.7):
+        for alpha in (0.0, 1.0, -0.3, 1.7, math.nan, math.inf):
             with pytest.raises(PreconditionError):
                 holder_inverse_check(cantor(), UNIFORM2, [alpha], 10, seed=0)
+        with pytest.raises(PreconditionError):
+            holder_inverse_check(cantor(), UNIFORM2, [math.nan, 0.5], 10, seed=0)
+
+    def test_ragged_base_words_rejected(self):
+        with pytest.raises(PreconditionError):
+            holder_inverse_check(
+                cantor(), UNIFORM2, [0.5], 1, seed=0,
+                base_words=[(0, 1, 0, 1, 0), (1, 0, 1, 0)],
+            )
+
+    def test_huge_sample_over_budget(self):
+        # refused before the base words are drawn
+        with pytest.raises(BudgetExceededError, match="Holder base sample needs"):
+            holder_inverse_check(cantor(), UNIFORM2, [0.5], 10**12, seed=0)
 
     def test_alphabet_mismatch(self):
         mu3 = BernoulliMeasure([0.2, 0.3, 0.5])
@@ -429,9 +449,11 @@ class TestTreeWalkOracle:
     def test_enemy_bound_matches_reference(self, name):
         F = WALK_SYSTEMS[name]()
         for word, x in coded_points(F, 41):
+            # one path serves every depth, as it does in ede_check
+            path = _path_children(F, word, x, 12, [])
             for depth in range(1, 13):
                 spent, ref_spent = [0], [0]
-                bound = _enemy_distance_bound(F, word, depth, x, 10**7, spent)
+                bound = _enemy_distance_bound(F, path, depth, x, 10**7, spent)
                 ref = reference_enemy_distance_bound(
                     F, word, depth, x, 10**7, ref_spent
                 )
@@ -443,8 +465,10 @@ class TestTreeWalkOracle:
         F = WALK_SYSTEMS[name]()
         length = 12
         for word, x in coded_points(F, 43):
+            base = np.array([word[:length]])
+            leaves = _greedy_enemy_leaves(F, base, x[None], length)[0]
             for deviate_at in range(1, length + 1):
-                leaf = _greedy_enemy_leaf(F, word, deviate_at, x, length)
+                leaf = leaves[deviate_at - 1].tolist()
                 ref = reference_greedy_enemy_leaf(F, word, deviate_at, x, length)
                 assert leaf == ref, (word, deviate_at)
 
@@ -452,10 +476,161 @@ class TestTreeWalkOracle:
     def test_enemy_bound_matches_brute_force(self, name):
         F = WALK_SYSTEMS[name]()
         for word, x in coded_points(F, 47):
+            path = _path_children(F, word, x, 6, [])
             for depth in range(1, 7):
                 balls = cylinder_balls(F, depth)
                 own = sum(s * F.m ** (depth - 1 - j) for j, s in enumerate(word[:depth]))
                 gaps = np.linalg.norm(x - balls.centers, axis=1) - balls.radii
                 brute = float(np.delete(gaps, own).min())
-                bound = _enemy_distance_bound(F, word, depth, x, 10**7, [0])
+                bound = _enemy_distance_bound(F, path, depth, x, 10**7, [0])
                 assert bound == pytest.approx(brute, abs=1e-12)
+
+
+# Oracle copies of the scalar Holder descent, one base word and one depth at
+# a time, as it stood before the descent was batched; the batched check must
+# agree with it bitwise.
+
+
+def scalar_greedy_enemy_leaf(ifs, word, deviate_at, x, length):
+    """Leaf word leaving the base path at one level, descending toward x.
+
+    Follows the base word up to deviate_at - 1, takes the nearest other
+    child there, then always the child whose enclosure ball sits closest
+    to x.  Purely deterministic; gives an empirical (not certified)
+    nearest enemy for the Holder ratio.
+    """
+    node = (ifs.center, 1.0, np.eye(ifs.ambient_dim))
+    out = []
+    for j in range(length):
+        if j < deviate_at - 1:
+            # stay on the base path until the forced deviation
+            best_s = word[j]
+            best = ifs.child(best_s, *node)
+        else:
+            best_s, best, best_val = None, None, math.inf
+            for s in range(ifs.m):
+                if j == deviate_at - 1 and s == word[j]:
+                    continue
+                cand = ifs.child(s, *node)
+                val = float(np.linalg.norm(x - cand[0])) - cand[1] * ifs.radius
+                if val < best_val:
+                    best_s, best, best_val = s, cand, val
+        out.append(best_s)
+        node = best
+    return out
+
+
+def scalar_holder_inverse_check(
+    ifs, measure, alphas, pair_samples, seed, max_depth=None, base_words=None
+):
+    """Worst empirical constants in rho(w, t) <= C |Pi(w) - Pi(t)|^alpha.
+
+    Base words are sampled from the measure (or supplied); for each depth
+    the adversarial partner is the greedy nearest leaf among all enemy
+    cylinders of that depth, so the ratio probes every separation scale.
+    """
+    alphas = np.atleast_1d(np.asarray(alphas, dtype=float))
+    if np.any(alphas <= 0.0) or np.any(alphas >= 1.0):
+        raise PreconditionError("Holder exponents must lie strictly in (0, 1)")
+    if measure.m != ifs.m:
+        raise AlphabetMismatchError(
+            f"measure alphabet {measure.m} != system alphabet {ifs.m}"
+        )
+    metric = ifs.metric
+    length = max(4, math.ceil(-12.0 * math.log(10.0) / math.log(metric.gamma)))
+    if base_words is None:
+        if pair_samples < 1:
+            raise PreconditionError("need at least one base sample")
+        rng_base = substream(seed, _STREAM_BASE_WORDS)
+        base = measure.sample_batch(pair_samples, length, rng_base)
+    else:
+        base = np.array([as_word(w, ifs.m) for w in base_words], dtype=np.int64)
+        if base.ndim != 2 or base.shape[1] < 4:
+            raise PreconditionError("base words must share a length of at least 4")
+        length = base.shape[1]
+    if max_depth is None:
+        max_depth = length // 2
+    if not 1 <= max_depth < length:
+        raise PreconditionError("enemy depth must sit inside the word length")
+    x_base = _project_batch(ifs, base)
+    log_lam = np.log(ifs.ratios)
+    base_psi = np.exp(np.cumsum(log_lam[base], axis=1))
+    trunc = float(np.max(base_psi[:, -1])) * ifs.radius
+    n_base = base.shape[0]
+    worst = np.zeros((alphas.size, max_depth))
+    skipped = np.zeros(max_depth, dtype=np.int64)
+    pairs = np.full(max_depth, n_base, dtype=np.int64)
+    tiny = 1e-300
+    for i in range(n_base):
+        word = tuple(int(s) for s in base[i])
+        x = x_base[i]
+        e_base = base_psi[i, -1] * ifs.radius
+        running = np.zeros(alphas.size)
+        coincided = False
+        for d in range(1, max_depth + 1):
+            # a partner deviating at level j <= d is an enemy at depth d,
+            # so the per-depth ratio accumulates over deviation levels
+            leaf = scalar_greedy_enemy_leaf(ifs, word, d, x, length)
+            y = _project_batch(ifs, np.array([leaf]))[0]
+            e_leaf = math.exp(float(np.sum(log_lam[leaf]))) * ifs.radius
+            gap = float(np.linalg.norm(x - y))
+            rho = metric.weight(word[: d - 1])
+            if gap <= e_base + e_leaf + 1e-15:
+                coincided = True
+            else:
+                running = np.maximum(running, rho / max(gap, tiny) ** alphas)
+            if coincided:
+                skipped[d - 1] += 1
+            worst[:, d - 1] = np.maximum(worst[:, d - 1], running)
+    overall = worst.max(axis=1)
+    out = (alphas, np.arange(1, max_depth + 1), worst, overall, skipped, pairs)
+    for arr in out:
+        arr.flags.writeable = False
+    return HolderReport(
+        alphas=out[0],
+        depths=out[1],
+        worst=out[2],
+        overall=out[3],
+        skipped=out[4],
+        pairs=out[5],
+        word_length=length,
+        truncation=float(trunc),
+    )
+
+
+def holder_bits(rep):
+    return (rep.worst.tobytes(), rep.skipped.tobytes(), rep.overall.tobytes())
+
+
+HOLDER_SYSTEMS = ["cantor", "overlap", "rotated", "tetra"]
+
+
+class TestHolderOracle:
+    @pytest.mark.parametrize("seed", [3, 11])
+    @pytest.mark.parametrize("name", HOLDER_SYSTEMS)
+    def test_batched_matches_scalar(self, name, seed):
+        F = WALK_SYSTEMS[name]()
+        mu = BernoulliMeasure(np.full(F.m, 1.0 / F.m))
+        alphas = [0.3, 0.5, 0.8, 0.95]
+        rep = holder_inverse_check(F, mu, alphas, 70, seed)
+        ref = scalar_holder_inverse_check(F, mu, alphas, 70, seed)
+        assert holder_bits(rep) == holder_bits(ref)
+        assert rep.word_length == ref.word_length
+        assert same_bits(rep.truncation, ref.truncation)
+
+    @pytest.mark.parametrize("name", HOLDER_SYSTEMS)
+    def test_block_size_changes_no_bit(self, name, monkeypatch):
+        F = WALK_SYSTEMS[name]()
+        mu = BernoulliMeasure(np.full(F.m, 1.0 / F.m))
+        ref = scalar_holder_inverse_check(F, mu, [0.5, 0.8], 9, seed=5)
+        monkeypatch.setattr(projections, "_HOLDER_BLOCK", 1)
+        rep = holder_inverse_check(F, mu, [0.5, 0.8], 9, seed=5)
+        assert holder_bits(rep) == holder_bits(ref)
+
+    def test_supplied_double_address_matches_scalar(self):
+        words = [(0,) + (1,) * 39, (1,) * 40]
+        kw = dict(base_words=words, max_depth=16)
+        rep = holder_inverse_check(overlap_pair(), UNIFORM2, [0.8], 1, seed=3, **kw)
+        ref = scalar_holder_inverse_check(overlap_pair(), UNIFORM2, [0.8], 1, seed=3, **kw)
+        assert holder_bits(rep) == holder_bits(ref)
+        assert rep.skipped.sum() > 0
