@@ -727,7 +727,7 @@ KINDS = {
             "depth_min": _req(_integer), "depth_max": _req(_integer),
             "epsilon": _req(_number),
             "words": _opt(_words), "samples": _opt(_COUNT),
-            "word_length": _opt(_integer), "tolerance": _opt(_number),
+            "word_length": _opt(_COUNT), "tolerance": _opt(_number),
             "holder": _opt(Block(
                 {"alphas": _req(_VECTOR), "pair_samples": _req(_integer)},
                 ("holder_stabilized", "holder{i}_overall"), index="alphas",

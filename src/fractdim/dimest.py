@@ -300,75 +300,101 @@ def _pair_sample(n, seed, max_pairs):
     return pairs
 
 
-def _pair_profile(cloud, radii, powers, pairs, workers):
-    """Correlation/energy sums of a cloud over a fixed pair sample.
+def _pair_profile(cloud, radii, powers, pairs, workers, views=None):
+    """Correlation/energy sums over a fixed pair sample, for one or many views.
 
-    Strata are the parallel unit and are combined in stratum order, so
-    the sums are identical for any worker count.  Each stratum's pairs
-    split into the disjoint segments [0, c/8), [c/8, c/4), [c/4, c/2)
-    and [c/2, c).  Every pair is binned once by the number of (descending)
-    radii below its distance, so d <= r stays the exact test, and weights
-    are summed per bin in blocks of _BIN_BLOCK pairs.  Cumulative sums
-    over the segments give the nested cuts at an eighth, a quarter, half,
-    and all of the stratum, which the divergence detector compares.
-    Returns one tuple (pair_weight, hits per radius, zero_weight, energy
-    sums, nonzero_weight) per cut, cumulative, the last covering the full
-    sample.
+    A view is an (N, d) coordinate array of the cloud's points, weighted
+    by cloud.weights, such as one projection of the cloud.  By default the
+    cloud's own points are the one view and its profile is returned; with
+    views, radii[j] is view j's schedule and a list of profiles is returned.
+    A stratum's indices, pair weights and segment edges are made once for
+    all views; each view only gathers, bins and sums.  Strata are the
+    parallel unit and are combined in stratum order, so the sums do not
+    depend on the worker count or on how views are grouped.
+
+    Each stratum's pairs split into the disjoint segments [0, c/8),
+    [c/8, c/4), [c/4, c/2) and [c/2, c).  Every pair is binned once by the
+    number of (descending) radii below its distance, so d <= r stays the
+    exact test, and weights are summed per bin in blocks of _BIN_BLOCK
+    pairs.  Cumulative sums over the segments give the nested cuts at an
+    eighth, a quarter, half, and all of the stratum, which the divergence
+    detector compares.  A profile is one tuple (pair_weight, hits per
+    radius, zero_weight, energy sums, nonzero_weight) per cut, cumulative,
+    the last covering the full sample.
     """
-    cols = [np.ascontiguousarray(c) for c in cloud.points.T]
+    single = views is None
+    if single:
+        views, radii = (cloud.points,), (radii,)
+    views = [[np.ascontiguousarray(c) for c in v.T] for v in views]
+    radii = [np.asarray(r, dtype=float) for r in radii]
     w = cloud.weights
-    radii = np.asarray(radii, dtype=float)
-    n_bins = radii.size + 1
-    below_dtype = np.min_scalar_type(radii.size)
     longest = max(a.size for a, _ in pairs)
-    block_base = np.arange(longest) // _BIN_BLOCK * n_bins
+    block_base = {
+        n_bins: np.arange(longest) // _BIN_BLOCK * n_bins
+        for n_bins in {r.size + 1 for r in radii}
+    }
 
-    def binned_hits(d, pw):
-        below = np.zeros(d.size, dtype=below_dtype)
+    def binned_hits(d, pw, radii):
+        n_bins = radii.size + 1
+        below = np.zeros(d.size, dtype=np.min_scalar_type(radii.size))
         for r in radii:
             below += d > r
         blocks = -(-d.size // _BIN_BLOCK)
         binned = np.bincount(
-            block_base[: d.size] + below, weights=pw, minlength=blocks * n_bins
+            block_base[n_bins][: d.size] + below, weights=pw, minlength=blocks * n_bins
         )
         per_bin = np.ascontiguousarray(binned.reshape(blocks, n_bins).T).sum(axis=1)
         # d <= radii[j] iff fewer than radii.size - j radii lie below d
         return np.cumsum(per_bin)[-2::-1]
 
-    def segment(d, pw):
-        hits = binned_hits(d, pw) if radii.size else ()
+    def segment(d, pw, total, radii):
+        hits = binned_hits(d, pw, radii) if radii.size else ()
         nz = d > 0
-        pw_nz, d_nz = pw[nz], d[nz]
+        if nz.all():
+            # no coincident pair: the nonzero sums run over every summand
+            zero, pw_nz, d_nz = 0.0, pw, d
+        else:
+            zero, pw_nz, d_nz = pw[~nz].sum(), pw[nz], d[nz]
         energies = [np.sum(pw_nz * d_nz ** (-s)) for s in powers]
-        return [pw.sum(), *hits, pw[~nz].sum(), *energies, pw_nz.sum()]
+        return [total, *hits, zero, *energies, pw_nz.sum()]
 
     def stratum(t, start, stop):
-        a, b = pairs[t]
-        # coordinate-wise accumulation: the same rounding as a row sum
-        # for ambient dimension below 8
-        squares = [(c[a] - c[b]) ** 2 for c in cols]
-        d = np.sqrt(sum(squares[1:], squares[0]))
+        a, b = (i.astype(np.intp, copy=False) for i in pairs[t])
         pw = w[a] * w[b]
-        edges = [0] + [d.size // c for c in _ENERGY_CUTS]
-        rows = [segment(d[lo:hi], pw[lo:hi]) for lo, hi in zip(edges, edges[1:])]
-        return np.cumsum(rows, axis=0)
+        edges = [0] + [a.size // c for c in _ENERGY_CUTS]
+        cuts = [(lo, hi, pw[lo:hi].sum()) for lo, hi in zip(edges, edges[1:])]
+        profiles = []
+        for cols, r in zip(views, radii):
+            # coordinate-wise accumulation, in place: the same rounding as
+            # a row sum for ambient dimension below 8
+            d = np.zeros(a.size)
+            for c in cols:
+                step = c[a]
+                step -= c[b]
+                step *= step
+                d += step
+            np.sqrt(d, out=d)
+            rows = [segment(d[lo:hi], pw[lo:hi], total, r) for lo, hi, total in cuts]
+            profiles.append(np.cumsum(rows, axis=0))
+        return profiles
 
     results = run_chunks(stratum, len(pairs), workers=workers, chunk=1)
-    sums = results[0].copy()
-    for r in results[1:]:
-        sums += r
-    h, p = radii.size, len(powers)
-    return tuple(
-        (row[0], row[1 : 1 + h], row[1 + h], row[2 + h : 2 + h + p], row[-1])
-        for row in sums
-    )
+    out = []
+    for j, r in enumerate(radii):
+        sums = results[0][j].copy()
+        for per_view in results[1:]:
+            sums += per_view[j]
+        h, p = r.size, len(powers)
+        out.append(tuple(
+            (row[0], row[1 : 1 + h], row[1 + h], row[2 + h : 2 + h + p], row[-1])
+            for row in sums
+        ))
+    return out[0] if single else out
 
 
-def _correlation_fit(cloud, schedule, pairs, workers):
-    """Correlation-sum slope of a cloud over a fixed pair sample."""
-    schedule.check_floor(cloud)
+def _correlation_fit(schedule, total, hits):
+    """Correlation-sum slope from a pair profile's full-sample cut."""
     radii = schedule.radii
-    total, hits = _pair_profile(cloud, radii, (), pairs, workers)[-1][:2]
     corr = hits / total
     win = schedule.fit_slice
     if np.min(corr[win]) <= 0:
@@ -388,7 +414,9 @@ def correlation_dimension(cloud, schedule, seed=0, max_pairs=_MAX_PAIRS, workers
     _pair_sample, and strata run in parallel.
     """
     pairs = _pair_sample(cloud.size, seed, max_pairs)
-    return _correlation_fit(cloud, schedule, pairs, workers)
+    schedule.check_floor(cloud)
+    total, hits = _pair_profile(cloud, schedule.radii, (), pairs, workers)[-1][:2]
+    return _correlation_fit(schedule, total, hits)
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dimest import PointCloud, RadiusSchedule, _correlation_fit, _pair_sample
+from .dimest import (
+    PointCloud,
+    RadiusSchedule,
+    _correlation_fit,
+    _pair_profile,
+    _pair_sample,
+)
 from .errors import (
     AlphabetMismatchError,
     BudgetExceededError,
@@ -35,6 +41,9 @@ _STREAM_PARTNERS = 24
 # base words per batched Holder descent; rows are independent, so this
 # sets memory only, never a result
 _HOLDER_BLOCK = 64
+# directions per pass over the pair sample; each is summed on its own in
+# the same order, so this sets memory only, never a result
+_DIRECTION_BLOCK = 4
 
 
 @dataclass(frozen=True)
@@ -114,19 +123,19 @@ class MarstrandReport:
     directions: tuple
 
 
-def _projection_schedule(cloud, predicted, max_pairs):
+def _projection_schedule(points, truncation_error, predicted, max_pairs):
     """Dyadic schedule whose finest scale still resolves enough pairs.
 
     The expected pair count at radius r scales like (r / r0)^dim, so the
     level count follows from the pair budget; the floor guard caps it.
     """
-    spread = float(np.max(cloud.points.max(axis=0) - cloud.points.min(axis=0)))
+    spread = float(np.max(points.max(axis=0) - points.min(axis=0)))
     if spread == 0.0:
         spread = 1.0
     r0 = spread / 4.0
     depth = math.log2(max_pairs / _MIN_TAIL_HITS) / max(predicted, 0.5)
     levels = int(min(16, max(_FIT_SKIP + 3, math.floor(depth))))
-    floor = 10.0 * cloud.truncation_error
+    floor = 10.0 * truncation_error
     if floor > 0:
         levels = min(levels, int(math.floor(math.log2(r0 / floor))))
     return RadiusSchedule(r0=r0, levels=levels, fit_lo=_FIT_SKIP, fit_hi=levels)
@@ -149,8 +158,10 @@ def marstrand_experiment(
     Samples one cloud from the measure, projects it onto sampled (or
     supplied) d-planes, and reports how many direction estimates fall
     within tol of the prediction.  Projection keeps the point count, so
-    one pair sample serves every direction; only one projected cloud is
-    held at a time, and each correlation sum runs its strata in parallel.
+    one pair sample serves every direction, and one pass over each of its
+    strata serves a block of _DIRECTION_BLOCK directions: only that
+    block's projected coordinates are held, and the strata run in
+    parallel.
     Exceptional directions are expected on a null set, so the report
     never claims every direction conforms.
     """
@@ -176,12 +187,23 @@ def marstrand_experiment(
     pairs = _pair_sample(cloud.size, seed, max_pairs)
     estimates = np.empty(len(directions))
     stderrs = np.empty(len(directions))
-    for j, v in enumerate(directions):
-        proj = project_cloud(cloud, v)
-        schedule = _projection_schedule(proj, predicted, max_pairs)
-        est = _correlation_fit(proj, schedule, pairs, workers)
-        estimates[j] = est.value
-        stderrs[j] = est.stderr
+    for lo in range(0, len(directions), _DIRECTION_BLOCK):
+        block = directions[lo : lo + _DIRECTION_BLOCK]
+        # projected as project_cloud does it, one direction at a time
+        views = [cloud.points @ v.basis.T for v in block]
+        schedules = [
+            _projection_schedule(x, cloud.truncation_error, predicted, max_pairs)
+            for x in views
+        ]
+        for schedule in schedules:
+            # a projection keeps the cloud's truncation floor
+            schedule.check_floor(cloud)
+        radii = [schedule.radii for schedule in schedules]
+        profiles = _pair_profile(cloud, radii, (), pairs, workers, views)
+        for j, (schedule, profile) in enumerate(zip(schedules, profiles), start=lo):
+            est = _correlation_fit(schedule, *profile[-1][:2])
+            estimates[j] = est.value
+            stderrs[j] = est.stderr
     within = np.abs(estimates - predicted) <= tol
     below = estimates < predicted - tol
     qs = np.quantile(estimates, [0.05, 0.25, 0.5, 0.75, 0.95])

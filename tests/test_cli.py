@@ -301,6 +301,18 @@ class TestSchemaGate:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("length", [-5, 0])
+    def test_ede_word_length_is_a_count(self, tmp_path, capsys, length):
+        # -5 reached numpy as a negative array shape, 0 a too-short word
+        cfg = json.loads((ROOT / "configs" / "cantor_separation.json").read_text())
+        cfg["params"]["word_length"] = length
+        code, out = launch(tmp_path, cfg)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("schema error: config.params.word_length:")
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_ede_holder_requires_measure(self, tmp_path, capsys):
         # words need no measure, but the Holder check samples from one
         cfg = {

@@ -8,7 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import linregress
 
+from fractdim import projections
 from fractdim.dimest import (
+    _BIN_BLOCK,
     _ENERGY_CUTS,
     _STREAM_PAIRS,
     PointCloud,
@@ -33,6 +35,8 @@ from fractdim.ifs import SimilarityIFS, sample_points, symbolic_dimension
 from fractdim.measures import BernoulliMeasure
 from fractdim.projections import (
     _SAMPLE_TOL,
+    Subspace,
+    _correlation_fit,
     _projection_schedule,
     marstrand_experiment,
     project_cloud,
@@ -386,12 +390,181 @@ class TestPairEngine:
         predicted = min(1.0, symbolic_dimension(measure, ifs).value)
         for j in range(directions):
             proj = project_cloud(cloud, sample_subspace(2, 1, seed, index=j))
-            schedule = _projection_schedule(proj, predicted, max_pairs)
+            schedule = _projection_schedule(
+                proj.points, proj.truncation_error, predicted, max_pairs
+            )
             radii, win = schedule.radii, schedule.fit_slice
             full = reference_pair_profile(proj, radii, (), seed, max_pairs, 1)[-1]
             ref = linregress(np.log(radii[win]), np.log(full[1][win] / full[0]))
             assert rep.estimates[j] == pytest.approx(ref.slope, rel=0, abs=1e-12)
             assert rep.stderrs[j] == pytest.approx(ref.stderr, rel=1e-9)
+
+
+def per_direction_pair_profile(cloud, radii, powers, pairs, workers):
+    """The pair profile before direction blocks, verbatim: one cloud per call."""
+    cols = [np.ascontiguousarray(c) for c in cloud.points.T]
+    w = cloud.weights
+    radii = np.asarray(radii, dtype=float)
+    n_bins = radii.size + 1
+    below_dtype = np.min_scalar_type(radii.size)
+    longest = max(a.size for a, _ in pairs)
+    block_base = np.arange(longest) // _BIN_BLOCK * n_bins
+
+    def binned_hits(d, pw):
+        below = np.zeros(d.size, dtype=below_dtype)
+        for r in radii:
+            below += d > r
+        blocks = -(-d.size // _BIN_BLOCK)
+        binned = np.bincount(
+            block_base[: d.size] + below, weights=pw, minlength=blocks * n_bins
+        )
+        per_bin = np.ascontiguousarray(binned.reshape(blocks, n_bins).T).sum(axis=1)
+        # d <= radii[j] iff fewer than radii.size - j radii lie below d
+        return np.cumsum(per_bin)[-2::-1]
+
+    def segment(d, pw):
+        hits = binned_hits(d, pw) if radii.size else ()
+        nz = d > 0
+        pw_nz, d_nz = pw[nz], d[nz]
+        energies = [np.sum(pw_nz * d_nz ** (-s)) for s in powers]
+        return [pw.sum(), *hits, pw[~nz].sum(), *energies, pw_nz.sum()]
+
+    def stratum(t, start, stop):
+        a, b = pairs[t]
+        # coordinate-wise accumulation: the same rounding as a row sum
+        # for ambient dimension below 8
+        squares = [(c[a] - c[b]) ** 2 for c in cols]
+        d = np.sqrt(sum(squares[1:], squares[0]))
+        pw = w[a] * w[b]
+        edges = [0] + [d.size // c for c in _ENERGY_CUTS]
+        rows = [segment(d[lo:hi], pw[lo:hi]) for lo, hi in zip(edges, edges[1:])]
+        return np.cumsum(rows, axis=0)
+
+    results = run_chunks(stratum, len(pairs), workers=workers, chunk=1)
+    sums = results[0].copy()
+    for r in results[1:]:
+        sums += r
+    h, p = radii.size, len(powers)
+    return tuple(
+        (row[0], row[1 : 1 + h], row[1 + h], row[2 + h : 2 + h + p], row[-1])
+        for row in sums
+    )
+
+
+def assert_same_profile(got, ref):
+    """Every field of every cut equal bit for bit."""
+    assert len(got) == len(ref) == len(_ENERGY_CUTS)
+    for cut_got, cut_ref in zip(got, ref):
+        # pair weight, hits per radius, zero weight, energies, nonzero weight
+        assert len(cut_got) == len(cut_ref) == 5
+        for field_got, field_ref in zip(cut_got, cut_ref):
+            field_got, field_ref = np.asarray(field_got), np.asarray(field_ref)
+            assert field_got.dtype == field_ref.dtype
+            assert field_got.shape == field_ref.shape
+            assert field_got.tobytes() == field_ref.tobytes()
+
+
+# five lines through the origin; the floor-levels cloud's truncation floor
+# caps the schedule at 6 levels near the axes and at 7 near the diagonal
+BLOCK_ANGLES = (0.0, math.pi / 4, math.pi / 2, 3 * math.pi / 8, 0.1)
+
+
+def direction_views(kind):
+    """A planar cloud and its five projections onto BLOCK_ANGLES."""
+    if kind == "floor-levels":
+        rng = np.random.default_rng(17)
+        scales = 2.0 * 3.0 ** -np.arange(1, 21)
+        pts = (rng.random((3000, 2, 20)) < 0.5) @ scales
+        cloud = PointCloud(
+            pts,
+            weights=rng.dirichlet(np.ones(3000)),
+            truncation_error=0.25 * 2**-6.8 / 10,
+        )
+    else:
+        cloud = oracle_cloud(kind)
+    lines = [Subspace([[math.cos(t), math.sin(t)]]) for t in BLOCK_ANGLES]
+    return cloud, [project_cloud(cloud, v) for v in lines]
+
+
+class TestDirectionBlocks:
+    """One pass per stratum for a block of views against one call per view."""
+
+    @pytest.mark.parametrize("block", [1, 2, 3])
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("powers", [(), (0.0, 0.4, 1.3)])
+    @pytest.mark.parametrize("kind", ["floor-levels", "coincident-2d"])
+    def test_views_match_per_direction(self, kind, powers, workers, block):
+        max_pairs = 35_000
+        cloud, projs = direction_views(kind)
+        pairs = _pair_sample(cloud.size, 3, max_pairs)
+        schedules = [
+            _projection_schedule(p.points, p.truncation_error, 1.0, max_pairs)
+            for p in projs
+        ]
+        if kind == "floor-levels":
+            assert [s.levels for s in schedules] == [6, 7, 6, 7, 6]
+        got = []
+        for lo in range(0, len(projs), block):
+            views = [p.points for p in projs[lo : lo + block]]
+            radii = [s.radii for s in schedules[lo : lo + block]]
+            got += _pair_profile(cloud, radii, powers, pairs, workers, views)
+        assert len(got) == len(projs)
+        for proj, schedule, profile in zip(projs, schedules, got):
+            ref = per_direction_pair_profile(proj, schedule.radii, powers, pairs, 1)
+            assert_same_profile(profile, ref)
+        if kind == "coincident-2d":
+            assert got[0][-1][2] > 0
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize(
+        "kind", ["uniform-1d", "dirichlet-2d", "coincident-2d", "coincident-1d"]
+    )
+    def test_single_cloud_is_a_block_of_one(self, kind, workers):
+        cloud = oracle_cloud(kind)
+        radii = RadiusSchedule(r0=0.5, levels=10, fit_lo=0, fit_hi=10).radii
+        pairs = _pair_sample(cloud.size, 3, 35_000)
+        for powers in [(), (0.0, 0.4, 1.3)]:
+            got = _pair_profile(cloud, radii, powers, pairs, workers)
+            ref = per_direction_pair_profile(cloud, radii, powers, pairs, 1)
+            assert_same_profile(got, ref)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("block", [1, 2, 3])
+    def test_marstrand_blocks_match_per_direction(self, monkeypatch, block, workers):
+        ifs = SimilarityIFS(
+            ratios=[1 / 3] * 4,
+            translations=[[0, 0], [2 / 3, 0], [0, 2 / 3], [2 / 3, 2 / 3]],
+        )
+        measure = BernoulliMeasure([0.1, 0.2, 0.3, 0.4])
+        # five directions: no block size above divides them evenly but 1
+        seed, count, max_pairs, directions = 5, 20_000, 100_000, 5
+        seen = []
+
+        def recorded(cloud, radii, powers, pairs, workers, views):
+            seen.append([np.array(v) for v in views])
+            return _pair_profile(cloud, radii, powers, pairs, workers, views)
+
+        monkeypatch.setattr(projections, "_DIRECTION_BLOCK", block)
+        monkeypatch.setattr(projections, "_pair_profile", recorded)
+        rep = marstrand_experiment(
+            ifs, measure, 1, directions, count, seed, max_pairs=max_pairs, workers=workers
+        )
+        sizes = [min(block, directions - lo) for lo in range(0, directions, block)]
+        assert [len(views) for views in seen] == sizes
+        cloud = sample_points(ifs, measure, count, tol=_SAMPLE_TOL, seed=seed)
+        predicted = min(1.0, symbolic_dimension(measure, ifs).value)
+        pairs = _pair_sample(cloud.size, seed, max_pairs)
+        for j in range(directions):
+            proj = project_cloud(cloud, sample_subspace(2, 1, seed, index=j))
+            view = seen[j // block][j % block]
+            assert view.tobytes() == proj.points.tobytes()
+            schedule = _projection_schedule(
+                proj.points, proj.truncation_error, predicted, max_pairs
+            )
+            full = per_direction_pair_profile(proj, schedule.radii, (), pairs, 1)[-1]
+            est = _correlation_fit(schedule, *full[:2])
+            assert rep.estimates[j] == est.value
+            assert rep.stderrs[j] == est.stderr
 
 
 def fit_cases():
