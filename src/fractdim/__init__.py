@@ -59,11 +59,7 @@ from .dimest import (
     coarse_spectrum,
     correlation_dimension,
     empirical_energy,
-    local_dimension,
     relative_dimension_bound,
-    relative_dimension_estimate,
-    schedule_for,
-    weak_diametric_regularity_check,
 )
 from .projections import (
     Subspace,

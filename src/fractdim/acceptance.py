@@ -314,15 +314,15 @@ def dimension_calibration(count=1_000_000, workers=1):
     out = []
     for (name, ifs, measure, dim, tol, corr_sched, box_sched, pairs,
          conv_tol, div_tol) in _calibration_cases():
-        cloud = sample_points(ifs, measure, count, tol=1e-7, seed=seed, workers=workers)
-        corr = correlation_dimension(cloud, corr_sched, seed=seed, max_pairs=pairs, workers=workers)
-        box = box_counting(cloud, box_sched)
+        # one draw per distinct tolerance: a cloud depends on (tol, seed) only
+        clouds = {t: sample_points(ifs, measure, count, tol=t, seed=seed, workers=workers)
+                  for t in dict.fromkeys((1e-7, conv_tol, div_tol))}
+        corr = correlation_dimension(clouds[1e-7], corr_sched, seed=seed, max_pairs=pairs, workers=workers)
+        box = box_counting(clouds[1e-7], box_sched)
         out.append(_within(f"{name}: correlation dimension", corr.value, dim - tol, dim + tol))
         out.append(_within(f"{name}: box-counting dimension", box.value, dim - tol, dim + tol))
-        coarse = sample_points(ifs, measure, count, tol=conv_tol, seed=seed, workers=workers)
-        fine = sample_points(ifs, measure, count, tol=div_tol, seed=seed, workers=workers)
-        low = empirical_energy(coarse, dim - 0.1, seed=seed, workers=workers)
-        high = empirical_energy(fine, dim + 0.3, seed=seed, workers=workers)
+        low = empirical_energy(clouds[conv_tol], dim - 0.1, seed=seed, workers=workers)
+        high = empirical_energy(clouds[div_tol], dim + 0.3, seed=seed, workers=workers)
         out.append(_flag(f"{name}: energy converges at s = dim - 0.1", low.diverged, expect=False))
         out.append(_flag(f"{name}: energy diverges at s = dim + 0.3", high.diverged, expect=True))
     return out

@@ -41,6 +41,7 @@ from .measures import (
 from .multifractal import SpectrumProblem, T_derivative, solve_T, spectrum_curve
 from .dimest import (
     RadiusSchedule,
+    _dyadic_radii,
     box_counting,
     coarse_spectrum,
     correlation_dimension,
@@ -595,7 +596,7 @@ def _run_transversality(cfg, workers):
         region_low=params.get("region_low"),
         region_high=params.get("region_high"),
     )
-    radii = float(params["r0"]) * 0.5 ** np.arange(int(params["levels"]) + 1)
+    radii = _dyadic_radii(float(params["r0"]), int(params["levels"]))
     res = transversality_exponent(
         family,
         params["word_a"],

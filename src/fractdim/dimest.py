@@ -1,16 +1,15 @@
 """Empirical dimension estimators over point clouds.
 
-Local dimension, correlation dimension, s-energy with a divergence
-detector, box counting, the coarse multifractal spectrum, diametric
-regularity, and relative-dimension probes.  All estimators are
-deterministic in (cloud, schedule, seed) and reproducible for any
-worker count: randomness flows through per-stratum substreams and
-reductions are associative sums combined in stratum order.
+Correlation dimension, s-energy with a divergence detector, box
+counting, the coarse multifractal spectrum, and the exact symbolic
+bound on relative dimension.  All estimators are deterministic in
+(cloud, schedule, seed) and reproducible for any worker count:
+randomness flows through per-stratum substreams and reductions are
+associative sums combined in stratum order.
 """
 
-import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,13 +19,10 @@ from .runtime import freeze, run_chunks, substream
 
 _MAX_PAIRS = 10**7
 _MIN_PAIR_POINTS = 1000
-_MIN_BALL_POINTS = 10
 _MIN_BOXES = 100
 _RESOLUTION_FACTOR = 10.0
 # substream tags, one per consumer of randomness
 _STREAM_PAIRS = 71
-_STREAM_PROBES = 72
-_PAIR_BLOCK_ROWS = 1 << 12
 
 
 def _lattice_ids(k):
@@ -53,44 +49,24 @@ def _lattice_cells(points, cell):
 
 
 class _GridIndex:
-    """Uniform grid hash over one cell size, anchored at integer multiples.
+    """Sort-based reference for the lattice paths, anchored at cell multiples.
 
-    Anchoring the lattice at multiples of the cell (rather than at the
-    data minimum) keeps box identities independent of the sample, so
-    self-similar cylinder structure lands in single boxes.
+    No estimator builds one: tests check box_counting and _box_masses
+    against its cells, and the benchmark tracer times its construction.
     """
 
     def __init__(self, points, cell):
-        self.cell = float(cell)
-        k = _lattice_cells(points, self.cell)
-        ids, self.k_min, self.dims, self.strides = _lattice_ids(k)
+        ids, self.k_min, _, _ = _lattice_ids(_lattice_cells(points, float(cell)))
         self.order = np.argsort(ids, kind="stable")
         self.sorted_ids = ids[self.order]
         # ids are sorted, so a cell starts wherever the id changes
         new_cell = np.flatnonzero(self.sorted_ids[1:] != self.sorted_ids[:-1]) + 1
         self.cell_starts = np.concatenate(([0], new_cell))
         self.cell_ids = self.sorted_ids[self.cell_starts]
-        n = points.shape[1]
-        self.offsets = np.array(list(itertools.product((-1, 0, 1), repeat=n)))
 
     @property
     def occupied(self):
         return self.cell_ids.size
-
-    def candidates(self, x):
-        """Indices of all points in the 3^n cell neighborhood of x."""
-        kx = np.floor(x / self.cell).astype(np.int64) - self.k_min
-        cand = kx[None, :] + self.offsets
-        ok = np.all((cand >= 0) & (cand < self.dims[None, :]), axis=1)
-        ids = cand[ok] @ self.strides
-        pos = np.searchsorted(self.cell_ids, ids)
-        clipped = np.minimum(pos, self.cell_ids.size - 1)
-        pos = clipped[self.cell_ids[clipped] == ids]
-        if pos.size == 0:
-            return np.empty(0, dtype=np.int64)
-        starts = self.cell_starts[pos]
-        ends = np.append(self.cell_starts, self.sorted_ids.size)[pos + 1]
-        return np.concatenate([self.order[s:e] for s, e in zip(starts, ends)])
 
 
 @dataclass(frozen=True)
@@ -105,7 +81,6 @@ class PointCloud:
     points: np.ndarray
     weights: np.ndarray = None
     truncation_error: float = 0.0
-    _grids: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         pts = np.array(self.points, dtype=float)
@@ -136,21 +111,14 @@ class PointCloud:
     def ambient_dim(self):
         return self.points.shape[1]
 
-    def grid(self, cell):
-        key = float(cell)
-        if key not in self._grids:
-            self._grids[key] = _GridIndex(self.points, key)
-        return self._grids[key]
 
-    def ball_mass(self, x, r):
-        """Weighted mass and point count of the closed ball B(x, r)."""
-        x = np.asarray(x, dtype=float).reshape(self.ambient_dim)
-        idx = self.grid(r).candidates(x)
-        if idx.size == 0:
-            return 0.0, 0
-        d2 = np.sum((self.points[idx] - x) ** 2, axis=1)
-        inside = idx[d2 <= r * r]
-        return float(self.weights[inside].sum()), int(inside.size)
+def _dyadic_radii(r0, levels):
+    """Radii r0 * 2^-j for j = 0..levels; the finest must not underflow to 0."""
+    if not (r0 > 0 and math.isfinite(r0)):
+        raise PreconditionError("top radius must be positive and finite")
+    if r0 * 0.5 ** max(levels, 0) == 0:
+        raise PreconditionError(f"finest radius r0 * 2^-{levels} underflows to 0")
+    return r0 * 0.5 ** np.arange(levels + 1)
 
 
 @dataclass(frozen=True)
@@ -167,8 +135,7 @@ class RadiusSchedule:
     fit_hi: int
 
     def __post_init__(self):
-        if not (self.r0 > 0 and math.isfinite(self.r0)):
-            raise PreconditionError("top radius must be positive and finite")
+        _dyadic_radii(self.r0, self.levels)
         if not 0 <= self.fit_lo < self.fit_hi <= self.levels:
             raise PreconditionError("fit window must sit inside the schedule")
         if self.fit_hi - self.fit_lo + 1 < 4:
@@ -176,7 +143,7 @@ class RadiusSchedule:
 
     @property
     def radii(self):
-        return self.r0 * 0.5 ** np.arange(self.levels + 1)
+        return _dyadic_radii(self.r0, self.levels)
 
     @property
     def fit_slice(self):
@@ -189,24 +156,6 @@ class RadiusSchedule:
                 "schedule probes below the truncation floor "
                 f"({self.radii[-1]:.3g} < {floor:.3g})"
             )
-
-
-def schedule_for(cloud, r0=None, levels=None, tail=1):
-    """Convenience schedule: from the cloud spread down to the floor.
-
-    The fit window drops `tail` coarse scales and keeps the rest.
-    """
-    pts = cloud.points
-    spread = float(np.max(pts.max(axis=0) - pts.min(axis=0)))
-    if spread == 0.0:
-        spread = 1.0
-    if r0 is None:
-        r0 = spread / 4.0
-    if levels is None:
-        floor = max(_RESOLUTION_FACTOR * cloud.truncation_error, r0 * 2.0**-24)
-        levels = max(4, int(math.floor(math.log2(r0 / floor))))
-    lo = min(tail, levels - 4)
-    return RadiusSchedule(r0=r0, levels=levels, fit_lo=max(lo, 0), fit_hi=levels)
 
 
 @dataclass(frozen=True)
@@ -238,35 +187,6 @@ def _ols(logx, logy):
     if np.allclose(logy, logy[0], atol=1e-12):
         return 0.0, 0.0
     return _linear_fit(logx, logy)
-
-
-def ball_profile(cloud, x, schedule):
-    """Masses and counts of B(x, r) across the schedule radii."""
-    radii = schedule.radii
-    masses = np.empty(radii.size)
-    counts = np.empty(radii.size, dtype=np.int64)
-    for j, r in enumerate(radii):
-        masses[j], counts[j] = cloud.ball_mass(x, r)
-    return masses, counts
-
-
-def local_dimension(cloud, x, schedule, min_points=_MIN_BALL_POINTS):
-    """Slope of log mu(B(x, r)) against log r over the fit window."""
-    schedule.check_floor(cloud)
-    x = np.asarray(x, dtype=float).reshape(cloud.ambient_dim)
-    lo = cloud.points.min(axis=0) - schedule.r0
-    hi = cloud.points.max(axis=0) + schedule.r0
-    if np.any(x < lo) or np.any(x > hi):
-        raise PreconditionError("probe point outside the cloud's bounding region")
-    masses, counts = ball_profile(cloud, x, schedule)
-    win = schedule.fit_slice
-    if np.min(counts[win]) < min_points:
-        raise EstimationError(
-            f"fewer than {min_points} neighbors at some fitted scale"
-        )
-    radii = schedule.radii
-    slope, err = _ols(np.log(radii[win]), np.log(masses[win]))
-    return FitEstimate(slope, err, freeze(radii), freeze(masses))
 
 
 _ENERGY_CUTS = (8, 4, 2, 1)
@@ -532,8 +452,8 @@ def coarse_spectrum(cloud, r, alpha_bins=None, delta=0.05):
     """Coarse multifractal spectrum from box masses at scale r."""
     if not (0 < r < 1):
         raise PreconditionError("scale r must lie in (0, 1)")
-    if not (delta > 0):
-        raise PreconditionError("window half-width delta must be positive")
+    if not (delta > 0 and math.isfinite(delta)):
+        raise PreconditionError("window half-width delta must be positive and finite")
     masses = _box_masses(cloud, r)
     if masses.size < _MIN_BOXES:
         raise EstimationError(
@@ -565,92 +485,6 @@ def coarse_spectrum(cloud, r, alpha_bins=None, delta=0.05):
         delta=float(delta),
         occupied=int(masses.size),
     )
-
-
-def _probe_points(cloud, probes, seed):
-    rng = substream(seed, _STREAM_PROBES)
-    idx = rng.integers(0, cloud.size, size=probes)
-    return cloud.points[idx]
-
-
-@dataclass(frozen=True)
-class RegularityProfile:
-    """Quantile trajectory of log(m(x,2r)/m(x,r)) / log(1/r) per scale."""
-
-    radii: np.ndarray
-    statistic: np.ndarray
-    quantile: float
-
-
-def weak_diametric_regularity_check(cloud, schedule, quantile=0.9, probes=200, seed=0):
-    """Doubling-ratio statistic, which must trend to zero for regular measures.
-
-    Probes are drawn from the cloud itself so every ball carries mass.
-    """
-    schedule.check_floor(cloud)
-    radii = schedule.radii
-    xs = _probe_points(cloud, probes, seed)
-    stats = np.empty((probes, radii.size - 1))
-    for i, x in enumerate(xs):
-        masses, _ = ball_profile(cloud, x, schedule)
-        ratio = masses[:-1] / masses[1:]
-        stats[i] = np.log(ratio) / np.log(1.0 / radii[1:])
-    traj = np.quantile(stats, quantile, axis=0)
-    return RegularityProfile(freeze(radii[1:]), freeze(traj), float(quantile))
-
-
-@dataclass(frozen=True)
-class RelativeDimension:
-    """Essential range of per-point relative-dimension slopes.
-
-    Positive infinity records probes whose denominator ball had no mass;
-    the first offending (point, radius) is kept for diagnostics.
-    """
-
-    interval: tuple
-    slopes: np.ndarray
-    infinite_probes: int
-    offending: tuple
-
-
-def relative_dimension_estimate(
-    cloud_mu, cloud_nu, schedule, probes=200, seed=0, quantiles=(0.25, 0.75)
-):
-    """Slopes of log(m_mu(B)/m_nu(B)) vs log r at mu-sampled probe points.
-
-    The default interquartile interval is the essential-range surrogate:
-    per-probe slopes carry an intrinsic fluctuation of order 1/sqrt(depth)
-    at any finite scale, so the extreme quantiles measure that noise
-    rather than the limit range.
-    """
-    if cloud_mu.ambient_dim != cloud_nu.ambient_dim:
-        raise PreconditionError("clouds must share an ambient space")
-    schedule.check_floor(cloud_mu)
-    schedule.check_floor(cloud_nu)
-    radii = schedule.radii
-    win = schedule.fit_slice
-    xs = _probe_points(cloud_mu, probes, seed)
-    slopes = np.empty(probes)
-    infinite = 0
-    offending = None
-    for i, x in enumerate(xs):
-        m_mu, _ = ball_profile(cloud_mu, x, schedule)
-        m_nu, _ = ball_profile(cloud_nu, x, schedule)
-        if np.any(m_nu[win] == 0):
-            j = int(np.argmax(m_nu[win] == 0)) + schedule.fit_lo
-            slopes[i] = math.inf
-            infinite += 1
-            if offending is None:
-                offending = (tuple(x.tolist()), float(radii[j]))
-            continue
-        ratio = np.log(m_mu[win]) - np.log(m_nu[win])
-        slopes[i], _ = _ols(np.log(radii[win]), ratio)
-    finite = slopes[np.isfinite(slopes)]
-    if finite.size == 0:
-        interval = (math.inf, math.inf)
-    else:
-        interval = tuple(float(q) for q in np.quantile(finite, quantiles))
-    return RelativeDimension(interval, freeze(slopes), infinite, offending)
 
 
 def relative_dimension_bound(mu, nu, gamma):

@@ -66,6 +66,8 @@ class SimilarityIFS:
         trans = np.array(self.translations, dtype=float)
         if trans.ndim == 1:
             trans = trans[:, None]
+        if trans.ndim != 2:
+            raise PreconditionError("translations must be a vector or an (m, n) array")
         if trans.shape[0] != lam.size:
             raise PreconditionError("one translation per map required")
         n = trans.shape[1]

@@ -35,9 +35,7 @@ _MIN_TAIL_HITS = 150.0
 _FIT_SKIP = 3
 # substream tags, one per consumer of randomness
 _STREAM_FRAMES = 21
-_STREAM_CLOUD = 22
 _STREAM_BASE_WORDS = 23
-_STREAM_PARTNERS = 24
 # base words per batched Holder descent; rows are independent, so this
 # sets memory only, never a result
 _HOLDER_BLOCK = 64
@@ -331,7 +329,12 @@ def ede_check(ifs, word, depth_range, epsilon, tol):
     Bounds are one-sided-safe: truncation error is subtracted.
     """
     word = as_word(word, ifs.m)
-    depths = sorted(set(int(n) for n in depth_range))
+    # an increasing range is sorted and distinct already, and listing a
+    # huge one before the word-length check would fill memory
+    if isinstance(depth_range, range) and depth_range.step > 0:
+        depths = depth_range
+    else:
+        depths = sorted(set(int(n) for n in depth_range))
     if not depths or depths[0] < 1:
         raise PreconditionError("depths must be positive integers")
     if not (epsilon >= 0 and math.isfinite(epsilon)):

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import textwrap
 import time
 from pathlib import Path
 
@@ -435,6 +436,70 @@ class TestExitCodes:
         assert err.startswith("precondition violated:")
         assert message in err
         assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "name, keys, value, message",
+        [
+            ("cantor_dimension", ("params", "correlation", "levels"), 10**12,
+             "finest radius r0 * 2^-1000000000000 underflows to 0"),
+            ("cantor_dimension", ("params", "box", "levels"), 10**12,
+             "finest radius r0 * 2^-1000000000000 underflows to 0"),
+            ("transversality_family", ("params", "levels"), 10**12,
+             "finest radius r0 * 2^-1000000000000 underflows to 0"),
+            ("cantor_spectrum", ("params", "coarse", "delta"), math.inf,
+             "delta must be positive and finite"),
+            ("cantor_spectrum", ("ifs", "translations"), 0,
+             "translations must be a vector or an (m, n) array"),
+        ],
+        ids=["correlation-levels", "box-levels", "transversality-levels",
+             "infinite-delta", "scalar-translations"],
+    )
+    def test_out_of_range_leaf_is_exit_3(self, tmp_path, capsys, name, keys, value, message):
+        # refused with a precondition, not a numpy allocation or index error
+        cfg = json.loads((ROOT / "configs" / f"{name}.json").read_text())
+        block = cfg
+        for key in keys[:-1]:
+            block = block[key]
+        block[keys[-1]] = value
+        code, out = launch(tmp_path, cfg)
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("precondition violated:")
+        assert message in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_huge_ede_depth_is_exit_3(self, tmp_path):
+        # the depth range is checked against the word before it is listed; the
+        # run has its address space capped, so listing it fails fast instead
+        # of filling memory
+        cfg = json.loads((ROOT / "configs" / "cantor_separation.json").read_text())
+        cfg["params"]["depth_max"] = 10**12
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        probe = textwrap.dedent("""
+            import resource, sys, time
+            from fractdim import cli
+            hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+            cap = 2**31 if hard == resource.RLIM_INFINITY else min(2**31, hard)
+            resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+            start = time.perf_counter()
+            code = cli.main(sys.argv[1:])
+            print(code, time.perf_counter() - start)
+        """)
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        done = subprocess.run(
+            [sys.executable, "-c", probe, "run", "--config", str(path), "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert "Traceback" not in done.stderr
+        code, seconds = done.stdout.split()
+        assert int(code) == 3
+        assert float(seconds) < 1.0
+        assert done.stderr.startswith("precondition violated:")
+        assert "word has 40 symbols; deepest requested depth is 1000000000000" in done.stderr
         assert not out.exists()
 
     def test_failed_assertion_is_exit_1(self, tmp_path, capsys):

@@ -4,8 +4,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 from scipy.stats import linregress
 
 from fractdim import projections
@@ -21,11 +19,7 @@ from fractdim.dimest import (
     coarse_spectrum,
     correlation_dimension,
     empirical_energy,
-    local_dimension,
     relative_dimension_bound,
-    relative_dimension_estimate,
-    schedule_for,
-    weak_diametric_regularity_check,
     _linear_fit,
     _pair_profile,
     _pair_sample,
@@ -81,38 +75,6 @@ class TestPointCloud:
         with pytest.raises(PreconditionError):
             PointCloud([[0.0], [math.inf]])
 
-    def test_grid_cached(self):
-        cloud = uniform_cloud(100, 2, 0)
-        assert cloud.grid(0.1) is cloud.grid(0.1)
-
-    @given(
-        st.integers(1, 150),
-        st.integers(1, 3),
-        st.integers(0, 10_000),
-        st.floats(0.01, 3.0),
-    )
-    @settings(max_examples=120, deadline=None)
-    def test_ball_mass_matches_brute_force(self, n, dim, seed, r):
-        rng = np.random.default_rng(seed)
-        pts = rng.standard_normal((n, dim))
-        cloud = PointCloud(pts)
-        x = rng.standard_normal(dim)
-        mass, count = cloud.ball_mass(x, r)
-        d = np.linalg.norm(pts - x, axis=1)
-        inside = d <= r
-        assert count == int(inside.sum())
-        assert mass == pytest.approx(inside.sum() / n, abs=1e-12)
-
-    @given(st.integers(0, 1000))
-    @settings(max_examples=40, deadline=None)
-    def test_ball_mass_monotone_in_radius(self, seed):
-        rng = np.random.default_rng(seed)
-        cloud = PointCloud(rng.random((200, 2)))
-        x = rng.random(2)
-        radii = np.sort(rng.random(5)) + 0.01
-        masses = [cloud.ball_mass(x, r)[0] for r in radii]
-        assert all(a <= b + 1e-15 for a, b in zip(masses, masses[1:]))
-
     def test_box_masses_sum_to_one(self):
         cloud = uniform_cloud(5000, 2, 3)
         masses = _box_masses(cloud, 0.07)
@@ -121,7 +83,7 @@ class TestPointCloud:
     def test_grid_anchored_at_cell_multiples(self):
         # triadic cylinders must land in single boxes of side 3^-k
         cloud = cantor_cloud(3000, 1, depth=20)
-        assert cloud.grid(3.0**-6).occupied == 2**6
+        assert _GridIndex(cloud.points, 3.0**-6).occupied == 2**6
 
 
 class TestSchedule:
@@ -144,52 +106,6 @@ class TestSchedule:
             sch.check_floor(cloud)
         ok = RadiusSchedule(r0=0.5, levels=5, fit_lo=0, fit_hi=5)
         ok.check_floor(cloud)
-
-    def test_schedule_for_respects_floor(self):
-        cloud = PointCloud(np.linspace(0, 1, 50)[:, None], truncation_error=1e-4)
-        sch = schedule_for(cloud)
-        sch.check_floor(cloud)
-        assert sch.fit_hi - sch.fit_lo + 1 >= 4
-
-
-class TestLocalDimension:
-    def test_uniform_interval(self):
-        cloud = uniform_cloud(100_000, 1, 11)
-        sch = RadiusSchedule(r0=0.125, levels=6, fit_lo=0, fit_hi=6)
-        est = local_dimension(cloud, [0.5], sch)
-        assert est.value == pytest.approx(1.0, abs=0.1)
-
-    def test_atom_has_dimension_zero(self):
-        cloud = PointCloud(np.zeros((500, 2)))
-        sch = RadiusSchedule(r0=0.5, levels=5, fit_lo=0, fit_hi=5)
-        est = local_dimension(cloud, [0.0, 0.0], sch)
-        assert est.value == 0.0 and est.stderr == 0.0
-
-    def test_cantor_at_origin(self):
-        cloud = cantor_cloud(200_000, 7)
-        sch = RadiusSchedule(r0=0.25, levels=8, fit_lo=0, fit_hi=8)
-        est = local_dimension(cloud, [0.0], sch)
-        assert est.value == pytest.approx(CANTOR_DIM, abs=0.08)
-
-    def test_cantor_mean_over_probes(self):
-        cloud = cantor_cloud(200_000, 7)
-        sch = RadiusSchedule(r0=0.25, levels=8, fit_lo=0, fit_hi=8)
-        rng = np.random.default_rng(0)
-        probes = cloud.points[rng.integers(0, cloud.size, 20)]
-        vals = [local_dimension(cloud, x, sch).value for x in probes]
-        assert np.mean(vals) == pytest.approx(CANTOR_DIM, abs=0.05)
-
-    def test_far_probe_rejected(self):
-        cloud = uniform_cloud(2000, 1, 0)
-        sch = RadiusSchedule(r0=0.125, levels=4, fit_lo=0, fit_hi=4)
-        with pytest.raises(PreconditionError):
-            local_dimension(cloud, [50.0], sch)
-
-    def test_sparse_ball_rejected(self):
-        cloud = uniform_cloud(2000, 1, 0)
-        sch = RadiusSchedule(r0=0.01, levels=12, fit_lo=8, fit_hi=12)
-        with pytest.raises(EstimationError):
-            local_dimension(cloud, [0.5], sch)
 
 
 class TestCorrelationDimension:
@@ -657,7 +573,6 @@ class TestBoxCountPyramid:
         est = box_counting(cloud, schedule)
         ref = [_GridIndex(cloud.points, r).occupied for r in schedule.radii]
         assert est.profile.tolist() == ref
-        assert not cloud._grids
 
     def test_min_index_off_the_coarse_lattice(self):
         # a finest minimum index that is no multiple of 2^levels: shifting
@@ -741,54 +656,7 @@ class TestCoarseSpectrum:
             assert f == pytest.approx(math.log(n_in) / math.log(1 / r), abs=1e-12)
 
 
-class TestRegularity:
-    def test_uniform_statistic_trends_to_zero(self):
-        cloud = uniform_cloud(100_000, 1, 61)
-        sch = RadiusSchedule(r0=0.25, levels=7, fit_lo=0, fit_hi=7)
-        prof = weak_diametric_regularity_check(cloud, sch, probes=100, seed=1)
-        assert prof.statistic[-1] < prof.statistic[0]
-        assert prof.statistic[-1] < 0.2
-
-    def test_cantor_statistic_stays_small(self):
-        cloud = cantor_cloud(200_000, 63)
-        sch = RadiusSchedule(r0=0.25, levels=8, fit_lo=0, fit_hi=8)
-        prof = weak_diametric_regularity_check(cloud, sch, probes=100, seed=1)
-        assert prof.statistic[-1] < 0.25
-
-
 class TestRelativeDimension:
-    def test_same_cloud_is_zero(self):
-        cloud = uniform_cloud(50_000, 1, 71)
-        sch = RadiusSchedule(r0=0.125, levels=5, fit_lo=0, fit_hi=5)
-        rel = relative_dimension_estimate(cloud, cloud, sch, probes=50, seed=2)
-        assert rel.interval == (0.0, 0.0)
-        assert rel.infinite_probes == 0
-
-    def test_same_law_interval_near_zero(self):
-        a = uniform_cloud(100_000, 1, 73)
-        b = uniform_cloud(100_000, 1, 74)
-        sch = RadiusSchedule(r0=0.125, levels=5, fit_lo=0, fit_hi=5)
-        rel = relative_dimension_estimate(a, b, sch, probes=100, seed=2)
-        assert rel.interval[0] >= -0.05 and rel.interval[1] <= 0.05
-
-    def test_unsupported_probe_reports_infinity(self):
-        mu = uniform_cloud(20_000, 1, 75)
-        nu = PointCloud(np.full((2000, 1), 5.0))
-        sch = RadiusSchedule(r0=0.125, levels=5, fit_lo=0, fit_hi=5)
-        rel = relative_dimension_estimate(mu, nu, sch, probes=40, seed=2)
-        assert rel.infinite_probes == 40
-        assert rel.interval == (math.inf, math.inf)
-        assert rel.offending is not None
-        x, r = rel.offending
-        assert 0 <= x[0] <= 1 and r in sch.radii
-
-    def test_dimension_mismatch_rejected(self):
-        a = uniform_cloud(2000, 1, 0)
-        b = uniform_cloud(2000, 2, 0)
-        sch = RadiusSchedule(r0=0.125, levels=5, fit_lo=0, fit_hi=5)
-        with pytest.raises(PreconditionError):
-            relative_dimension_estimate(a, b, sch)
-
     def test_symbolic_bound_value(self):
         mu = BernoulliMeasure([0.45, 0.55])
         nu = BernoulliMeasure([0.5, 0.5])
@@ -799,14 +667,3 @@ class TestRelativeDimension:
         with pytest.raises(PreconditionError):
             relative_dimension_bound(mu, nu, 1.0)
 
-    def test_biased_cantor_respects_bound(self):
-        mu_cloud = cantor_cloud(200_000, 81, p=0.55)
-        nu_cloud = cantor_cloud(200_000, 82, p=0.5)
-        sch = RadiusSchedule(r0=0.25, levels=9, fit_lo=0, fit_hi=9)
-        rel = relative_dimension_estimate(mu_cloud, nu_cloud, sch, probes=100, seed=3)
-        bound = relative_dimension_bound(
-            BernoulliMeasure([0.45, 0.55]), BernoulliMeasure([0.5, 0.5]), 1 / 3
-        )
-        assert rel.infinite_probes == 0
-        assert rel.interval[1] <= bound + 0.05
-        assert rel.interval[0] >= -bound - 0.05
