@@ -115,7 +115,10 @@ def _number(obj, path, positive=False):
         raise SchemaError(f"{path}: expected a number")
     if positive and not obj > 0:
         raise SchemaError(f"{path}: expected a positive number")
-    return float(obj)
+    try:
+        return float(obj)
+    except OverflowError:
+        raise SchemaError(f"{path}: number out of float range")
 
 
 def _integer(obj, path, minimum=None):
@@ -131,6 +134,8 @@ def _array(obj, path, ndim=None):
         arr = np.array(obj, dtype=float)
     except (TypeError, ValueError):
         raise SchemaError(f"{path}: expected a numeric array")
+    except OverflowError:
+        raise SchemaError(f"{path}: number out of float range")
     if ndim is not None and arr.ndim != ndim:
         raise SchemaError(f"{path}: expected a {ndim}-d array")
     if arr.size == 0:
@@ -345,8 +350,8 @@ def build_ifs(spec):
     orthogonal = None
     if "rotations" in spec:
         angles = np.array(spec["rotations"], dtype=float).ravel()
-        trans = np.atleast_2d(np.array(spec["translations"], dtype=float))
-        if trans.shape[1] != 2:
+        trans = np.array(spec["translations"], dtype=float)
+        if trans.ndim != 2 or trans.shape[1] != 2:
             raise PreconditionError("rotation angles only make sense in the plane")
         orthogonal = np.array(
             [

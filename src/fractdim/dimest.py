@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import EstimationError, PreconditionError
 from .measures import relative_entropy
-from .runtime import freeze, run_chunks, substream
+from .runtime import check_budget, freeze, run_chunks, substream
 
 _MAX_PAIRS = 10**7
 _MIN_PAIR_POINTS = 1000
@@ -462,6 +462,9 @@ def coarse_spectrum(cloud, r, alpha_bins=None, delta=0.05):
     exponents = np.log(masses) / math.log(r)
     if alpha_bins is None:
         step = delta / 5.0
+        # the bin count is refused before floor() or arange() meets it
+        bins = float(exponents.max() - exponents.min()) / step
+        check_budget(int(bins) + 1 if math.isfinite(bins) else bins, "coarse spectrum bins")
         lo = math.floor(exponents.min() / step) * step
         hi = math.ceil(exponents.max() / step) * step
         alpha_bins = np.arange(lo, hi + step / 2, step)

@@ -5,6 +5,10 @@ Words of length k are encoded as integers in base m, most significant symbol
 first, so the state of a k-step chain after reading w is code(w) mod m**k.
 All models expose exact cylinder masses, level-n marginal tables, entropy in
 nats, and deterministic batch sampling.
+
+A stationary law is one linear solve on the state chain, certified by the
+constructor; a Gibbs state is the h-transform of its transfer matrix, built
+from one certified eigen-solve for the Perron root and right eigenvector.
 """
 
 from __future__ import annotations
@@ -18,8 +22,6 @@ from .errors import EstimationError, PreconditionError
 from .runtime import check_budget, check_table_budget, freeze, substream
 
 _PROB_ATOL = 1e-9
-_STATIONARY_RESIDUAL = 1e-13
-_POWER_MAX_ITERS = 1_000_000
 
 
 def _as_prob_vector(p, atol=_PROB_ATOL):
@@ -166,9 +168,7 @@ class MarkovMeasure:
 
     def _push_forward(self, dist):
         """One step of the induced chain on states."""
-        m, k = self.m, self.order
-        states = np.arange(m**k)
-        targets = (states % m ** (k - 1))[:, None] * m + np.arange(m)[None, :]
+        targets = _successors(self.m, self.order)
         out = np.zeros_like(dist)
         np.add.at(out, targets.ravel(), (dist[:, None] * self.kernel).ravel())
         return out
@@ -185,9 +185,10 @@ class MarkovMeasure:
         """Build the stationary measure of a kernel.
 
         The positive-entry transition graph restricted to `support` (all
-        states by default) must be strongly connected; that is checked before
-        solving, and the stationary distribution is then unique.  A linear
-        solve gives it and the lazy power iteration certifies it.
+        states by default) must be strongly connected, and no support state
+        may send mass out of the support; both are checked before solving,
+        and the stationary distribution is then unique.  A linear solve gives
+        it and the constructor certifies its invariance.
         """
         order, kernel = _checked_shape(order, kernel)
         n_states = kernel.shape[0]
@@ -202,26 +203,15 @@ class MarkovMeasure:
                 "kernel graph is not strongly connected on the given support; "
                 "stationary distribution would not be unique"
             )
+        # successors are distinct, so a support row of op keeps all of its
+        # kernel row's mass exactly when it keeps every positive entry
+        if np.any(np.count_nonzero(op, axis=1) < np.count_nonzero(kernel[support], axis=1)):
+            raise PreconditionError("kernel support is not closed")
         # dist (I - op) = 0 with sum(dist) = 1 as its last equation is
         # nonsingular for strongly connected op; abs() undoes rounding signs
         eqs = np.eye(support.size) - op.T
         eqs[-1] = 1.0
         dist = np.abs(np.linalg.solve(eqs, np.eye(support.size)[-1]))
-        dist /= dist.sum()
-        for _ in range(_POWER_MAX_ITERS):
-            nxt = dist @ op
-            total = nxt.sum()
-            if total <= 0:
-                raise PreconditionError("kernel support is not closed")
-            nxt /= total
-            # lazy step kills periodicity without moving the fixed point
-            nxt = 0.5 * (dist + nxt)
-            if np.max(np.abs(nxt - dist)) <= _STATIONARY_RESIDUAL:
-                dist = nxt
-                break
-            dist = nxt
-        else:
-            raise EstimationError("power iteration failed to converge")
         stationary = np.zeros(n_states)
         stationary[support] = dist / dist.sum()
         return cls(order=order, stationary=stationary, kernel=kernel)
@@ -339,18 +329,19 @@ def _strongly_connected(adj):
     return True
 
 
+def _successors(m, k):
+    """succ[s, a] = (s mod m**(k-1)) * m + a, the state after s emits a."""
+    return (np.arange(m**k) % m ** (k - 1))[:, None] * m + np.arange(m)[None, :]
+
+
 def _restricted_operator(kernel, order, support):
     """Dense transition operator of the induced state chain on `support`."""
-    m = kernel.shape[1]
     pos_of = -np.ones(kernel.shape[0], dtype=np.int64)
     pos_of[support] = np.arange(support.size)
+    cols = pos_of[_successors(kernel.shape[1], order)[support]]
+    i, a = np.nonzero(cols >= 0)
     op = np.zeros((support.size, support.size))
-    for i, s in enumerate(support):
-        base = (s % m ** (order - 1)) * m
-        for a in range(m):
-            j = pos_of[base + a]
-            if j >= 0:
-                op[i, j] += kernel[s, a]
+    op[i, cols[i, a]] = kernel[support[i], a]
     return op
 
 
@@ -428,8 +419,8 @@ def rational_kernel_approximation(measure, denominator):
 
     Zero entries stay exactly zero and positive entries stay positive (at
     least 1/D), so ergodicity is preserved; the stationary distribution is
-    recomputed by power iteration on the support.  Rejected when a row has
-    more positive entries than D.
+    re-solved on the support.  Rejected when a row has more positive entries
+    than D.
     """
     D = int(denominator)
     if D < 1:
@@ -644,41 +635,22 @@ def gibbs_ratio_bounds(gibbs, max_length):
     return lo, hi, cylinders
 
 
-def _perron_triplet(matrix):
-    """Spectral radius and positive left/right eigenvectors.
-
-    Dense eig supplies the starting point; a damped power iteration then
-    certifies positivity and pushes the residual to roundoff.
+def _perron_root(matrix):
+    """Perron root and right eigenvector (summing to 1) of an irreducible
+    non-negative matrix from one dense eig: the root is the eigenvalue of
+    largest real part, even for a periodic matrix.  Both must be positive
+    and the residual at most 1e-10 * root.
     """
-    n = matrix.shape[0]
-    shift = 0.05 * float(matrix.sum(axis=1).max())
-    damped = matrix + shift * np.eye(n)
-
-    def lead(mat, init):
-        x = np.abs(init) + 1e-12
-        x /= x.sum()
-        lam = 0.0
-        for _ in range(200_000):
-            y = mat @ x
-            lam = y.sum()
-            if np.max(np.abs(y - lam * x)) <= 1e-12 * lam:
-                x = y / lam
-                break
-            x = y / lam
-        if np.max(np.abs(mat @ x - lam * x)) > 1e-10 * lam:
-            raise EstimationError("power iteration failed to certify eigenvector")
-        return lam, x
-
     vals, vecs = np.linalg.eig(matrix)
-    idx = int(np.argmax(np.abs(vals)))
-    lam_r, h = lead(damped, vecs[:, idx].real)
-    vals_l, vecs_l = np.linalg.eig(matrix.T)
-    idx_l = int(np.argmax(np.abs(vals_l)))
-    lam_l, v = lead(damped.T, vecs_l[:, idx_l].real)
-    rho = 0.5 * (lam_r + lam_l) - shift
-    if rho <= 0 or np.any(h <= 0) or np.any(v <= 0):
+    idx = int(np.argmax(vals.real))
+    rho = float(vals[idx].real)
+    h = vecs[:, idx].real
+    h = h / h.sum()
+    if not (rho > 0 and np.all(h > 0)):
         raise EstimationError("Perron data is not strictly positive")
-    return rho, v, h
+    if np.max(np.abs(matrix @ h - rho * h)) > 1e-10 * rho:
+        raise EstimationError("Perron eigenvector fails its residual certificate")
+    return rho, h
 
 
 def gibbs_from_potential(potential):
@@ -702,27 +674,23 @@ def gibbs_from_potential(potential):
     if np.max(pot.table) > 700.0:
         raise PreconditionError("potential values overflow the transfer matrix")
     with np.errstate(under="ignore"):
-        weights = np.exp(pot.table)
+        weights = np.exp(pot.table).reshape(n_states, m)
+    targets = _successors(m, d - 1)
     W = np.zeros((n_states, n_states))
-    for u in range(n_states):
-        for a in range(m):
-            W[u, (u * m + a) % n_states] += weights[u * m + a]
+    W[np.arange(n_states)[:, None], targets] = weights
     if not _strongly_connected(W > 0):
         raise PreconditionError(
             "induced transition structure is not irreducible; "
             "equilibrium state is not unique at this scope"
         )
-    rho, v, h = _perron_triplet(W)
+    rho, h = _perron_root(W)
     pressure = math.log(rho)
-    # normalize so <v, h> = 1; the state distribution is then pi = v * h
-    v = v / float(np.dot(v, h))
-    pi = v * h
-    pi = pi / pi.sum()
-    states = np.arange(n_states)
-    targets = (states[:, None] * m + np.arange(m)[None, :]) % n_states
-    kernel = W[states[:, None], targets] * h[targets] / (rho * h[:, None])
+    # the h-transform W h / (rho h) is stochastic; its stationary law is
+    # pi = v * h for the left eigenvector v with <v, h> = 1
+    kernel = weights * h[targets] / (rho * h[:, None])
     kernel = kernel / kernel.sum(axis=1, keepdims=True)
-    markov = MarkovMeasure(order=d - 1, stationary=pi, kernel=kernel)
+    markov = MarkovMeasure.from_kernel(kernel, d - 1)
+    v = markov.stationary / h
     constant = _gibbs_constant(pot, pressure, markov, v, h, rho)
     return GibbsMeasure(pot, pressure, markov, constant)
 

@@ -314,6 +314,31 @@ class TestSchemaGate:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "name, keys, value, field",
+        [
+            ("cantor_dimension", ("params", "correlation", "r0"), 10**400,
+             "config.params.correlation.r0"),
+            ("cantor_spectrum", ("assert", 0, "value"), -(10**400),
+             "config.assert[0].value"),
+            ("cantor_spectrum", ("params", "qs"), [0.0, 10**400], "config.params.qs"),
+        ],
+        ids=["number-r0", "number-assert-value", "array-qs"],
+    )
+    def test_integer_beyond_float_range(self, tmp_path, capsys, name, keys, value, field):
+        # json writes these as 401-digit integer literals
+        cfg = json.loads((ROOT / "configs" / f"{name}.json").read_text())
+        block = cfg
+        for key in keys[:-1]:
+            block = block[key]
+        block[keys[-1]] = value
+        code, out = launch(tmp_path, cfg)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"schema error: {field}: number out of float range")
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_ede_holder_requires_measure(self, tmp_path, capsys):
         # words need no measure, but the Holder check samples from one
         cfg = {
@@ -376,7 +401,7 @@ class TestExitCodes:
         cfg["measure"].update(change)
         start = time.perf_counter()
         code, out = launch(tmp_path, cfg)
-        # rejected before the power iteration, not after it gives up
+        # rejected by the shape and entry checks, before any solve
         assert time.perf_counter() - start < 1.0
         assert code == 3
         err = capsys.readouterr().err
@@ -468,6 +493,31 @@ class TestExitCodes:
         assert err.startswith("precondition violated:")
         assert message in err
         assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("delta", [1e-13, 1e-320])
+    def test_tiny_coarse_delta_is_exit_3(self, tmp_path, capsys, delta):
+        # 1e-13 would ask numpy for a 309 TiB bin array, and at 1e-320 the
+        # bin count overflows to inf
+        cfg = json.loads((ROOT / "configs" / "cantor_spectrum.json").read_text())
+        cfg["params"]["coarse"]["delta"] = delta
+        start = time.perf_counter()
+        code, out = launch(tmp_path, cfg)
+        assert time.perf_counter() - start < 10.0
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("precondition violated: coarse spectrum bins needs")
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_rotations_on_the_line_name_the_plane(self, tmp_path, capsys):
+        # two maps on the line, not one map with a planar translation
+        ifs = {**CANTOR_IFS, "rotations": [0.0, 0.5]}
+        code, out = launch(tmp_path, spectrum_config(ifs=ifs))
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("precondition violated:")
+        assert "only make sense in the plane" in err
         assert not out.exists()
 
     def test_huge_ede_depth_is_exit_3(self, tmp_path):
@@ -634,6 +684,19 @@ class TestRunners:
         assert len(rows) == 1 + 4
         summary = json.loads((out / "summary.json").read_text())
         assert summary["quantities"]["predicted"] == 1.0
+
+    def test_rotations_match_their_orthogonal_matrices(self, tmp_path):
+        angles = [0.0, 0.5, 2.0, -1.25]
+        matrices = [[[math.cos(a), -math.sin(a)], [math.sin(a), math.cos(a)]] for a in angles]
+        csvs = []
+        for key, value in (("rotations", angles), ("orthogonal", matrices)):
+            cfg = project_config()
+            cfg["ifs"] = {**cfg["ifs"], key: value}
+            (tmp_path / key).mkdir()
+            code, out = launch(tmp_path / key, cfg)
+            assert code == 0
+            csvs.append({p.name: p.read_bytes() for p in sorted(out.glob("*.csv"))})
+        assert csvs[0] and csvs[0] == csvs[1]
 
     def test_transversality_decay_table(self, tmp_path):
         cfg = {

@@ -17,6 +17,8 @@ from fractdim.measures import (
     GibbsMeasure,
     LocallyConstantPotential,
     MarkovMeasure,
+    _gibbs_constant,
+    _perron_root,
     _restricted_operator,
     _strongly_connected,
     decode_word,
@@ -103,6 +105,21 @@ def reference_power_stationary(kernel, order, support):
     raise EstimationError("power iteration failed to converge")
 
 
+def reference_restricted_operator(kernel, order, support):
+    """The former `_restricted_operator`: one Python step per (state, symbol)."""
+    m = kernel.shape[1]
+    pos_of = -np.ones(kernel.shape[0], dtype=np.int64)
+    pos_of[support] = np.arange(support.size)
+    op = np.zeros((support.size, support.size))
+    for i, s in enumerate(support):
+        base = (s % m ** (order - 1)) * m
+        for a in range(m):
+            j = pos_of[base + a]
+            if j >= 0:
+                op[i, j] += kernel[s, a]
+    return op
+
+
 class TestStationarySolve:
     def test_matches_power_iteration_oracle(self):
         rng = np.random.default_rng(20240607)
@@ -115,6 +132,15 @@ class TestStationarySolve:
             assert np.max(np.abs(got - reference_power_stationary(kernel, order, support))) <= 1e-8
             # the solve is stationary to rounding, the oracle only to ~1e-13
             assert np.max(np.abs(got @ _restricted_operator(kernel, order, support) - got)) <= 1e-15
+
+    def test_restricted_operator_matches_loop_oracle(self):
+        rng = np.random.default_rng(20261020)
+        for _ in range(60):
+            m, order = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+            kernel = rng.dirichlet(np.ones(m), size=m**order)
+            support = np.flatnonzero(rng.random(m**order) < 0.7)
+            got = _restricted_operator(kernel, order, support)
+            assert np.array_equal(got, reference_restricted_operator(kernel, order, support))
 
     def test_slow_mixing_chain(self):
         # lazy steps contract by 1 - 3 * 2**-25 here, so the power iteration
@@ -216,7 +242,7 @@ class TestMarkov:
     @pytest.mark.parametrize("entry", [math.nan, -0.1, math.inf])
     def test_from_kernel_rejects_bad_entry_before_iterating(self, entry):
         # a NaN keeps the positive-entry graph connected, so without the
-        # entry check the power iteration would run to its step limit
+        # entry check it would reach the stationary solve
         kernel = [[entry, 1.0], [0.5, 0.5]]
         with pytest.raises(
             PreconditionError, match="kernel entries must be finite and non-negative"
@@ -602,6 +628,132 @@ def _no_111(rng):
     table = rng.normal(scale=0.5, size=8)
     table[7] = -math.inf
     return LocallyConstantPotential(depth=3, m=2, table=table)
+
+
+def _perron_triplet(matrix):
+    """Spectral radius and positive left/right eigenvectors.
+
+    Dense eig supplies the starting point; a damped power iteration then
+    certifies positivity and pushes the residual to roundoff.
+    """
+    n = matrix.shape[0]
+    shift = 0.05 * float(matrix.sum(axis=1).max())
+    damped = matrix + shift * np.eye(n)
+
+    def lead(mat, init):
+        x = np.abs(init) + 1e-12
+        x /= x.sum()
+        lam = 0.0
+        for _ in range(200_000):
+            y = mat @ x
+            lam = y.sum()
+            if np.max(np.abs(y - lam * x)) <= 1e-12 * lam:
+                x = y / lam
+                break
+            x = y / lam
+        if np.max(np.abs(mat @ x - lam * x)) > 1e-10 * lam:
+            raise EstimationError("power iteration failed to certify eigenvector")
+        return lam, x
+
+    vals, vecs = np.linalg.eig(matrix)
+    idx = int(np.argmax(np.abs(vals)))
+    lam_r, h = lead(damped, vecs[:, idx].real)
+    vals_l, vecs_l = np.linalg.eig(matrix.T)
+    idx_l = int(np.argmax(np.abs(vals_l)))
+    lam_l, v = lead(damped.T, vecs_l[:, idx_l].real)
+    rho = 0.5 * (lam_r + lam_l) - shift
+    if rho <= 0 or np.any(h <= 0) or np.any(v <= 0):
+        raise EstimationError("Perron data is not strictly positive")
+    return rho, v, h
+
+
+def transfer_matrix(pot):
+    """W[u, code(u a) mod m**(depth-1)] = exp(phi(u a)), one window at a time."""
+    m, n_states = pot.m, pot.m ** (pot.depth - 1)
+    W = np.zeros((n_states, n_states))
+    for code, weight in enumerate(np.exp(pot.table)):
+        W[code // m, code % n_states] = weight
+    return W
+
+
+def reference_gibbs(pot):
+    """The former deep-potential Gibbs construction: left and right Perron
+    vectors by damped power iteration, stationary law v * h.
+
+    Returns (pressure, v, h, constant) with <v, h> = 1.
+    """
+    m, n_states = pot.m, pot.m ** (pot.depth - 1)
+    W = transfer_matrix(pot)
+    rho, v, h = _perron_triplet(W)
+    v = v / float(np.dot(v, h))
+    pi = v * h
+    states = np.arange(n_states)
+    targets = (states[:, None] * m + np.arange(m)[None, :]) % n_states
+    kernel = W[states[:, None], targets] * h[targets] / (rho * h[:, None])
+    kernel = kernel / kernel.sum(axis=1, keepdims=True)
+    markov = MarkovMeasure(order=pot.depth - 1, stationary=pi / pi.sum(), kernel=kernel)
+    pressure = math.log(rho)
+    return pressure, v, h, _gibbs_constant(pot, pressure, markov, v, h, rho)
+
+
+class TestPerronSolve:
+    def random_potentials(self):
+        # two periodic transfer matrices (periods 2 and 4), then random ones
+        yield LocallyConstantPotential(2, 2, [-math.inf, 0.0, 0.0, -math.inf])
+        yield LocallyConstantPotential(3, 2, [-math.inf, 0.3, -math.inf, -0.2,
+                                              0.5, -math.inf, 0.1, -math.inf])
+        rng = np.random.default_rng(20261019)
+        while True:
+            m, depth = int(rng.integers(2, 4)), int(rng.integers(2, 5))
+            table = rng.normal(scale=0.5, size=m**depth)
+            table[rng.random(table.size) < 0.2] = -math.inf
+            yield LocallyConstantPotential(depth, m, table)
+
+    def test_matches_power_iteration_oracle(self):
+        compared = 0
+        for pot in self.random_potentials():
+            W = transfer_matrix(pot)
+            if not _strongly_connected(W > 0):
+                continue
+            ref_pressure, ref_v, ref_h, ref_constant = reference_gibbs(pot)
+            gm = gibbs_from_potential(pot)
+            rho, h = _perron_root(W)
+            v = gm.markov.stationary / h
+            assert math.log(rho) == gm.pressure
+            # the oracle stops once its residual is 1e-12 of the root, which
+            # leaves errors of a few 1e-12 over the spectral gap of the damped
+            # matrix it iterates on (the solve is exact to 1e-15 on the 2x2
+            # closed forms below); h and v are compared in units of their sum
+            shift = 0.05 * W.sum(axis=1).max()
+            mods = np.sort(np.abs(np.linalg.eigvals(W + shift * np.eye(len(W)))))
+            slack = 4e-12 / (1 - mods[-2] / mods[-1])
+            ref_v = ref_v / ref_v.sum()
+            assert abs(gm.pressure - ref_pressure) <= slack
+            assert np.max(np.abs(h - ref_h)) <= slack
+            assert np.max(np.abs(v / v.sum() - ref_v)) <= slack
+            rel = slack / ref_h.min() + slack / ref_v.min()
+            assert gm.constant == pytest.approx(ref_constant, rel=rel, abs=0)
+            compared += 1
+            if compared == 60:
+                break
+
+    @pytest.mark.parametrize(
+        "table",
+        [[-0.9, -1.6, -0.4, -1.1], [0.3, -0.2, 0.1, 0.5], [-math.inf, 0.4, -0.7, 0.0]],
+        ids=["gibbs-bounds-config", "generic", "forbidden-00"],
+    )
+    def test_two_by_two_pressure_matches_closed_form(self, table):
+        a, b, c, d = (math.exp(t) for t in table)
+        # largest root of x**2 - (a + d) x + (a d - b c); its discriminant
+        # is (a - d)**2 + 4 b c, a sum of non-negative terms
+        big = 0.5 * (a + d + math.sqrt((a - d) ** 2 + 4 * b * c))
+        gm = gibbs_from_potential(LocallyConstantPotential(2, 2, table))
+        assert abs(gm.pressure - math.log(big)) <= 1e-15
+
+    def test_perron_root_refuses_a_reducible_matrix(self):
+        with pytest.raises(EstimationError, match="not strictly positive"):
+            # the root 2 has right eigenvector (0, 1)
+            _perron_root(np.array([[1.0, 0.0], [1.0, 2.0]]))
 
 
 class TestGibbs:
