@@ -9,6 +9,12 @@ dimensions.  This module solves the defining moment equation
 in log-space, differentiates it analytically, evaluates the Legendre
 transform of T, and assembles spectrum curves with exact endpoint
 handling via uniform measures on the extremal symbol sets.
+
+At an interior alpha the Legendre transform needs the exponent q with
+alpha(q) = -T'(q) = alpha.  It is found by Newton steps on the pair
+(q, T), which solve the moment equation and alpha(q) = alpha together
+from one moment evaluation per step, inside a bracket taken from a batched
+ladder of exponents 0, +-1, +-2, ..., +-2^59.
 """
 
 import math
@@ -151,17 +157,23 @@ def solve_T(problem, q):
     return float(solve_T_many(problem, np.array([float(q)]))[0])
 
 
-def _alpha_slope(logp, loglam, qs, ts):
-    """alpha(q) = -T'(q) and alpha'(q) = -T''(q) per row, from the softmax weights.
+def _evaluate(logp, loglam, qs, ts):
+    """F(q, T) = log sum_i p_i^q lambda_i^T per row, with the weighted moments.
 
-    Each weighted sum is one (1, m) @ (m, 1) product per row, so no row's
-    values depend on its batch.
+    The moments are E[u], E[v], E[uu], E[uv], E[vv] of (u, v) = (log p,
+    log lambda) under the softmax weights of F.  Each is one (1, m) @ (m, 1)
+    product per row, so no row's values depend on its batch.
     """
-    _, w = _log_moment(qs[:, None] * logp + ts[:, None] * loglam)
-    su, sv, uu, uv, vv = (
+    values, w = _log_moment(qs[:, None] * logp + ts[:, None] * loglam)
+    return values, [
         (w[:, None, :] @ v[:, None])[:, 0, 0]
         for v in (logp, loglam, logp * logp, logp * loglam, loglam * loglam)
-    )
+    ]
+
+
+def _alpha_slope(logp, loglam, qs, ts):
+    """alpha(q) = -T'(q) and alpha'(q) = -T''(q) per row, from the weighted moments."""
+    su, sv, uu, uv, vv = _evaluate(logp, loglam, qs, ts)[1]
     alpha = su / sv
     curv = uu - su * su - 2.0 * (uv - su * sv) * alpha + (vv - sv * sv) * alpha * alpha
     return alpha, curv / sv
@@ -205,49 +217,122 @@ def _endpoint_value(problem, alpha_end):
     return math.log(k) / chi
 
 
-def _solve_q(problem, alpha):
-    """(q, T(q)) with alpha(q) = alpha, or None when outside all brackets.
+# the q bracket is sought on the rungs 0, +-1, +-2, ..., +-2^k, for k up to
+# each of these in turn; past 2^59 alpha is numerically at an endpoint
+_LADDER = (7, 15, 31, 59)
 
-    alpha(q) = -T'(q) is non-increasing, so a geometrically grown bracket
-    is certified for interior alpha; inside it, Newton steps with the
-    analytic curvature converge quadratically and fall back to bisection
-    whenever they leave the bracket or alpha'(q) >= 0.  The loop stops on
-    the root solve's rule or on a collapsed bracket (near an endpoint a
-    rounding-level step can stay above the stall bound) and returns the
-    last (q, T(q)) without taking the final step: alpha q + T(q) is
-    stationary in q, so that step would move T*(alpha) only at second order.
+
+def _q_ladder(logp, loglam, alpha):
+    """Tightest rung bracket [lo, hi] of the root of alpha(q) = alpha, and a start.
+
+    alpha(q) is non-increasing, so lo is the last rung with alpha(q) > alpha
+    and hi the first rung after it with alpha(q) <= alpha.  Each batch of
+    rungs is one row-wise root solve and one moment evaluation.  The start
+    is the rung in [lo, hi] whose alpha is nearest the target, returned as
+    (q, T(q), F, *moments) as in _evaluate, with the residual F certified by
+    the root solve.  None when no batch brackets alpha.
+    """
+    for top in _LADDER:
+        side = 2.0 ** np.arange(top + 1)
+        qs = np.concatenate([-side[::-1], [0.0], side])
+        ts = _root_of_log_moment(qs[:, None] * logp, loglam)
+        values, moments = _evaluate(logp, loglam, qs, ts)
+        gap = moments[0] / moments[1] - alpha
+        above = np.flatnonzero(gap > 0)
+        if above.size == 0:
+            continue
+        i = above[-1]
+        below = np.flatnonzero(gap[i + 1 :] <= 0)
+        if below.size == 0:
+            continue
+        j = i + 1 + below[0]
+        k = i + int(np.argmin(np.abs(gap[i : j + 1])))
+        start = [float(x[k]) for x in (qs, ts, values, *moments)]
+        return float(qs[i]), float(qs[j]), start
+    return None
+
+
+def _gap(value, moments, alpha):
+    """G(q, T(q)) = E v * (alpha(q) - alpha), to first order in the residual F.
+
+    At (q, T) the weights are those of F(q, T) = log sum_i p_i^q lambda_i^T,
+    with (u, v) = (log p, log lambda) and G(q, T) = E_w[u - alpha v].  The
+    root T(q) of F lies at T - F / E v to first order, and G moves by
+    Cov(v, u - alpha v) per unit of T.  As E v < 0, a negative gap means
+    alpha(q) > alpha.
+    """
+    su, sv, _, uv, vv = moments
+    gt = uv - su * sv - alpha * (vv - sv * sv)
+    return su - alpha * sv - gt * value / sv
+
+
+def _joint_step(value, moments, alpha):
+    """Newton step (dq, dT) on F = 0, G = 0, or None when it is not usable.
+
+    The Jacobian rows are (E u, E v) and (Cov(u, u - alpha v),
+    Cov(v, u - alpha v)), so the moments of one evaluation give the whole
+    step: dq = -E v * gap / det, and dT = F / E v - alpha(q, T) dq, the root
+    correction in T plus the move along the curve's tangent.  At the root
+    the determinant is -E v * Var(u - alpha v) > 0; a determinant that is
+    not positive gives no step.
+    """
+    su, sv, uu, uv, vv = moments
+    cuv = uv - su * sv
+    det = su * (cuv - alpha * (vv - sv * sv)) - sv * (uu - su * su - alpha * cuv)
+    if not det > 0:
+        return None
+    dq = -sv * _gap(value, moments, alpha) / det
+    return dq, (value - su * dq) / sv
+
+
+def _solve_q(problem, alpha):
+    """(q, T) with T = T(q) and alpha(q) = alpha, or None when outside all brackets.
+
+    alpha(q) = -T'(q) is non-increasing, so the rung bracket of _q_ladder is
+    certified for interior alpha.  From its start rung, Newton steps on the
+    pair (q, T) solve F = log sum p^q lambda^T = 0 and alpha(q) = alpha
+    together (see _joint_step), one moment evaluation per step, and converge
+    quadratically.  A bracket end moves only to a point whose residual F
+    certifies, by the sign of _gap, which is also the sign of the step in q:
+    a step from a bracket end never leaves the bracket by rounding.  A step
+    that leaves it, or that _joint_step rejects, is replaced by a bisection
+    with a root solve for T.  The loop stops on
+    the root solve's rule, applied to the step scaled by (1 + |q|, 1 + |T|),
+    at a certified point, or on a collapsed bracket (near an endpoint a
+    rounding-level step can stay above the stall bound), and returns that
+    point without taking the final step: alpha q + T(q) is stationary in q,
+    so that step would move T*(alpha) only at second order.
     """
     logp, loglam = np.log(problem.p), np.log(problem.ratios)
-    lo, hi = -1.0, 1.0
-    for _ in range(60):
-        if _state_at(logp, loglam, lo)[1] > alpha:
-            break
-        lo *= 2.0
-    else:
+    ladder = _q_ladder(logp, loglam, alpha)
+    if ladder is None:
         return None
-    for _ in range(60):
-        if _state_at(logp, loglam, hi)[1] < alpha:
-            break
-        hi *= 2.0
-    else:
-        return None
-    q = 0.5 * (lo + hi)
+    lo, hi, (q, t, value, *moments) = ladder
     prev = math.inf
     for _ in range(200):
-        t, a, ap = _state_at(logp, loglam, q)
-        if a > alpha:
-            lo = q
-        else:
-            hi = q
-        if hi - lo <= 1e-14 * (1.0 + abs(hi)):
-            return q, t
-        step = (a - alpha) / ap if ap < 0 else math.inf
-        size, scale = abs(step), 1.0 + abs(q)
-        stalled = size <= _STALL_REL * scale and size > 0.5 * prev
-        if stalled or size <= _STEP_ULPS * scale:
+        certified = abs(value) <= _RESIDUAL_TOL * (1.0 + abs(t))
+        if certified:
+            if _gap(value, moments, alpha) < 0:
+                lo = q
+            else:
+                hi = q
+            if hi - lo <= 1e-14 * (1.0 + abs(hi)):
+                return q, t
+        step = _joint_step(value, moments, alpha)
+        size = math.inf
+        if step is not None:
+            size = max(abs(step[0]) / (1.0 + abs(q)), abs(step[1]) / (1.0 + abs(t)))
+        stalled = size <= _STALL_REL and size > 0.5 * prev
+        if certified and (stalled or size <= _STEP_ULPS):
             return q, t
         prev = size
-        q = q - step if lo < q - step < hi else 0.5 * (lo + hi)
+        if step is not None and lo < q - step[0] < hi:
+            q, t = q - step[0], t - step[1]
+        else:
+            q = 0.5 * (lo + hi)
+            t = float(_root_of_log_moment(np.array([q * logp]), loglam)[0])
+        values, moments = _evaluate(logp, loglam, np.array([q]), np.array([t]))
+        value, moments = float(values[0]), [float(x[0]) for x in moments]
     raise EstimationError("Newton steps on alpha(q) = alpha did not settle")
 
 

@@ -139,6 +139,11 @@ def _projection_schedule(points, truncation_error, predicted, max_pairs):
     return RadiusSchedule(r0=r0, levels=levels, fit_lo=_FIT_SKIP, fit_hi=levels)
 
 
+def _direction_error(j, exc):
+    """An error of exc's type whose message names direction j."""
+    return type(exc)(f"direction {j}: {exc}")
+
+
 def marstrand_experiment(
     ifs,
     measure,
@@ -186,22 +191,34 @@ def marstrand_experiment(
     estimates = np.empty(len(directions))
     stderrs = np.empty(len(directions))
     for lo in range(0, len(directions), _DIRECTION_BLOCK):
-        block = directions[lo : lo + _DIRECTION_BLOCK]
-        # projected as project_cloud does it, one direction at a time
-        views = [cloud.points @ v.basis.T for v in block]
-        schedules = [
-            _projection_schedule(x, cloud.truncation_error, predicted, max_pairs)
-            for x in views
-        ]
-        for schedule in schedules:
-            # a projection keeps the cloud's truncation floor
-            schedule.check_floor(cloud)
+        views, schedules, failed = [], [], None
+        for j, v in enumerate(directions[lo : lo + _DIRECTION_BLOCK], start=lo):
+            # projected as project_cloud does it, one direction at a time
+            x = cloud.points @ v.basis.T
+            try:
+                schedule = _projection_schedule(
+                    x, cloud.truncation_error, predicted, max_pairs
+                )
+                # a projection keeps the cloud's truncation floor
+                schedule.check_floor(cloud)
+            except (PreconditionError, EstimationError) as exc:
+                failed = (j, exc)
+                break
+            views.append(x)
+            schedules.append(schedule)
         radii = [schedule.radii for schedule in schedules]
-        profiles = _pair_profile(cloud, radii, (), pairs, workers, views)
+        profiles = _pair_profile(cloud, radii, (), pairs, workers, views) if views else []
+        # the fits of the directions before a failed one come first, so the
+        # error raised is always that of the first failing direction
         for j, (schedule, profile) in enumerate(zip(schedules, profiles), start=lo):
-            est = _correlation_fit(schedule, *profile[-1][:2])
+            try:
+                est = _correlation_fit(schedule, *profile[-1][:2])
+            except (PreconditionError, EstimationError) as exc:
+                raise _direction_error(j, exc) from exc
             estimates[j] = est.value
             stderrs[j] = est.stderr
+        if failed is not None:
+            raise _direction_error(*failed) from failed[1]
     within = np.abs(estimates - predicted) <= tol
     below = estimates < predicted - tol
     qs = np.quantile(estimates, [0.05, 0.25, 0.5, 0.75, 0.95])

@@ -520,6 +520,23 @@ class TestExitCodes:
         assert "only make sense in the plane" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("index", [2, 5])
+    def test_failing_direction_is_named_by_index(self, tmp_path, capsys, index):
+        # the attractor is 1.5e-5 tall: its shadow on the y-axis spans too
+        # few scales above the truncation floor for a fit; the directions
+        # before it, in its block of four or the block before, fit first
+        basis = [[[1.0, 0.0]], [[0.6, 0.8]], [[0.8, 0.6]]] * 2
+        basis[index] = [[0.0, 1.0]]
+        cfg = project_config(directions=6, count=5_000, max_pairs=20_000, basis=basis)
+        cfg["ifs"] = {"ratios": [1 / 3, 1 / 3], "translations": [[0.0, 0.0], [2 / 3, 1e-5]]}
+        cfg["measure"] = UNIFORM2
+        code, out = launch(tmp_path, cfg)
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith(f"precondition violated: direction {index}: fit window")
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_huge_ede_depth_is_exit_3(self, tmp_path):
         # the depth range is checked against the word before it is listed; the
         # run has its address space capped, so listing it fails fast instead

@@ -13,6 +13,7 @@ from fractdim.errors import EstimationError, PreconditionError
 from fractdim.measures import BernoulliMeasure, _log_moment
 from fractdim.multifractal import (
     _EDGE_ATOL,
+    _RESIDUAL_TOL,
     SpectrumProblem,
     _root_of_log_moment,
     _solve_q,
@@ -432,33 +433,66 @@ class TestQSolve:
     def test_returns_T_at_its_q(self, p, lam):
         prob = SpectrumProblem(p=p, ratios=lam)
         lo, hi = alpha_range(prob)
+        logp, loglam = np.log(prob.p), np.log(prob.ratios)
         for a in lo + (hi - lo) * np.array([0.05, 0.3, 0.5, 0.7, 0.95]):
             q, t = _solve_q(prob, a)
-            assert t == solve_T(prob, q)
+            # t solves the moment equation at q to the root solver's certificate
+            value, _ = _log_moment(np.array([q * logp + t * loglam]))
+            assert abs(value[0]) <= _RESIDUAL_TOL * (1.0 + abs(t))
             assert legendre(prob, a) == q * a + t
 
     def test_bisection_alone_converges(self, monkeypatch):
-        # with alpha' never negative the loop only bisects, and the bracket
-        # collapse ends it at the bracket-collapse answer
-        state_at = mf._state_at
-        monkeypatch.setattr(mf, "_state_at", lambda *args: (*state_at(*args)[:2], 0.0))
+        # with no Newton step ever usable the loop only bisects, and the
+        # bracket collapse ends it at the bracket-collapse answer
+        asked = []
+        monkeypatch.setattr(mf, "_joint_step", lambda *args: asked.append(args))
         a = -T_derivative(THIRDS, 0.7)
         q = reference_solve_q(THIRDS, a)
         f = q * a + solve_T(THIRDS, q)
         assert abs(legendre(THIRDS, a) - f) <= 1e-12 * (1.0 + abs(f))
         w = np.exp(q * np.log(THIRDS.p) + solve_T(THIRDS, q) * np.log(THIRDS.ratios))
         assert np.all(np.abs(optimal_measure(THIRDS, a).p - w / w.sum()) <= 1e-12)
+        assert asked
 
     def test_unsettled_solve_raises(self, monkeypatch):
-        # a slope 1000 times too steep: each Newton step covers 1/1000 of
-        # the way to the root at q = 0.3, so neither the step nor the
-        # bracket settles in 200 rounds: an error, not the bracket midpoint
+        # Newton steps 1000 times too short: each covers 1/1000 of the way
+        # to the root, and the residual never certifies, so neither the step
+        # nor the bracket settles in 200 rounds: an error, not a midpoint
+        step = mf._joint_step
+        monkeypatch.setattr(
+            mf, "_joint_step", lambda *args: tuple(1e-3 * s for s in step(*args))
+        )
         a = -T_derivative(THIRDS, 0.7)
-        monkeypatch.setattr(mf, "_state_at", lambda logp, loglam, q: (0.0, a - (q - 0.3), -1e3))
         with pytest.raises(EstimationError, match="did not settle"):
             legendre(THIRDS, a)
         with pytest.raises(EstimationError, match="did not settle"):
             optimal_measure(THIRDS, a)
+
+    def test_moment_evaluations_per_solve(self, monkeypatch):
+        # the problems and alpha range of the benchmark's exact workload;
+        # before the joint Newton in (q, T) the median was 52 evaluations
+        rng = np.random.default_rng([0, 0])
+        problems = [
+            SpectrumProblem(rng.dirichlet(np.ones(m)), rng.uniform(0.15, 0.6, size=m))
+            for m in (2, 3, 4, 2, 3, 4)
+        ]
+        calls = []
+
+        def counted(z):
+            calls.append(z.shape)
+            return _log_moment(z)
+
+        monkeypatch.setattr(mf, "_log_moment", counted)
+        for solve in (legendre, optimal_measure):
+            counts = []
+            for prob in problems:
+                ends = [-T_derivative(prob, q) for q in (8.0, -8.0)]
+                for a in np.linspace(*ends, 20):
+                    before = len(calls)
+                    solve(prob, a)
+                    counts.append(len(calls) - before)
+            assert np.median(counts) <= 14
+            assert np.percentile(counts, 90) <= 20
 
 
 class TestOptimalMeasure:

@@ -12,6 +12,7 @@ from fractdim import projections
 from fractdim.errors import (
     AlphabetMismatchError,
     BudgetExceededError,
+    EstimationError,
     PreconditionError,
 )
 from fractdim.ifs import (
@@ -184,6 +185,30 @@ class TestMarstrand:
             marstrand_experiment(square_corners(), UNIFORM4, 2, 4, 1000, 0)
         with pytest.raises(PreconditionError):
             marstrand_experiment(cantor(), UNIFORM2, 1, 4, 1000, 0)
+
+    def test_first_failing_direction_is_named(self, monkeypatch):
+        # direction 2's schedule fails, but direction 1 sits before it in the
+        # same block and its fit fails too: the error is direction 1's
+        flat = SimilarityIFS(
+            ratios=[1 / 3, 1 / 3], translations=np.array([[0.0, 0.0], [2 / 3, 1e-5]])
+        )
+        lines = [Subspace([[1.0, 0.0]]), Subspace([[0.6, 0.8]]), Subspace([[0.0, 1.0]])]
+        fit = projections._correlation_fit
+        fits = []
+
+        def second_fit_fails(schedule, total, hits):
+            fits.append(schedule)
+            if len(fits) == 2:
+                raise EstimationError("no pairs resolved at some fitted scale")
+            return fit(schedule, total, hits)
+
+        monkeypatch.setattr(projections, "_correlation_fit", second_fit_fails)
+        kw = dict(count=5_000, seed=3, directions=lines, max_pairs=20_000)
+        with pytest.raises(EstimationError, match="^direction 1: no pairs resolved"):
+            marstrand_experiment(flat, UNIFORM2, 1, 0, **kw)
+        monkeypatch.setattr(projections, "_correlation_fit", fit)
+        with pytest.raises(PreconditionError, match="^direction 2: fit window"):
+            marstrand_experiment(flat, UNIFORM2, 1, 0, **kw)
 
     def test_worker_independent(self):
         kw = dict(num_directions=4, count=20_000, seed=7, max_pairs=200_000)
