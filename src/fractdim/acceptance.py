@@ -509,20 +509,6 @@ def determinism_suite(scale=1.0, workers=1):
 # ---------------------------------------------------------------------------
 # suite registry and driver
 
-CRITERIA = (
-    ("closed-form identities", closed_form_identities),
-    ("Legendre grid oracle", legendre_oracle),
-    ("optimal measures", optimal_measures),
-    ("Markov approximation", markov_approximation_suite),
-    ("Gibbs states", gibbs_suite),
-    ("dimension calibration", dimension_calibration),
-    ("coarse multifractal spectrum", multifractal_reproduction),
-    ("projection experiments", marstrand_suite),
-    ("separation and Holder", separation_suite),
-    ("transversality exponent", transversality_suite),
-    ("worker determinism", determinism_suite),
-)
-
 SUITES = {
     "closed-form": [closed_form_identities, legendre_oracle, optimal_measures,
                     markov_approximation_suite, gibbs_suite],
@@ -534,7 +520,10 @@ SUITES = {
     "transversality": [transversality_suite],
     "determinism": [determinism_suite],
     "determinism-small": [lambda workers=1: determinism_suite(scale=0.02)],
-    "all": [fn for _, fn in CRITERIA],
+    "all": [closed_form_identities, legendre_oracle, optimal_measures,
+            markov_approximation_suite, gibbs_suite, dimension_calibration,
+            multifractal_reproduction, marstrand_suite, separation_suite,
+            transversality_suite, determinism_suite],
 }
 
 

@@ -220,13 +220,12 @@ def _pair_sample(n, seed, max_pairs):
     return pairs
 
 
-def _pair_profile(cloud, radii, powers, pairs, workers, views=None):
-    """Correlation/energy sums over a fixed pair sample, for one or many views.
+def _pair_profile(cloud, radii, powers, pairs, workers, views):
+    """Correlation/energy sums over a fixed pair sample, one profile per view.
 
     A view is an (N, d) coordinate array of the cloud's points, weighted
-    by cloud.weights, such as one projection of the cloud.  By default the
-    cloud's own points are the one view and its profile is returned; with
-    views, radii[j] is view j's schedule and a list of profiles is returned.
+    by cloud.weights, such as the cloud's own points or one projection of
+    them; radii[j] is view j's schedule.
     A stratum's indices, pair weights and segment edges are made once for
     all views; each view only gathers, bins and sums.  Strata are the
     parallel unit and are combined in stratum order, so the sums do not
@@ -242,9 +241,6 @@ def _pair_profile(cloud, radii, powers, pairs, workers, views=None):
     radius, zero_weight, energy sums, nonzero_weight) per cut, cumulative,
     the last covering the full sample.
     """
-    single = views is None
-    if single:
-        views, radii = (cloud.points,), (radii,)
     views = [[np.ascontiguousarray(c) for c in v.T] for v in views]
     radii = [np.asarray(r, dtype=float) for r in radii]
     w = cloud.weights
@@ -309,7 +305,7 @@ def _pair_profile(cloud, radii, powers, pairs, workers, views=None):
             (row[0], row[1 : 1 + h], row[1 + h], row[2 + h : 2 + h + p], row[-1])
             for row in sums
         ))
-    return out[0] if single else out
+    return out
 
 
 def _correlation_fit(schedule, total, hits):
@@ -335,7 +331,8 @@ def correlation_dimension(cloud, schedule, seed=0, max_pairs=_MAX_PAIRS, workers
     """
     pairs = _pair_sample(cloud.size, seed, max_pairs)
     schedule.check_floor(cloud)
-    total, hits = _pair_profile(cloud, schedule.radii, (), pairs, workers)[-1][:2]
+    (profile,) = _pair_profile(cloud, [schedule.radii], (), pairs, workers, [cloud.points])
+    total, hits = profile[-1][:2]
     return _correlation_fit(schedule, total, hits)
 
 
@@ -362,7 +359,7 @@ def empirical_energy(cloud, s, seed=0, max_pairs=_MAX_PAIRS, workers=1):
     if not (s >= 0):
         raise PreconditionError("energy exponent must be nonnegative")
     pairs = _pair_sample(cloud.size, seed, max_pairs)
-    blocks = _pair_profile(cloud, (), (s,), pairs, workers)
+    (blocks,) = _pair_profile(cloud, [()], (s,), pairs, workers, [cloud.points])
 
     def mean(block):
         nonzero_w = block[4]
@@ -448,7 +445,7 @@ def _box_masses(cloud, r):
     return masses[masses > 0]
 
 
-def coarse_spectrum(cloud, r, alpha_bins=None, delta=0.05):
+def coarse_spectrum(cloud, r, delta=0.05):
     """Coarse multifractal spectrum from box masses at scale r."""
     if not (0 < r < 1):
         raise PreconditionError("scale r must lie in (0, 1)")
@@ -460,15 +457,13 @@ def coarse_spectrum(cloud, r, alpha_bins=None, delta=0.05):
             f"only {masses.size} occupied boxes; need {_MIN_BOXES}"
         )
     exponents = np.log(masses) / math.log(r)
-    if alpha_bins is None:
-        step = delta / 5.0
-        # the bin count is refused before floor() or arange() meets it
-        bins = float(exponents.max() - exponents.min()) / step
-        check_budget(int(bins) + 1 if math.isfinite(bins) else bins, "coarse spectrum bins")
-        lo = math.floor(exponents.min() / step) * step
-        hi = math.ceil(exponents.max() / step) * step
-        alpha_bins = np.arange(lo, hi + step / 2, step)
-    centers = np.asarray(alpha_bins, dtype=float)
+    step = delta / 5.0
+    # the bin count is refused before floor() or arange() meets it
+    bins = float(exponents.max() - exponents.min()) / step
+    check_budget(int(bins) + 1 if math.isfinite(bins) else bins, "coarse spectrum bins")
+    lo = math.floor(exponents.min() / step) * step
+    hi = math.ceil(exponents.max() / step) * step
+    centers = np.arange(lo, hi + step / 2, step)
     sorted_exp = np.sort(exponents)
     counts = np.searchsorted(sorted_exp, centers + delta, side="right") - np.searchsorted(
         sorted_exp, centers - delta, side="left"

@@ -115,12 +115,7 @@ class SimilarityIFS:
 
     def fixed_points(self):
         """Fixed point of each map: (I - lambda_i O_i)^-1 t_i."""
-        n = self.ambient_dim
-        out = np.empty((self.m, n))
-        for i in range(self.m):
-            mat = np.eye(n) - self.ratios[i] * self.orthogonal[i]
-            out[i] = np.linalg.solve(mat, self.translations[i])
-        return out
+        return _fixed_points(self.ratios, self.orthogonal, self.translations)
 
     def map_point(self, i, x):
         return self.ratios[i] * self.orthogonal[i] @ x + self.translations[i]
@@ -153,6 +148,12 @@ class SimilarityIFS:
         return bool(
             np.all(np.abs(self.orthogonal - np.eye(self.ambient_dim)) == 0)
         )
+
+
+def _fixed_points(ratios, orthogonal, translations):
+    """Fixed points of x -> ratios[i] orthogonal[i] x + translations[i], one solve."""
+    mats = np.eye(translations.shape[1]) - ratios[:, None, None] * orthogonal
+    return np.linalg.solve(mats, translations[..., None])[..., 0]
 
 
 def natural_projection(ifs, word, tol):
@@ -253,15 +254,11 @@ def cylinder_balls(ifs, depth):
     check_budget(m**depth, "cylinder enumeration")
     centers = ifs.center[None, :].copy()
     scales = np.ones(1)
-    straight = ifs._straight()
-    mats = None if straight else np.eye(n)[None, :, :].copy()
+    mats = np.eye(n)[None]
     for _ in range(depth):
         k = centers.shape[0]
-        if straight:
-            new_c = centers[:, None, :] + scales[:, None, None] * ifs.steps[None]
-        else:
-            new_c = centers[:, None, :] + np.einsum("kij,sj->ksi", mats, ifs.steps)
-            mats = np.einsum("kij,sjl->ksil", mats, ifs.linear).reshape(k * m, n, n)
+        new_c = centers[:, None, :] + np.einsum("kij,sj->ksi", mats, ifs.steps)
+        mats = np.einsum("kij,sjl->ksil", mats, ifs.linear).reshape(k * m, n, n)
         centers = new_c.reshape(k * m, n)
         scales = (scales[:, None] * ifs.ratios[None, :]).reshape(k * m)
     return CylinderBalls(
@@ -363,10 +360,7 @@ class TranslationFamily:
         # the box midpoint, inflated by ||delta|| / (1 - lambda)
         mid = 0.5 * (low + high)
         half = 0.5 * (high - low)
-        fixed_mid = np.empty((m, n))
-        for i in range(m):
-            mat = np.eye(n) - lam[i] * self.base.orthogonal[i]
-            fixed_mid[i] = np.linalg.solve(mat, self.base.translations[i] + mid[i])
+        fixed_mid = _fixed_points(lam, self.base.orthogonal, self.base.translations + mid)
         slack = np.linalg.norm(half, axis=1) / (1.0 - lam)
         lo_need = (fixed_mid - slack[:, None]).min(axis=0)
         hi_need = (fixed_mid + slack[:, None]).max(axis=0)

@@ -350,8 +350,6 @@ def as_markov(measure):
         return measure
     if isinstance(measure, BernoulliMeasure):
         return measure.as_markov()
-    if isinstance(measure, GibbsMeasure):
-        return measure.markov
     raise PreconditionError(f"not a sequence-space measure: {type(measure)!r}")
 
 
@@ -534,42 +532,20 @@ class LocallyConstantPotential:
         return float(finite.min()), float(finite.max())
 
 
-@dataclass(frozen=True)
-class GibbsMeasure:
-    """Gibbs state of a locally constant potential, as a Markov measure.
+class GibbsMeasure(MarkovMeasure):
+    """Gibbs state of a locally constant potential: its Markov measure, with
+    the potential, the pressure and the Gibbs constant.
 
     constant is an explicit C valid in the two-sided Gibbs mass comparison
     for every admissible cylinder, derived from the transfer-operator
     eigendata (not fitted to data).
     """
 
-    potential: LocallyConstantPotential
-    pressure: float
-    markov: MarkovMeasure
-    constant: float
-
-    @property
-    def m(self):
-        return self.markov.m
-
-    @property
-    def order(self):
-        return self.markov.order
-
-    def cylinder_mass(self, word):
-        return self.markov.cylinder_mass(word)
-
-    def log_cylinder_mass(self, word):
-        return self.markov.log_cylinder_mass(word)
-
-    def marginal(self, n):
-        return self.markov.marginal(n)
-
-    def entropy(self):
-        return self.markov.entropy()
-
-    def sample_batch(self, count, length, rng):
-        return self.markov.sample_batch(count, length, rng)
+    def __init__(self, potential, pressure, markov, constant):
+        super().__init__(markov.order, markov.stationary, markov.kernel)
+        self.potential = potential
+        self.pressure = pressure
+        self.constant = constant
 
 
 def _straddle_bounds(pot, length):

@@ -54,21 +54,22 @@ def _as_ratio_vector(obj):
     return lam
 
 
-def _root_of_log_moment(z0, loglam):
+def _root_of_log_moment(z0, loglam, start=0.0):
     """Roots in T of f(T) = logsumexp(z0 + T*loglam, axis=1) = 0, one per row.
 
     f'(T) is the moment-weighted mean of loglam and f''(T) its weighted
     variance, so f is convex and, as every loglam entry is negative,
     strictly decreasing.  A convex function lies above its tangents, so
-    the first Newton step from T = 0 lands at or left of the root and each
-    later step moves right towards it, quadratically once close: no
-    bracket is needed.  Each row stops on its own once its step is at
-    rounding level, or once a step near rounding level fails to halve
-    (the slope is so small that rounding in f sets the step); that last
-    step is not taken.  Rows never interact, so a root does not depend on
-    its batch.  The residual certificate rejects any root that is off.
+    the first Newton step from T = start, whatever start is, lands at or
+    left of the root and each later step moves right towards it,
+    quadratically once close: no bracket is needed.  Each row stops on its
+    own once its step is at rounding level, or once a step near rounding
+    level fails to halve (the slope is so small that rounding in f sets
+    the step); that last step is not taken.  Rows never interact, so a
+    root does not depend on its batch.  The residual certificate rejects
+    any root that is off.
     """
-    root = np.zeros(z0.shape[0])
+    root = np.full(z0.shape[0], start)
     prev = np.full(root.size, np.inf)
     active = np.arange(root.size)
     for _ in range(_NEWTON_CAP):
@@ -171,28 +172,17 @@ def _evaluate(logp, loglam, qs, ts):
     ]
 
 
-def _alpha_slope(logp, loglam, qs, ts):
-    """alpha(q) = -T'(q) and alpha'(q) = -T''(q) per row, from the weighted moments."""
-    su, sv, uu, uv, vv = _evaluate(logp, loglam, qs, ts)[1]
-    alpha = su / sv
-    curv = uu - su * su - 2.0 * (uv - su * sv) * alpha + (vv - sv * sv) * alpha * alpha
-    return alpha, curv / sv
-
-
-def _state_at(logp, loglam, q):
-    """T(q), alpha(q) and alpha'(q) at one exponent q."""
-    qs = np.array([q])
-    ts = _root_of_log_moment(qs[:, None] * logp, loglam)
-    alpha, slope = _alpha_slope(logp, loglam, qs, ts)
-    return float(ts[0]), float(alpha[0]), float(slope[0])
+def _alpha(logp, loglam, qs, ts):
+    """alpha(q) = -T'(q) per row, from the weighted moments."""
+    su, sv = _evaluate(logp, loglam, qs, ts)[1][:2]
+    return su / sv
 
 
 def T_derivative(problem, q):
     """Analytic T'(q) at the solved root: weighted log-ratio quotient."""
     qs = np.array([float(q)])
     logp, loglam = _supported_logs(problem, qs[0])
-    alpha, _ = _alpha_slope(logp, loglam, qs, solve_T_many(problem, qs))
-    return -float(alpha[0])
+    return -float(_alpha(logp, loglam, qs, solve_T_many(problem, qs))[0])
 
 
 def alpha_range(problem):
@@ -296,12 +286,13 @@ def _solve_q(problem, alpha):
     certifies, by the sign of _gap, which is also the sign of the step in q:
     a step from a bracket end never leaves the bracket by rounding.  A step
     that leaves it, or that _joint_step rejects, is replaced by a bisection
-    with a root solve for T.  The loop stops on
-    the root solve's rule, applied to the step scaled by (1 + |q|, 1 + |T|),
-    at a certified point, or on a collapsed bracket (near an endpoint a
-    rounding-level step can stay above the stall bound), and returns that
-    point without taking the final step: alpha q + T(q) is stationary in q,
-    so that step would move T*(alpha) only at second order.
+    with a root solve for T, started on the tangent of T at the rejected
+    point.  The loop stops on the root solve's rule, applied to the step
+    scaled by (1 + |q|, 1 + |T|), at a certified point, or on a collapsed
+    bracket (near an endpoint a rounding-level step can stay above the
+    stall bound), and returns that point without taking the final step:
+    alpha q + T(q) is stationary in q, so that step would move T*(alpha)
+    only at second order.
     """
     logp, loglam = np.log(problem.p), np.log(problem.ratios)
     ladder = _q_ladder(logp, loglam, alpha)
@@ -329,8 +320,11 @@ def _solve_q(problem, alpha):
         if step is not None and lo < q - step[0] < hi:
             q, t = q - step[0], t - step[1]
         else:
-            q = 0.5 * (lo + hi)
-            t = float(_root_of_log_moment(np.array([q * logp]), loglam)[0])
+            # T'(q) = -alpha(q): start on the tangent at the rejected point
+            mid = 0.5 * (lo + hi)
+            start = t - moments[0] / moments[1] * (mid - q)
+            q = mid
+            t = float(_root_of_log_moment(np.array([q * logp]), loglam, start)[0])
         values, moments = _evaluate(logp, loglam, np.array([q]), np.array([t]))
         value, moments = float(values[0]), [float(x[0]) for x in moments]
     raise EstimationError("Newton steps on alpha(q) = alpha did not settle")
@@ -469,15 +463,17 @@ def spectrum_curve(problem, q_grid=None):
         raise PreconditionError("need at least two grid points")
     logp, loglam = _supported_logs(problem, float(qs[0]) if qs[0] < 0 else -1.0)
     ts = solve_T_many(problem, qs)
-    alphas, _ = _alpha_slope(logp, loglam, qs, ts)
+    alphas = _alpha(logp, loglam, qs, ts)
     rows = list(zip(qs.tolist(), ts.tolist(), alphas.tolist()))
     for sign in (1.0, -1.0):
         q = sign * max(1.0, abs(qs[-1 if sign > 0 else 0]))
         prev = alphas[-1] if sign > 0 else alphas[0]
         while abs(q) <= _Q_CAP:
             q = 2.0 * q
-            t, a, _ = _state_at(logp, loglam, q)
-            rows.append((q, t, a))
+            at = np.array([q])
+            t = _root_of_log_moment(at[:, None] * logp, loglam)
+            a = float(_alpha(logp, loglam, at, t)[0])
+            rows.append((q, float(t[0]), a))
             if abs(a - prev) < _ALPHA_TAIL_TOL:
                 break
             prev = a
@@ -486,7 +482,7 @@ def spectrum_curve(problem, q_grid=None):
     _curve_checks(qs, ts, alphas, fs, s0)
     fs = np.maximum(fs, 0.0)
     a_min, a_max = alpha_range(problem)
-    peak, _ = _alpha_slope(logp, loglam, np.zeros(1), np.array([s0]))
+    peak = _alpha(logp, loglam, np.zeros(1), np.array([s0]))
     qs = np.concatenate([[-math.inf], qs, [math.inf]])
     ts = np.concatenate([[math.nan], ts, [math.nan]])
     alphas = np.concatenate([[a_max], alphas, [a_min]])

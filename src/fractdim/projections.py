@@ -171,8 +171,11 @@ def marstrand_experiment(
     n = ifs.ambient_dim
     if not 1 <= d < n:
         raise PreconditionError("projection dimension must satisfy 1 <= d < n")
-    if num_directions < 1 and directions is None:
-        raise PreconditionError("need at least one direction")
+    if directions is None:
+        if num_directions < 1:
+            raise PreconditionError("need at least one direction")
+        # refused before sampling: each direction is drawn one by one
+        check_budget(num_directions, "Marstrand directions")
     sym = symbolic_dimension(measure, ifs)
     predicted = min(float(d), sym.value)
     cloud = sample_points(

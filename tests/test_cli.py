@@ -569,6 +569,27 @@ class TestExitCodes:
         assert "word has 40 symbols; deepest requested depth is 1000000000000" in done.stderr
         assert not out.exists()
 
+    def test_huge_direction_count_is_exit_3(self, tmp_path):
+        # the direction count meets the budget before the cloud or any
+        # direction is sampled; unchecked, the run would draw directions one
+        # by one for hours, so it runs in a child process with a timeout
+        cfg = json.loads((ROOT / "configs" / "marstrand_projection.json").read_text())
+        cfg["params"]["directions"] = 10**12
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        done = subprocess.run(
+            [sys.executable, "-m", "fractdim.cli", "run", "--config", str(path),
+             "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert "Traceback" not in done.stderr
+        assert done.returncode == 3
+        assert done.stderr.startswith("precondition violated:")
+        assert "Marstrand directions needs 1000000000000" in done.stderr
+        assert not out.exists()
+
     def test_failed_assertion_is_exit_1(self, tmp_path, capsys):
         cfg = spectrum_config()
         cfg["assert"] = [{"quantity": "T_at_1", "value": 1.0, "tol": 1e-6}]

@@ -281,8 +281,8 @@ class TestPairEngine:
         powers = (0.0, 0.4, 1.3)
         ref = reference_pair_profile(cloud, radii, powers, 3, max_pairs, 1)
         pairs = _pair_sample(cloud.size, 3, max_pairs)
-        got = _pair_profile(cloud, radii, powers, pairs, 1)
-        again = _pair_profile(cloud, radii, powers, pairs, 3)
+        (got,) = _pair_profile(cloud, [radii], powers, pairs, 1, [cloud.points])
+        (again,) = _pair_profile(cloud, [radii], powers, pairs, 3, [cloud.points])
         assert len(got) == len(ref) == len(_ENERGY_CUTS)
         for cut_got, cut_again, cut_ref in zip(got, again, ref):
             # pair weight, hits per radius, zero weight, energies, nonzero weight
@@ -440,7 +440,7 @@ class TestDirectionBlocks:
         radii = RadiusSchedule(r0=0.5, levels=10, fit_lo=0, fit_hi=10).radii
         pairs = _pair_sample(cloud.size, 3, 35_000)
         for powers in [(), (0.0, 0.4, 1.3)]:
-            got = _pair_profile(cloud, radii, powers, pairs, workers)
+            (got,) = _pair_profile(cloud, [radii], powers, pairs, workers, [cloud.points])
             ref = per_direction_pair_profile(cloud, radii, powers, pairs, 1)
             assert_same_profile(got, ref)
 

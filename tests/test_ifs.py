@@ -277,6 +277,63 @@ class TestCylinderBalls:
             assert center == pytest.approx(a @ rotated.center + b, abs=1e-13), k
 
 
+def reference_fixed_points(ratios, orthogonal, translations):
+    """One solve per map, the loop the batched fixed-point solve replaced."""
+    m, n = translations.shape
+    out = np.empty((m, n))
+    for i in range(m):
+        out[i] = np.linalg.solve(np.eye(n) - ratios[i] * orthogonal[i], translations[i])
+    return out
+
+
+def reference_straight_centers(F, depth):
+    """cylinder_balls' walk for identity linear parts, before the einsum walk
+    served every system."""
+    m, n = F.m, F.ambient_dim
+    centers = F.center[None, :].copy()
+    scales = np.ones(1)
+    for _ in range(depth):
+        k = centers.shape[0]
+        new_c = centers[:, None, :] + scales[:, None, None] * F.steps[None]
+        centers = new_c.reshape(k * m, n)
+        scales = (scales[:, None] * F.ratios[None, :]).reshape(k * m)
+    return centers, scales * F.radius
+
+
+class TestLoopOracles:
+    @pytest.mark.parametrize("rotated", [False, True])
+    def test_batched_fixed_points_equal_the_loop(self, rotated):
+        rng = np.random.default_rng(20261019)
+        for _ in range(40):
+            m, n = int(rng.integers(2, 5)), int(rng.integers(1, 4))
+            orth = None
+            if rotated:
+                qr = [np.linalg.qr(rng.normal(size=(n, n))) for _ in range(m)]
+                orth = np.array([q * np.sign(np.diag(r)) for q, r in qr])
+            F = SimilarityIFS(rng.uniform(0.05, 0.45, m), rng.normal(size=(m, n)), orth)
+            ref = reference_fixed_points(F.ratios, F.orthogonal, F.translations)
+            assert np.array_equal(F.fixed_points(), ref)
+            low = rng.uniform(-0.1, 0.0, (m, n))
+            high = low + rng.uniform(0.0, 0.2, (m, n))
+            fam = TranslationFamily(F, low, high)
+            shifted = F.translations + 0.5 * (low + high)
+            mid = reference_fixed_points(F.ratios, F.orthogonal, shifted)
+            slack = np.linalg.norm(0.5 * (high - low), axis=1) / (1.0 - F.ratios)
+            assert np.array_equal(fam.region_low, (mid - slack[:, None]).min(axis=0))
+            assert np.array_equal(fam.region_high, (mid + slack[:, None]).max(axis=0))
+
+    def test_einsum_walk_equals_the_straight_walk(self):
+        rng = np.random.default_rng(20261020)
+        for _ in range(20):
+            m, n = int(rng.integers(2, 5)), int(rng.integers(1, 4))
+            F = SimilarityIFS(rng.uniform(0.05, 0.45, m), rng.normal(size=(m, n)))
+            depth = int(rng.integers(0, 6))
+            balls = cylinder_balls(F, depth)
+            centers, radii = reference_straight_centers(F, depth)
+            assert np.array_equal(balls.centers, centers)
+            assert np.array_equal(balls.radii, radii)
+
+
 class TestSamplePoints:
     def test_cantor_gap(self):
         cloud = sample_points(cantor(), UNIFORM2, 2000, tol=1e-6, seed=5)

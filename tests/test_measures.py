@@ -718,7 +718,7 @@ class TestPerronSolve:
             ref_pressure, ref_v, ref_h, ref_constant = reference_gibbs(pot)
             gm = gibbs_from_potential(pot)
             rho, h = _perron_root(W)
-            v = gm.markov.stationary / h
+            v = gm.stationary / h
             assert math.log(rho) == gm.pressure
             # the oracle stops once its residual is 1e-12 of the root, which
             # leaves errors of a few 1e-12 over the spectral gap of the damped
@@ -762,7 +762,7 @@ class TestGibbs:
         pot = LocallyConstantPotential(depth=1, m=3, table=np.log(p))
         gm = gibbs_from_potential(pot)
         assert gm.pressure == pytest.approx(0.0, abs=1e-12)
-        assert gm.markov.stationary == pytest.approx(p, abs=1e-12)
+        assert gm.stationary == pytest.approx(p, abs=1e-12)
         assert gm.constant == 1.0
 
     def test_constant_potential_uniform(self):
@@ -770,7 +770,7 @@ class TestGibbs:
         pot = LocallyConstantPotential(depth=1, m=2, table=[c, c])
         gm = gibbs_from_potential(pot)
         assert gm.pressure == pytest.approx(math.log(2) + c, abs=1e-12)
-        assert gm.markov.stationary == pytest.approx([0.5, 0.5], abs=1e-12)
+        assert gm.stationary == pytest.approx([0.5, 0.5], abs=1e-12)
 
     def test_golden_mean_shift(self):
         # forbid the word 11; pressure of the zero potential on the
@@ -796,6 +796,29 @@ class TestGibbs:
             got = gibbs_from_potential(pot).pressure
             bound = 8 * np.spacing(max(abs(table.max()), 1.0))
             assert abs(got - logsumexp(table)) <= bound
+
+    @pytest.mark.parametrize(
+        "pot",
+        [LocallyConstantPotential(1, 3, np.log([0.2, 0.5, 0.3])), _no_111(substream(25, 0))],
+        ids=["depth-1", "no111-d3"],
+    )
+    def test_gibbs_state_is_its_markov_measure(self, pot):
+        gm = gibbs_from_potential(pot)
+        assert isinstance(gm, GibbsMeasure) and isinstance(gm, MarkovMeasure)
+        ref = MarkovMeasure(gm.order, gm.stationary, gm.kernel)
+        # a chain on the same alphabet that uses only the steps gm allows
+        kernel = substream(25, 1).dirichlet(np.ones(gm.m), size=gm.kernel.shape[0])
+        kernel = kernel * (gm.kernel > 0)
+        mu = MarkovMeasure.from_kernel(kernel / kernel.sum(axis=1, keepdims=True), gm.order)
+        assert math.isfinite(relative_entropy(mu, gm))
+        assert relative_entropy(mu, gm) == relative_entropy(mu, ref)
+        for k in (1, 2, 4):
+            got, want = markov_approximation(gm, k), markov_approximation(ref, k)
+            assert np.array_equal(got.stationary, want.stationary)
+            assert np.array_equal(got.kernel, want.kernel)
+        assert is_ergodic(gm) and is_ergodic(ref)
+        got = gm.sample_batch(400, 12, substream(25, 2))
+        assert np.array_equal(got, ref.sample_batch(400, 12, substream(25, 2)))
 
     def test_non_irreducible_rejected(self):
         table = np.array([0.0, -math.inf, -math.inf, 0.0])

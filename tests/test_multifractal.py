@@ -494,6 +494,34 @@ class TestQSolve:
             assert np.median(counts) <= 14
             assert np.percentile(counts, 90) <= 20
 
+    def test_bisection_root_solve_starts_on_the_tangent(self, monkeypatch):
+        # the alpha set of test_matches_bracket_collapse_oracle; a bisection's
+        # root solve that starts from T = 0 costs a total of 35,293 evaluations
+        # over these 1,837 solves, and up to 207 in one of them
+        calls = []
+
+        def counted(z):
+            calls.append(z.shape)
+            return _log_moment(z)
+
+        monkeypatch.setattr(mf, "_log_moment", counted)
+        counts = []
+        for p, lam in oracle_problems() + near_tie_problems():
+            prob = SpectrumProblem(p=p, ratios=lam)
+            lo, hi = alpha_range(prob)
+            inside = np.array([1e-6, 1e-7, 1e-8, 1e-9])
+            alphas = np.concatenate(
+                [lo + (hi - lo) * np.arange(1, 20) / 20, lo + inside, hi - inside]
+            )
+            edge = _EDGE_ATOL * (1.0 + hi - lo)
+            for a in alphas[(alphas - lo > edge) & (hi - alphas > edge)]:
+                before = len(calls)
+                legendre(prob, a)
+                counts.append(len(calls) - before)
+        assert len(counts) == 1837
+        assert max(counts) <= 130
+        assert sum(counts) <= 33_000
+
 
 class TestOptimalMeasure:
     def test_q_one_recovers_the_measure(self):
