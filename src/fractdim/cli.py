@@ -523,10 +523,11 @@ def _run_ede(cfg, workers):
     params = cfg["params"]
     ifs = build_ifs(cfg["ifs"])
     seed = cfg["seed"]
+    if "measure" in cfg:
+        measure = build_measure(cfg["measure"])
     if "words" in params:
         words = [tuple(w) for w in params["words"]]
     else:
-        measure = build_measure(cfg["measure"])
         length = params.get("word_length", max(40, params["depth_max"] * 2))
         check_budget(params["samples"] * length, "EDE word sample")
         rng = substream(seed, _STREAM_CLI_WORDS)
@@ -565,7 +566,6 @@ def _run_ede(cfg, workers):
     }
     if "holder" in params:
         block = params["holder"]
-        measure = build_measure(cfg["measure"])
         rep = holder_inverse_check(
             ifs, measure,
             alphas=np.array(block["alphas"], dtype=float),
@@ -688,10 +688,7 @@ def _run_gibbs(cfg, workers):
 # The experiment kinds: the one source of each kind's schema, quantity
 # names and runner.
 
-_FIT = {
-    "levels": _req(_integer), "r0": _opt(_number),
-    "fit_lo": _opt(_integer), "max_pairs": _opt(_COUNT),
-}
+_FIT = {"levels": _req(_integer), "r0": _opt(_number), "fit_lo": _opt(_integer)}
 
 KINDS = {
     "spectrum": Kind(_run_spectrum, ifs=True, measure=True, params=Block(
@@ -709,7 +706,9 @@ KINDS = {
         {
             "count": _req(_integer),
             "sample_tol": _opt(_number),
-            "correlation": _opt(Block(_FIT, ("correlation", "correlation_stderr"))),
+            "correlation": _opt(Block(
+                {**_FIT, "max_pairs": _opt(_COUNT)}, ("correlation", "correlation_stderr"),
+            )),
             "box": _opt(Block(_FIT, ("box", "box_stderr"))),
             "energy": _opt(Block(
                 {"exponents": _req(_VECTOR), "max_pairs": _opt(_COUNT)},
@@ -918,9 +917,5 @@ def main(argv=None):
         return 3
 
 
-def console():
-    sys.exit(main())
-
-
 if __name__ == "__main__":
-    console()
+    sys.exit(main())

@@ -472,22 +472,14 @@ def transversality_exponent(
     counts = sum(run_chunks(chunk, param_samples, workers=workers))
     measures = counts / param_samples
     if degenerate:
-        return TransversalityResult(
-            exponent=math.nan,
-            k_hat=math.inf,
-            radii=freeze(radii),
-            measures=freeze(measures),
-            hits=freeze(counts),
-            used=freeze(np.zeros(radii.size, dtype=bool)),
-            degenerate=True,
-            constraint_satisfied=family.constraint_satisfied,
-            samples=int(param_samples),
-        )
-    used = (counts >= _MIN_FIT_HITS) & (measures < 1.0)
-    if used.sum() < 2:
-        raise EstimationError("fewer than two resolved, unsaturated radius bins")
-    exponent, _ = _linear_fit(np.log(radii[used]), np.log(measures[used]))
-    k_hat = float(np.max(measures[used] / radii[used] ** ifs.ambient_dim))
+        exponent, k_hat = math.nan, math.inf
+        used = np.zeros(radii.size, dtype=bool)
+    else:
+        used = (counts >= _MIN_FIT_HITS) & (measures < 1.0)
+        if used.sum() < 2:
+            raise EstimationError("fewer than two resolved, unsaturated radius bins")
+        exponent, _ = _linear_fit(np.log(radii[used]), np.log(measures[used]))
+        k_hat = float(np.max(measures[used] / radii[used] ** ifs.ambient_dim))
     return TransversalityResult(
         exponent=exponent,
         k_hat=k_hat,
@@ -495,7 +487,7 @@ def transversality_exponent(
         measures=freeze(measures),
         hits=freeze(counts),
         used=freeze(used),
-        degenerate=False,
+        degenerate=degenerate,
         constraint_satisfied=family.constraint_satisfied,
         samples=int(param_samples),
     )

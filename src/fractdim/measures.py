@@ -1,9 +1,10 @@
-"""Shift-invariant measures on sequence space: Bernoulli, k-step Markov,
-and Gibbs states of locally constant potentials.
+"""Shift-invariant measures on sequence space: k-step Markov measures, of
+which Bernoulli measures (order 1, identical kernel rows) and Gibbs states of
+locally constant potentials are special cases.
 
 Words of length k are encoded as integers in base m, most significant symbol
 first, so the state of a k-step chain after reading w is code(w) mod m**k.
-All models expose exact cylinder masses, level-n marginal tables, entropy in
+Every model exposes exact cylinder masses, level-n marginal tables, entropy in
 nats, and deterministic batch sampling.
 
 A stationary law is one linear solve on the state chain, certified by the
@@ -57,70 +58,11 @@ def encode_word(word, m):
     return code
 
 
-def decode_word(code, m, length):
-    out = []
-    for _ in range(length):
-        out.append(int(code % m))
-        code //= m
-    return tuple(reversed(out))
-
-
 def _xlogx(v):
     out = np.zeros(v.shape)
     mask = v > 0
     out[mask] = v[mask] * np.log(v[mask])
     return out
-
-
-class BernoulliMeasure:
-    """Product measure with one weight per symbol.  Zero weights allowed."""
-
-    def __init__(self, p):
-        self.p = freeze(_as_prob_vector(p))
-
-    @property
-    def m(self):
-        return int(self.p.size)
-
-    def cylinder_mass(self, word):
-        out = 1.0
-        for s in word:
-            if not 0 <= s < self.m:
-                raise PreconditionError(f"symbol {s} outside alphabet of size {self.m}")
-            out *= self.p[s]
-        return float(out)
-
-    def log_cylinder_mass(self, word):
-        mass = self.cylinder_mass(word)
-        return math.log(mass) if mass > 0 else -math.inf
-
-    def marginal(self, n):
-        """Flat length-m**n table of cylinder masses, lexicographic order."""
-        n = int(n)
-        if n < 0:
-            raise PreconditionError("marginal level must be >= 0")
-        check_table_budget(self.m, n, "marginal table")
-        table = np.ones(1)
-        for _ in range(n):
-            table = (table[:, None] * self.p[None, :]).ravel()
-        return table
-
-    def entropy(self):
-        return float(-_xlogx(self.p).sum())
-
-    def sample_batch(self, count, length, rng):
-        cdf = np.cumsum(self.p)
-        u = rng.random((int(count), int(length)))
-        # symbol = #{j < m - 1 : cdf[j] <= u}, the inverse-CDF draw with
-        # u >= cdf[-1] (rounding) sent to the last symbol
-        idx = np.zeros(u.shape, dtype=np.int64)
-        for c in cdf[:-1]:
-            idx += u >= c
-        return idx
-
-    def as_markov(self):
-        kernel = np.tile(self.p, (self.m, 1))
-        return MarkovMeasure(order=1, stationary=self.p, kernel=kernel)
 
 
 class MarkovMeasure:
@@ -263,35 +205,49 @@ class MarkovMeasure:
         return float(np.dot(self.stationary, rows))
 
     def sample_batch(self, count, length, rng):
+        """count words of the given length; a word no longer than the order
+        is the head of a stationary block."""
         count, length = int(count), int(length)
+        if length < 0:
+            raise PreconditionError("sample length must be >= 0")
         m, k = self.m, self.order
-        if length <= k:
-            table = self.marginal(length)
-            cdf = np.cumsum(table)
-            codes = np.searchsorted(cdf, rng.random(count), side="right")
-            codes = np.minimum(codes, table.size - 1)
-            out = np.empty((count, length), dtype=np.int64)
-            for j in range(length - 1, -1, -1):
-                out[:, j] = codes % m
-                codes //= m
-            return out
         cdf0 = np.cumsum(self.stationary)
         states = np.searchsorted(cdf0, rng.random(count), side="right")
         states = np.minimum(states, self.stationary.size - 1)
-        u = rng.random((count, length - k))
-        out = np.empty((count, length), dtype=np.int64)
+        u = rng.random((count, max(length - k, 0)))
+        out = np.empty((count, k + u.shape[1]), dtype=np.int64)
         tmp = states.copy()
         for j in range(k - 1, -1, -1):
             out[:, j] = tmp % m
             tmp //= m
         kernel_cdf = np.cumsum(self.kernel, axis=1)
-        for t in range(length - k):
+        for t in range(u.shape[1]):
             rows = kernel_cdf[states]
             sym = (rows < u[:, t][:, None]).sum(axis=1)
             sym = np.minimum(sym, m - 1)
             out[:, k + t] = sym
             states = (states % m ** (k - 1)) * m + sym
-        return out
+        return out[:, :length]
+
+
+class BernoulliMeasure(MarkovMeasure):
+    """Product measure with one weight per symbol: the order-1 Markov
+    measure whose kernel rows all equal p.  Zero weights allowed."""
+
+    def __init__(self, p):
+        p = _as_prob_vector(p)
+        super().__init__(order=1, stationary=p, kernel=np.tile(p, (p.size, 1)))
+        self.p = self.stationary
+
+    def sample_batch(self, count, length, rng):
+        cdf = np.cumsum(self.p)
+        u = rng.random((int(count), int(length)))
+        # symbol = #{j < m - 1 : cdf[j] <= u}, the inverse-CDF draw with
+        # u >= cdf[-1] (rounding) sent to the last symbol
+        idx = np.zeros(u.shape, dtype=np.int64)
+        for c in cdf[:-1]:
+            idx += u >= c
+        return idx
 
 
 def _checked_shape(order, kernel):
@@ -346,11 +302,9 @@ def _restricted_operator(kernel, order, support):
 
 
 def as_markov(measure):
-    if isinstance(measure, MarkovMeasure):
-        return measure
-    if isinstance(measure, BernoulliMeasure):
-        return measure.as_markov()
-    raise PreconditionError(f"not a sequence-space measure: {type(measure)!r}")
+    if not isinstance(measure, MarkovMeasure):
+        raise PreconditionError(f"not a sequence-space measure: {type(measure)!r}")
+    return measure
 
 
 def is_ergodic(measure):
@@ -556,18 +510,15 @@ def _straddle_bounds(pot, length):
     (-inf) window hold no point of the cylinder and are skipped.
     """
     m, d = pot.m, pot.depth
-    lo = np.full(m**length, math.inf)
-    hi = np.full(m**length, -math.inf)
-    for code in range(m**length):
-        for tcode in range(m ** (d - 1)):
-            full = decode_word(code, m, length) + decode_word(tcode, m, d - 1)
-            s = 0.0
-            for j in range(length):
-                s += pot.table[encode_word(full[j : j + d], m)]
-            if s > -math.inf:
-                lo[code] = min(lo[code], s)
-                hi[code] = max(hi[code], s)
-    return lo, hi
+    n = length + d - 1
+    # window j of the word with code c is its digits j .. j + d - 1
+    codes = np.arange(m**n)
+    s = np.zeros(m**n)
+    for j in range(length):
+        s += pot.table[codes // m ** (n - d - j) % m**d]
+    s = s.reshape(m**length, m ** (d - 1))
+    ok = s > -math.inf
+    return np.where(ok, s, math.inf).min(axis=1), np.where(ok, s, -math.inf).max(axis=1)
 
 
 def gibbs_ratio_bounds(gibbs, max_length):
@@ -643,7 +594,7 @@ def gibbs_from_potential(potential):
     if d == 1:
         pressure = float(_log_moment(pot.table)[0])
         p = np.exp(pot.table - pressure)
-        markov = BernoulliMeasure(p / p.sum()).as_markov()
+        markov = BernoulliMeasure(p / p.sum())
         return GibbsMeasure(pot, pressure, markov, 1.0)
     n_states = m ** (d - 1)
     check_budget(n_states * m, "transfer matrix")

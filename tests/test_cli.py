@@ -202,6 +202,13 @@ class TestSchemaGate:
         assert capsys.readouterr().err.startswith("schema error: config.params.")
         assert not out.exists()
 
+    def test_box_counting_takes_no_pair_budget(self, tmp_path, capsys):
+        # box counting draws no pairs, so a pair budget there is a typo
+        code, out = launch(tmp_path, dimension_config(box={"levels": 8, "max_pairs": 1}))
+        assert code == 2
+        assert "config.params.box: unknown key 'max_pairs'" in capsys.readouterr().err
+        assert not out.exists()
+
 
     @pytest.mark.parametrize("exponents", [0.5, [[0.5, 0.9]]])
     def test_energy_exponents_must_be_a_list(self, tmp_path, capsys, exponents):

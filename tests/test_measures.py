@@ -20,8 +20,9 @@ from fractdim.measures import (
     _gibbs_constant,
     _perron_root,
     _restricted_operator,
+    _straddle_bounds,
     _strongly_connected,
-    decode_word,
+    _xlogx,
     encode_word,
     gibbs_from_potential,
     gibbs_ratio_bounds,
@@ -32,7 +33,7 @@ from fractdim.measures import (
     relative_entropy,
     sample_word,
 )
-from fractdim.runtime import substream
+from fractdim.runtime import check_table_budget, substream
 
 
 def two_state_chain(a=0.9, b=0.9):
@@ -47,6 +48,15 @@ prob2 = st.floats(min_value=0.05, max_value=0.95)
 def random_markov(order, m, rng):
     kernel = rng.dirichlet(np.ones(m), size=m**order)
     return MarkovMeasure.from_kernel(kernel, order=order)
+
+
+def decode_word(code, m, length):
+    """Symbols of a word code, most significant first: encode_word's inverse."""
+    out = []
+    for _ in range(length):
+        out.append(int(code % m))
+        code //= m
+    return tuple(reversed(out))
 
 
 class TestEncoding:
@@ -85,6 +95,93 @@ class TestBernoulli:
         m0 = mu.cylinder_mass(word)
         for s in (0, 1):
             assert mu.cylinder_mass(word + (s,)) <= m0 + 1e-15
+
+
+class ReferenceBernoulli:
+    """The product-measure methods of the Bernoulli model before it became an
+    order-1 MarkovMeasure, kept verbatim as an oracle."""
+
+    def __init__(self, p):
+        self.p = np.array(p, dtype=float)
+
+    @property
+    def m(self):
+        return int(self.p.size)
+
+    def cylinder_mass(self, word):
+        out = 1.0
+        for s in word:
+            if not 0 <= s < self.m:
+                raise PreconditionError(f"symbol {s} outside alphabet of size {self.m}")
+            out *= self.p[s]
+        return float(out)
+
+    def log_cylinder_mass(self, word):
+        mass = self.cylinder_mass(word)
+        return math.log(mass) if mass > 0 else -math.inf
+
+    def marginal(self, n):
+        """Flat length-m**n table of cylinder masses, lexicographic order."""
+        n = int(n)
+        if n < 0:
+            raise PreconditionError("marginal level must be >= 0")
+        check_table_budget(self.m, n, "marginal table")
+        table = np.ones(1)
+        for _ in range(n):
+            table = (table[:, None] * self.p[None, :]).ravel()
+        return table
+
+    def entropy(self):
+        return float(-_xlogx(self.p).sum())
+
+
+def random_weights(rng):
+    """Weight vectors on 1 to 5 symbols, some with zero entries."""
+    for m in range(1, 6):
+        for _ in range(8):
+            p = rng.dirichlet(np.ones(m))
+            if m > 1 and rng.random() < 0.5:
+                p[rng.integers(m)] = 0.0
+            yield p / p.sum()
+
+
+class TestBernoulliIsOrderOneMarkov:
+    def test_is_a_markov_measure_with_identical_rows(self):
+        mu = BernoulliMeasure([0.2, 0.0, 0.8])
+        assert isinstance(mu, MarkovMeasure)
+        assert mu.order == 1 and mu.m == 3
+        assert np.array_equal(mu.stationary, mu.p)
+        assert np.array_equal(mu.kernel, np.tile(mu.p, (3, 1)))
+
+    def test_marginals_equal_the_product_tables_bitwise(self):
+        for p in random_weights(substream(41, 0)):
+            mu = BernoulliMeasure(p)
+            ref = ReferenceBernoulli(mu.p)
+            for n in range(1, 7):
+                assert mu.marginal(n).tobytes() == ref.marginal(n).tobytes()
+            assert mu.marginal(0) == pytest.approx([1.0], rel=1e-15)
+
+    def test_masses_and_entropy_match_the_product_formulas(self):
+        rng = substream(41, 1)
+        for p in random_weights(rng):
+            mu = BernoulliMeasure(p)
+            ref = ReferenceBernoulli(mu.p)
+            assert mu.entropy() == pytest.approx(ref.entropy(), rel=1e-15, abs=0)
+            for length in range(4):
+                for word in itertools.product(range(mu.m), repeat=length):
+                    got, want = mu.cylinder_mass(word), ref.cylinder_mass(word)
+                    # the Markov mass is exp of a sum of logs, whose rounding
+                    # error grows with |log mass|
+                    rel = 1e-15 * (1 + abs(math.log(want))) if want > 0 else 0
+                    assert got == pytest.approx(want, rel=rel, abs=0)
+                    forbidden = ref.log_cylinder_mass(word) == -math.inf
+                    assert (mu.log_cylinder_mass(word) == -math.inf) == forbidden
+
+    def test_symbols_outside_the_alphabet_rejected(self):
+        mu = BernoulliMeasure([0.5, 0.5])
+        for word in [(2,), (0, 2), (0, 1, -1)]:
+            with pytest.raises(PreconditionError):
+                mu.cylinder_mass(word)
 
 
 def reference_power_stationary(kernel, order, support):
@@ -504,6 +601,22 @@ def searchsorted_batch(p, count, length, rng):
 
 
 class TestSampling:
+    def test_words_shorter_than_the_order_are_block_heads(self):
+        nu = random_markov(3, 2, substream(31, 0))
+        count = 40_000
+        for length in (1, 2, 3):
+            batch = nu.sample_batch(count, length, substream(31, length))
+            assert batch.shape == (count, length)
+            codes = batch @ (2 ** np.arange(length - 1, -1, -1))
+            freq = np.bincount(codes, minlength=2**length) / count
+            # 5 standard deviations of a frequency near 1/2
+            assert np.max(np.abs(freq - nu.marginal(length))) < 5 * math.sqrt(0.25 / count)
+
+    def test_negative_length_rejected(self):
+        nu = random_markov(2, 2, substream(31, 0))
+        with pytest.raises(PreconditionError):
+            nu.sample_batch(10, -1, substream(31, 4))
+
     def test_deterministic_in_seed(self):
         mu = BernoulliMeasure([0.3, 0.7])
         w1 = sample_word(mu, 1000, seed=42)
@@ -600,6 +713,24 @@ def brute_birkhoff_bounds(pot, word):
         if ok:
             best_lo, best_hi = min(best_lo, s), max(best_hi, s)
     return best_lo, best_hi
+
+
+def reference_straddle_bounds(pot, length):
+    """The decode/encode loop over prefixes and tails that _straddle_bounds
+    replaced, kept as an oracle."""
+    m, d = pot.m, pot.depth
+    lo = np.full(m**length, math.inf)
+    hi = np.full(m**length, -math.inf)
+    for code in range(m**length):
+        for tcode in range(m ** (d - 1)):
+            full = decode_word(code, m, length) + decode_word(tcode, m, d - 1)
+            s = 0.0
+            for j in range(length):
+                s += pot.table[encode_word(full[j : j + d], m)]
+            if s > -math.inf:
+                lo[code] = min(lo[code], s)
+                hi[code] = max(hi[code], s)
+    return lo, hi
 
 
 def brute_ratio_bounds(gm, max_length):
@@ -875,6 +1006,19 @@ class TestGibbs:
         assert np.array_equal(cylinders, ref_cylinders)
         assert np.all(hi <= gm.constant * (1 + 1e-9))
         assert np.all(lo >= (1 / gm.constant) * (1 - 1e-9))
+
+    def test_straddle_bounds_match_the_loop_bitwise(self):
+        rng = substream(25, 0)
+        for depth, m, _ in itertools.product((2, 3, 4), (2, 3), range(4)):
+            table = rng.normal(size=m**depth)
+            table[rng.random(table.size) < 0.3] = -math.inf
+            table[rng.random(table.size) < 0.1] = -0.0
+            pot = LocallyConstantPotential(depth, m, table)
+            for length in range(depth):
+                lo, hi = _straddle_bounds(pot, length)
+                ref_lo, ref_hi = reference_straddle_bounds(pot, length)
+                assert lo.tobytes() == ref_lo.tobytes()
+                assert hi.tobytes() == ref_hi.tobytes()
 
     def test_depth_two_markov_matches_direct_mass(self):
         rng = substream(23, 0)
