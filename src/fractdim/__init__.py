@@ -1,8 +1,8 @@
 """Dimension theory of self-similar measures, numerically.
 
 Symbolic structure functions and Legendre spectra, Markov and Gibbs
-measures on full shifts, similarity systems with certified cylinder
-enclosures, point-cloud dimension estimators, projection and separation
+measures on full shifts, similarity systems with certified natural
+projections, point-cloud dimension estimators, projection and separation
 experiments, and a batch CLI that replays everything from seeded configs.
 """
 
@@ -17,7 +17,7 @@ from .errors import (
     SchemaError,
     WordTooShortError,
 )
-from .symbolic import AdaptedMetric, Alphabet, as_word, common_prefix
+from .symbolic import AdaptedMetric, as_word, common_prefix
 from .measures import (
     BernoulliMeasure,
     GibbsMeasure,
@@ -25,8 +25,6 @@ from .measures import (
     MarkovMeasure,
     gibbs_from_potential,
     markov_approximation,
-    markov_from_word,
-    rational_kernel_approximation,
     relative_entropy,
 )
 from .multifractal import (
@@ -43,12 +41,10 @@ from .multifractal import (
 from .ifs import (
     SimilarityIFS,
     TranslationFamily,
-    cylinder_balls,
     lyapunov_exponent,
     natural_projection,
     pressure,
     sample_points,
-    similarity_dimension,
     symbolic_dimension,
     transversality_exponent,
 )

@@ -1,10 +1,9 @@
 """Similarity iterated function systems on R^n.
 
 Maps f_i(x) = lambda_i O_i x + t_i with orthogonal O_i.  Natural
-projection with certified truncation error, pressure and the similarity
-dimension, Lyapunov exponents and symbolic dimensions of measure models,
-cylinder-ball enclosures, point-cloud sampling, translation families,
-and Monte-Carlo transversality exponents.
+projection with certified truncation error, pressure, Lyapunov exponents
+and symbolic dimensions of measure models, point-cloud sampling,
+translation families, and Monte-Carlo transversality exponents.
 """
 
 import math
@@ -21,8 +20,7 @@ from .errors import (
     WordTooShortError,
 )
 from .measures import _log_moment
-from .multifractal import _similarity_dimension
-from .runtime import check_budget, freeze, run_chunks, substream
+from .runtime import freeze, run_chunks, substream
 from .symbolic import AdaptedMetric, as_word
 
 _ORTHO_TOL = 1e-10
@@ -188,11 +186,6 @@ def pressure(ifs, s):
     return float(_log_moment(z)[0]) if z.max() > -math.inf else -math.inf
 
 
-def similarity_dimension(ifs):
-    """Unique root of the pressure: sum lambda_i^s = 1."""
-    return _similarity_dimension(np.log(ifs.ratios))
-
-
 def _one_marginal(measure, m):
     if measure.m != m:
         raise AlphabetMismatchError(
@@ -217,56 +210,6 @@ def symbolic_dimension(measure, ifs):
     chi = lyapunov_exponent(measure, ifs)
     value = measure.entropy() / chi
     return SymbolicDimension(value=value, projected=min(ifs.ambient_dim, value))
-
-
-@dataclass(frozen=True)
-class CylinderBalls:
-    """Certified ball enclosures of all depth-n cylinder images.
-
-    Ball k encloses the cylinder of the k-th word in lexicographic
-    order; iteration yields (word, center, radius) triples.
-    """
-
-    ifs: SimilarityIFS
-    depth: int
-    centers: np.ndarray
-    radii: np.ndarray
-
-    def __len__(self):
-        return self.centers.shape[0]
-
-    def word(self, k):
-        m = self.ifs.m
-        return tuple(
-            (k // m ** (self.depth - 1 - j)) % m for j in range(self.depth)
-        )
-
-    def __iter__(self):
-        for k in range(len(self)):
-            yield self.word(k), self.centers[k], float(self.radii[k])
-
-
-def cylinder_balls(ifs, depth):
-    """Enclosures f_word(ball) for every word of the given depth."""
-    if depth < 0:
-        raise PreconditionError("depth must be nonnegative")
-    m, n = ifs.m, ifs.ambient_dim
-    check_budget(m**depth, "cylinder enumeration")
-    centers = ifs.center[None, :].copy()
-    scales = np.ones(1)
-    mats = np.eye(n)[None]
-    for _ in range(depth):
-        k = centers.shape[0]
-        new_c = centers[:, None, :] + np.einsum("kij,sj->ksi", mats, ifs.steps)
-        mats = np.einsum("kij,sjl->ksil", mats, ifs.linear).reshape(k * m, n, n)
-        centers = new_c.reshape(k * m, n)
-        scales = (scales[:, None] * ifs.ratios[None, :]).reshape(k * m)
-    return CylinderBalls(
-        ifs=ifs,
-        depth=depth,
-        centers=freeze(centers),
-        radii=freeze(scales * ifs.radius),
-    )
 
 
 def _projection_depth(ifs, tol):

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EstimationError, PreconditionError
-from .runtime import check_budget, check_table_budget, freeze, substream
+from .runtime import check_table_budget, freeze
 
 _PROB_ATOL = 1e-9
 
@@ -123,68 +123,54 @@ class MarkovMeasure:
             )
 
     @classmethod
-    def from_kernel(cls, kernel, order, support=None):
+    def from_kernel(cls, kernel, order):
         """Build the stationary measure of a kernel.
 
-        The positive-entry transition graph restricted to `support` (all
-        states by default) must be strongly connected, and no support state
-        may send mass out of the support; both are checked before solving,
-        and the stationary distribution is then unique.  A linear solve gives
-        it and the constructor certifies its invariance.
+        The positive-entry transition graph on all m**order states must be
+        strongly connected; this is checked before solving, and the
+        stationary distribution is then unique.  A linear solve gives it and
+        the constructor certifies its invariance.
         """
         order, kernel = _checked_shape(order, kernel)
-        n_states = kernel.shape[0]
-        if support is None:
-            support = np.arange(n_states)
-        support = np.asarray(support, dtype=np.int64)
-        if support.ndim != 1 or np.any((support < 0) | (support >= n_states)):
-            raise PreconditionError(f"support must list states in [0, {n_states})")
-        op = _restricted_operator(kernel, order, support)
+        op = _state_operator(kernel, order)
         if not _strongly_connected(op > 0):
             raise PreconditionError(
-                "kernel graph is not strongly connected on the given support; "
+                "kernel graph is not strongly connected; "
                 "stationary distribution would not be unique"
             )
-        # successors are distinct, so a support row of op keeps all of its
-        # kernel row's mass exactly when it keeps every positive entry
-        if np.any(np.count_nonzero(op, axis=1) < np.count_nonzero(kernel[support], axis=1)):
-            raise PreconditionError("kernel support is not closed")
         # dist (I - op) = 0 with sum(dist) = 1 as its last equation is
         # nonsingular for strongly connected op; abs() undoes rounding signs
-        eqs = np.eye(support.size) - op.T
+        eqs = np.eye(op.shape[0]) - op.T
         eqs[-1] = 1.0
-        dist = np.abs(np.linalg.solve(eqs, np.eye(support.size)[-1]))
-        stationary = np.zeros(n_states)
-        stationary[support] = dist / dist.sum()
-        return cls(order=order, stationary=stationary, kernel=kernel)
+        dist = np.abs(np.linalg.solve(eqs, np.eye(op.shape[0])[-1]))
+        return cls(order=order, stationary=dist / dist.sum(), kernel=kernel)
 
-    def cylinder_mass(self, word):
-        out = self.log_cylinder_mass(word)
-        return math.exp(out) if out > -math.inf else 0.0
-
-    def log_cylinder_mass(self, word):
+    def _mass_factors(self, word):
+        """The mass of the word's first block, then each kernel step along
+        the rest of the word; the walk stops after a zero factor."""
         m, k = self.m, self.order
         word = tuple(int(s) for s in word)
-        n = len(word)
-        if n <= k:
-            code = encode_word(word, m)
-            block = self.stationary.reshape(m**n, m ** (k - n)).sum(axis=1)
-            v = block[code]
-            return math.log(v) if v > 0 else -math.inf
-        state = encode_word(word[:k], m)
-        start = self.stationary[state]
-        if start <= 0:
-            return -math.inf
-        out = math.log(start)
+        n = min(len(word), k)
+        state = encode_word(word[:n], m)
+        factor = self.stationary.reshape(m**n, m ** (k - n)).sum(axis=1)[state]
+        yield factor
         for s in word[k:]:
+            if factor <= 0:
+                return
             if not 0 <= s < m:
                 raise PreconditionError(f"symbol {s} outside alphabet of size {m}")
-            step = self.kernel[state, s]
-            if step <= 0:
-                return -math.inf
-            out += math.log(step)
+            factor = self.kernel[state, s]
+            yield factor
             state = (state % m ** (k - 1)) * m + s
-        return out
+
+    def cylinder_mass(self, word):
+        return float(math.prod(self._mass_factors(word)))
+
+    def log_cylinder_mass(self, word):
+        factors = list(self._mass_factors(word))
+        if factors[-1] <= 0:
+            return -math.inf
+        return sum(map(math.log, factors))
 
     def marginal(self, n):
         n = int(n)
@@ -290,14 +276,11 @@ def _successors(m, k):
     return (np.arange(m**k) % m ** (k - 1))[:, None] * m + np.arange(m)[None, :]
 
 
-def _restricted_operator(kernel, order, support):
-    """Dense transition operator of the induced state chain on `support`."""
-    pos_of = -np.ones(kernel.shape[0], dtype=np.int64)
-    pos_of[support] = np.arange(support.size)
-    cols = pos_of[_successors(kernel.shape[1], order)[support]]
-    i, a = np.nonzero(cols >= 0)
-    op = np.zeros((support.size, support.size))
-    op[i, cols[i, a]] = kernel[support[i], a]
+def _state_operator(kernel, order):
+    """Dense transition operator of the induced chain on all m**order states."""
+    n, m = kernel.shape
+    op = np.zeros((n, n))
+    op[np.arange(n)[:, None], _successors(m, order)] = kernel
     return op
 
 
@@ -305,21 +288,6 @@ def as_markov(measure):
     if not isinstance(measure, MarkovMeasure):
         raise PreconditionError(f"not a sequence-space measure: {type(measure)!r}")
     return measure
-
-
-def is_ergodic(measure):
-    """Whether every pair of positive-mass states is joined by positive words.
-
-    Equivalent to strong connectivity of the positive-kernel graph on the
-    positive-mass states (stationarity forces targets of positive steps from
-    positive states to be positive themselves).
-    """
-    markov = as_markov(measure)
-    support = np.flatnonzero(markov.stationary > 0)
-    if support.size == 0:
-        raise PreconditionError("measure has empty support")
-    op = _restricted_operator(markov.kernel, markov.order, support)
-    return _strongly_connected(op > 0)
 
 
 def markov_approximation(measure, order):
@@ -364,91 +332,6 @@ def relative_entropy(mu, nu):
     cross = float(np.dot(blocks[pos], np.log(steps[pos])))
     value = -mu.entropy() - cross
     return max(value, 0.0)
-
-
-def rational_kernel_approximation(measure, denominator):
-    """Replace kernel rows by fractions with the given denominator.
-
-    Zero entries stay exactly zero and positive entries stay positive (at
-    least 1/D), so ergodicity is preserved; the stationary distribution is
-    re-solved on the support.  Rejected when a row has more positive entries
-    than D.
-    """
-    D = int(denominator)
-    if D < 1:
-        raise PreconditionError("denominator must be >= 1")
-    markov = as_markov(measure)
-    if not is_ergodic(markov):
-        raise PreconditionError("rational approximation requires an ergodic input")
-    kernel = np.array(markov.kernel)
-    support = np.flatnonzero(markov.stationary > 0)
-    new_kernel = np.zeros_like(kernel)
-    for s in support:
-        row = kernel[s]
-        pos = np.flatnonzero(row > 0)
-        if pos.size > D:
-            raise PreconditionError(
-                f"denominator {D} too small: row {s} has {pos.size} positive entries"
-            )
-        quota = D * row
-        units = np.floor(quota).astype(np.int64)
-        rem = quota - units
-        shortfall = D - units.sum()
-        if shortfall > 0:
-            # hand out leftover units by largest remainder, index order on ties
-            order = np.lexsort((np.arange(row.size), -rem))
-            for idx in order[:shortfall]:
-                units[idx] += 1
-        # positivity floor: every positive entry keeps at least one unit
-        for idx in pos:
-            if units[idx] == 0:
-                donor = max(
-                    (j for j in pos if units[j] > 1),
-                    key=lambda j: (units[j], -j),
-                )
-                units[donor] -= 1
-                units[idx] = 1
-        units[row == 0] = 0
-        assert units.sum() == D
-        new_kernel[s] = units / float(D)
-    return MarkovMeasure.from_kernel(new_kernel, markov.order, support=support)
-
-
-def sample_word(measure, length, seed, stream=()):
-    """One word of the given length, deterministic in (seed, stream)."""
-    rng = substream(seed, *stream)
-    return measure.sample_batch(1, length, rng)[0]
-
-
-def markov_from_word(word, order, m):
-    """Empirical k-step model from the (k+1)-block frequencies of a word.
-
-    The kernel is the exact ratio of block counts; the block distribution is
-    re-solved as the kernel's stationary distribution so the result is a
-    valid stationary measure (raw sliding-window frequencies are off by
-    boundary terms).
-    """
-    word = np.asarray(word, dtype=np.int64)
-    k = int(order)
-    if k < 1:
-        raise PreconditionError("order must be >= 1")
-    if word.size < k + 1:
-        raise PreconditionError("word shorter than order + 1")
-    if np.any((word < 0) | (word >= m)):
-        raise PreconditionError(f"word has symbols outside alphabet of size {m}")
-    check_budget(m ** (k + 1), "block frequency table")
-    powers = m ** np.arange(k, -1, -1)
-    n_blocks = word.size - k
-    codes = np.zeros(n_blocks, dtype=np.int64)
-    for j in range(k + 1):
-        codes += word[j : j + n_blocks] * powers[j]
-    table = np.bincount(codes, minlength=m ** (k + 1)).astype(float)
-    table = table.reshape(m**k, m)
-    row_tot = table.sum(axis=1)
-    kernel = np.zeros_like(table)
-    pos = row_tot > 0
-    kernel[pos] = table[pos] / row_tot[pos, None]
-    return MarkovMeasure.from_kernel(kernel, k, support=np.flatnonzero(pos))
 
 
 @dataclass(frozen=True)
@@ -597,14 +480,13 @@ def gibbs_from_potential(potential):
         markov = BernoulliMeasure(p / p.sum())
         return GibbsMeasure(pot, pressure, markov, 1.0)
     n_states = m ** (d - 1)
-    check_budget(n_states * m, "transfer matrix")
+    # the dense n_states**2 matrix, and the straddle table of the same size
+    check_table_budget(m, 2 * (d - 1), "transfer matrix")
     if np.max(pot.table) > 700.0:
         raise PreconditionError("potential values overflow the transfer matrix")
     with np.errstate(under="ignore"):
         weights = np.exp(pot.table).reshape(n_states, m)
-    targets = _successors(m, d - 1)
-    W = np.zeros((n_states, n_states))
-    W[np.arange(n_states)[:, None], targets] = weights
+    W = _state_operator(weights, d - 1)
     if not _strongly_connected(W > 0):
         raise PreconditionError(
             "induced transition structure is not irreducible; "
@@ -614,7 +496,7 @@ def gibbs_from_potential(potential):
     pressure = math.log(rho)
     # the h-transform W h / (rho h) is stochastic; its stationary law is
     # pi = v * h for the left eigenvector v with <v, h> = 1
-    kernel = weights * h[targets] / (rho * h[:, None])
+    kernel = weights * h[_successors(m, d - 1)] / (rho * h[:, None])
     kernel = kernel / kernel.sum(axis=1, keepdims=True)
     markov = MarkovMeasure.from_kernel(kernel, d - 1)
     v = markov.stationary / h

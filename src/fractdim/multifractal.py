@@ -92,11 +92,6 @@ def _root_of_log_moment(z0, loglam, start=0.0):
     return root
 
 
-def _similarity_dimension(loglam):
-    z0 = np.zeros((1, loglam.size))
-    return float(_root_of_log_moment(z0, loglam)[0])
-
-
 @dataclass(frozen=True)
 class SpectrumProblem:
     """Probability weights and contraction ratios on a common alphabet.
@@ -116,7 +111,7 @@ class SpectrumProblem:
         lam = _as_ratio_vector(self.ratios)
         if p.size != lam.size:
             raise PreconditionError("weights and ratios must share one alphabet")
-        s0 = _similarity_dimension(np.log(lam))
+        s0 = float(_root_of_log_moment(np.zeros((1, lam.size)), np.log(lam))[0])
         object.__setattr__(self, "p", freeze(p))
         object.__setattr__(self, "ratios", freeze(lam))
         object.__setattr__(self, "similarity_dim", s0)

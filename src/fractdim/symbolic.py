@@ -10,7 +10,6 @@ upper bound, and the result carries a flag saying which case occurred.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -20,27 +19,6 @@ from .errors import AlphabetMismatchError, PreconditionError, WordTooShortError
 
 # Beyond this length, weights are accumulated in log space to dodge underflow.
 _LOG_SPACE_LEN = 64
-
-
-@dataclass(frozen=True)
-class Alphabet:
-    """Finite alphabet {0, ..., size-1}."""
-
-    size: int
-
-    def __post_init__(self):
-        if int(self.size) < 1:
-            raise PreconditionError(f"alphabet size must be >= 1, got {self.size}")
-        object.__setattr__(self, "size", int(self.size))
-
-    def require_nondegenerate(self):
-        # dimension-theoretic operations need at least two symbols
-        if self.size < 2:
-            raise PreconditionError("alphabet of size 1 carries no dimension theory")
-
-    def words(self, length):
-        """All words of the given length, lexicographic order."""
-        return itertools.product(range(self.size), repeat=int(length))
 
 
 def as_word(seq, alphabet_size=None):

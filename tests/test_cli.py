@@ -429,12 +429,17 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "key, value, message",
         [("check_depth", 10**12, "Gibbs ratio table needs 2**1000000000000 nodes"),
-         ("depth", 2**40, "potential table needs 2**1099511627776 nodes")],
+         ("depth", 2**40, "potential table needs 2**1099511627776 nodes"),
+         ("depth", 15, "transfer matrix needs 2**28 nodes")],
     )
     def test_huge_gibbs_depth_is_exit_3(self, tmp_path, capsys, key, value, message):
         # refused before m**depth is formed or a table is allocated
         cfg = json.loads((ROOT / "configs" / "gibbs_bounds.json").read_text())
         cfg["params"][key] = value
+        if value == 15:
+            # a valid 2**15-entry potential, whose dense transfer matrix
+            # (2**14 states squared) is what the budget refuses
+            cfg["params"]["table"] = [-0.5 - 0.25 * (i % 3) for i in range(2**15)]
         start = time.perf_counter()
         code, out = launch(tmp_path, cfg)
         assert time.perf_counter() - start < 1.0

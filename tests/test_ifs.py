@@ -10,7 +10,6 @@ from scipy.special import logsumexp
 
 from fractdim.errors import (
     AlphabetMismatchError,
-    BudgetExceededError,
     EstimationError,
     PreconditionError,
     WordTooShortError,
@@ -18,12 +17,10 @@ from fractdim.errors import (
 from fractdim.ifs import (
     SimilarityIFS,
     TranslationFamily,
-    cylinder_balls,
     lyapunov_exponent,
     natural_projection,
     pressure,
     sample_points,
-    similarity_dimension,
     symbolic_dimension,
     transversality_exponent,
 )
@@ -137,28 +134,6 @@ class TestPressureAndDimension:
     def test_pressure_at_infinite_exponent(self):
         assert pressure(cantor(), math.inf) == -math.inf
 
-    def test_similarity_dimension_closed_forms(self):
-        halves = SimilarityIFS(ratios=[0.5, 0.5], translations=[0.0, 0.5])
-        assert similarity_dimension(halves) == pytest.approx(1.0, abs=1e-13)
-        assert similarity_dimension(cantor()) == pytest.approx(
-            math.log(2) / math.log(3), abs=1e-13
-        )
-        triple = SimilarityIFS(
-            ratios=[0.5, 0.25, 0.25], translations=[0.0, 0.5, 0.75]
-        )
-        assert similarity_dimension(triple) == pytest.approx(1.0, abs=1e-13)
-
-    def test_root_residual(self):
-        F = SimilarityIFS(ratios=[0.3, 0.45, 0.21], translations=[0.0, 0.4, 0.8])
-        s = similarity_dimension(F)
-        assert abs(pressure(F, s)) <= 1e-13
-
-    def test_monotone_in_ratios(self):
-        a = SimilarityIFS(ratios=[0.3, 0.4], translations=[0.0, 0.6])
-        b = SimilarityIFS(ratios=[0.3, 0.45], translations=[0.0, 0.6])
-        assert similarity_dimension(b) > similarity_dimension(a)
-
-
 class TestSymbolicDimension:
     def test_uniform_cantor(self):
         val = symbolic_dimension(UNIFORM2, cantor())
@@ -208,40 +183,51 @@ class TestSymbolicDimension:
             lyapunov_exponent(mu, cantor())
 
 
+def enclosures(F, depth):
+    """(word, center, radius) of every depth-n enclosure f_word(ball), in
+    lexicographic order, each node grown from its parent by F.child."""
+    nodes = [((), F.center, 1.0, np.eye(F.ambient_dim))]
+    for _ in range(depth):
+        nodes = [
+            (word + (s,), *F.child(s, c, psi, amat))
+            for word, c, psi, amat in nodes
+            for s in range(F.m)
+        ]
+    return [(word, c, psi * F.radius) for word, c, psi, _ in nodes]
+
+
+def assert_nested(F, depth):
+    """Each depth-n enclosure lies inside its parent's, up to 1e-12."""
+    parents = enclosures(F, depth - 1)
+    for k, (word, c, r) in enumerate(enclosures(F, depth)):
+        up_word, up_c, up_r = parents[k // F.m]
+        assert word[:-1] == up_word
+        assert np.linalg.norm(c - up_c) + r <= up_r + 1e-12, word
+
+
 class TestCylinderBalls:
     def test_depth_zero(self):
-        balls = cylinder_balls(cantor(), 0)
-        assert len(balls) == 1
-        word, center, radius = next(iter(balls))
+        [(word, center, radius)] = enclosures(cantor(), 0)
         assert word == ()
         assert center == pytest.approx([0.5], abs=1e-14)
         assert radius == pytest.approx(0.5, abs=1e-14)
 
     def test_depth_one(self):
-        balls = cylinder_balls(cantor(), 1)
-        assert balls.centers == pytest.approx(
+        balls = enclosures(cantor(), 1)
+        assert [word for word, _, _ in balls] == [(0,), (1,)]
+        assert np.array([c for _, c, _ in balls]) == pytest.approx(
             np.array([[1 / 6], [5 / 6]]), abs=1e-14
         )
-        assert balls.radii == pytest.approx([1 / 6, 1 / 6], abs=1e-14)
-        assert balls.word(0) == (0,) and balls.word(1) == (1,)
+        assert [r for _, _, r in balls] == pytest.approx([1 / 6, 1 / 6], abs=1e-14)
 
     def test_depth_two_radius(self):
-        balls = cylinder_balls(cantor(), 2)
+        balls = enclosures(cantor(), 2)
         assert len(balls) == 4
-        assert balls.radii == pytest.approx([1 / 18] * 4, abs=1e-14)
+        assert [r for _, _, r in balls] == pytest.approx([1 / 18] * 4, abs=1e-14)
 
     def test_nesting(self):
-        F = cantor()
-        parent = cylinder_balls(F, 0)
         for depth in range(1, 9):
-            child = cylinder_balls(F, depth)
-            m = F.m
-            up = np.repeat(np.arange(len(parent)), m)
-            gap = np.linalg.norm(
-                child.centers - parent.centers[up], axis=1
-            )
-            assert np.all(gap + child.radii <= parent.radii[up] + 1e-12)
-            parent = child
+            assert_nested(cantor(), depth)
 
     def test_rotated_nesting(self):
         c, s = math.cos(1.1), math.sin(1.1)
@@ -249,30 +235,21 @@ class TestCylinderBalls:
         F = SimilarityIFS(
             ratios=[0.35, 0.3], translations=[[0, 0], [1, 0]], orthogonal=rot
         )
-        parent = cylinder_balls(F, 3)
-        child = cylinder_balls(F, 4)
-        up = np.repeat(np.arange(len(parent)), F.m)
-        gap = np.linalg.norm(child.centers - parent.centers[up], axis=1)
-        assert np.all(gap + child.radii <= parent.radii[up] + 1e-12)
-
-    def test_budget_guard(self):
-        with pytest.raises(BudgetExceededError):
-            cylinder_balls(cantor(), 23)
+        assert_nested(F, 4)
 
     def test_matches_word_map(self):
         F = square_corners()
-        balls = cylinder_balls(F, 3)
+        balls = enclosures(F, 3)
         for k in (0, 17, 42, 63):
-            word = balls.word(k)
+            word, center, _ = balls[k]
             a, b = F.word_map(word)
-            assert balls.centers[k] == pytest.approx(a @ F.center + b, abs=1e-13)
+            assert center == pytest.approx(a @ F.center + b, abs=1e-13)
         c, s = math.cos(0.4), math.sin(0.4)
         rotated = SimilarityIFS(
             ratios=[0.3, 0.3], translations=[[0, 0], [1, 0]],
             orthogonal=[[[c, -s], [s, c]], [[c, s], [-s, c]]],
         )
-        balls = cylinder_balls(rotated, 6)
-        for k, (word, center, _) in enumerate(balls):
+        for k, (word, center, _) in enumerate(enclosures(rotated, 6)):
             a, b = rotated.word_map(word)
             assert center == pytest.approx(a @ rotated.center + b, abs=1e-13), k
 
@@ -287,8 +264,7 @@ def reference_fixed_points(ratios, orthogonal, translations):
 
 
 def reference_straight_centers(F, depth):
-    """cylinder_balls' walk for identity linear parts, before the einsum walk
-    served every system."""
+    """The enclosure walk for identity linear parts, in scalar scales."""
     m, n = F.m, F.ambient_dim
     centers = F.center[None, :].copy()
     scales = np.ones(1)
@@ -322,16 +298,16 @@ class TestLoopOracles:
             assert np.array_equal(fam.region_low, (mid - slack[:, None]).min(axis=0))
             assert np.array_equal(fam.region_high, (mid + slack[:, None]).max(axis=0))
 
-    def test_einsum_walk_equals_the_straight_walk(self):
+    def test_child_walk_equals_the_straight_walk(self):
         rng = np.random.default_rng(20261020)
         for _ in range(20):
             m, n = int(rng.integers(2, 5)), int(rng.integers(1, 4))
             F = SimilarityIFS(rng.uniform(0.05, 0.45, m), rng.normal(size=(m, n)))
             depth = int(rng.integers(0, 6))
-            balls = cylinder_balls(F, depth)
+            balls = enclosures(F, depth)
             centers, radii = reference_straight_centers(F, depth)
-            assert np.array_equal(balls.centers, centers)
-            assert np.array_equal(balls.radii, radii)
+            assert np.array_equal(np.array([c for _, c, _ in balls]), centers)
+            assert np.array_equal(np.array([r for _, _, r in balls]), radii)
 
 
 class TestSamplePoints:

@@ -10,6 +10,7 @@ from scipy.special import logsumexp, softmax
 
 import fractdim.multifractal as mf
 from fractdim.errors import EstimationError, PreconditionError
+from fractdim.ifs import SimilarityIFS, pressure
 from fractdim.measures import BernoulliMeasure, _log_moment
 from fractdim.multifractal import (
     _EDGE_ATOL,
@@ -210,6 +211,22 @@ small_ratio = st.floats(min_value=0.1, max_value=0.9)
 class TestProblem:
     def test_similarity_dimension_thirds(self):
         assert THIRDS.similarity_dim == pytest.approx(math.log(2) / math.log(3), abs=1e-13)
+
+    def test_similarity_dimension_closed_forms(self):
+        halves = SpectrumProblem(p=[0.3, 0.7], ratios=[0.5, 0.5])
+        assert halves.similarity_dim == pytest.approx(1.0, abs=1e-13)
+        triple = SpectrumProblem(p=[0.2, 0.3, 0.5], ratios=[0.5, 0.25, 0.25])
+        assert triple.similarity_dim == pytest.approx(1.0, abs=1e-13)
+
+    def test_similarity_dimension_is_the_pressure_root(self):
+        F = SimilarityIFS(ratios=[0.3, 0.45, 0.21], translations=[0.0, 0.4, 0.8])
+        s = SpectrumProblem(p=[0.2, 0.3, 0.5], ratios=F.ratios).similarity_dim
+        assert abs(pressure(F, s)) <= 1e-13
+
+    def test_similarity_dimension_monotone_in_ratios(self):
+        a = SpectrumProblem(p=[0.5, 0.5], ratios=[0.3, 0.4])
+        b = SpectrumProblem(p=[0.5, 0.5], ratios=[0.3, 0.45])
+        assert b.similarity_dim > a.similarity_dim
 
     def test_degenerate_detection(self):
         # p_i = lambda_i^s0 with lambda = (1/2, 1/4): golden-ratio weights

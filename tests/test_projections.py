@@ -1,5 +1,6 @@
 """Grassmannian draws, projections, separation and Holder checks."""
 
+import itertools
 import math
 
 import numpy as np
@@ -18,7 +19,6 @@ from fractdim.errors import (
 from fractdim.ifs import (
     SimilarityIFS,
     _project_batch,
-    cylinder_balls,
     natural_projection,
     sample_points,
 )
@@ -500,13 +500,18 @@ class TestTreeWalkOracle:
     @pytest.mark.parametrize("name", ["square", "rotated"])
     def test_enemy_bound_matches_brute_force(self, name):
         F = WALK_SYSTEMS[name]()
+        # every depth-n enclosure f_w(ball), from the affine map of its word
+        balls = {}
+        for depth in range(1, 7):
+            words = list(itertools.product(range(F.m), repeat=depth))
+            centers = np.array([a @ F.center + b for a, b in map(F.word_map, words)])
+            radii = np.array([F.metric.weight(w) for w in words]) * F.radius
+            balls[depth] = words, centers, radii
         for word, x in coded_points(F, 47):
             path = _path_children(F, word, x, 6, [])
-            for depth in range(1, 7):
-                balls = cylinder_balls(F, depth)
-                own = sum(s * F.m ** (depth - 1 - j) for j, s in enumerate(word[:depth]))
-                gaps = np.linalg.norm(x - balls.centers, axis=1) - balls.radii
-                brute = float(np.delete(gaps, own).min())
+            for depth, (words, centers, radii) in balls.items():
+                gaps = np.linalg.norm(x - centers, axis=1) - radii
+                brute = float(np.delete(gaps, words.index(word[:depth])).min())
                 bound = _enemy_distance_bound(F, path, depth, x, 10**7, [0])
                 assert bound == pytest.approx(brute, abs=1e-12)
 

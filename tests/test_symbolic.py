@@ -15,7 +15,6 @@ from fractdim.errors import (
 )
 from fractdim.symbolic import (
     AdaptedMetric,
-    Alphabet,
     as_word,
     common_prefix,
 )
@@ -240,18 +239,6 @@ class TestCylinderDepth:
 
 
 class TestAlphabet:
-    def test_word_enumeration(self):
-        assert list(Alphabet(2).words(2)) == [(0, 0), (0, 1), (1, 0), (1, 1)]
-
-    def test_size_one_allowed_but_degenerate(self):
-        a = Alphabet(1)
-        with pytest.raises(PreconditionError):
-            a.require_nondegenerate()
-
-    def test_invalid_size(self):
-        with pytest.raises(PreconditionError):
-            Alphabet(0)
-
     def test_as_word_validates(self):
         assert as_word([0, 1, 2]) == (0, 1, 2)
         with pytest.raises(AlphabetMismatchError):
