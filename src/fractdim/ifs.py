@@ -15,6 +15,7 @@ import numpy as np
 from .dimest import PointCloud, _linear_fit
 from .errors import (
     AlphabetMismatchError,
+    BudgetExceededError,
     EstimationError,
     PreconditionError,
     WordTooShortError,
@@ -222,19 +223,31 @@ def _projection_depth(ifs, tol):
     return max(1, math.ceil(math.log(need) / math.log(gamma)))
 
 
-def _project_batch(ifs, words):
-    """Apply f_w(center) for a batch of equal-length words (rows)."""
-    count = words.shape[0]
-    x = np.broadcast_to(ifs.center, (count, ifs.ambient_dim)).copy()
+def _project_batch(ifs, words, out=None):
+    """f_w(center) for each row w of a (count, length) word array, into out.
+
+    Horner from the last symbol to the first: x <- ratios[s] O_s x + t_s
+    per column.  Any integer array works; the samplers' (count, length)
+    view of contiguous uint8 symbol columns makes each column one
+    contiguous read.  Straight systems update the points in place, with
+    one scalar ratio when all ratios agree; rotated ones keep one einsum
+    per column.  out, when given, is the (count, n) array to fill.
+    """
+    count, length = words.shape
+    x = np.empty((count, ifs.ambient_dim)) if out is None else out
+    x[...] = ifs.center
+    ratios, trans = ifs.ratios, ifs.translations
     straight = ifs._straight()
-    for j in range(words.shape[1] - 1, -1, -1):
+    scale = ratios[0] if np.all(ratios == ratios[0]) else None
+    for j in range(length - 1, -1, -1):
         sym = words[:, j]
         if straight:
-            x = ifs.ratios[sym, None] * x + ifs.translations[sym]
+            x *= ratios.take(sym)[:, None] if scale is None else scale
+            x += trans.take(sym, axis=0)
         else:
-            x = (
-                ifs.ratios[sym, None] * np.einsum("kij,kj->ki", ifs.orthogonal[sym], x)
-                + ifs.translations[sym]
+            x[...] = (
+                ratios[sym, None] * np.einsum("kij,kj->ki", ifs.orthogonal[sym], x)
+                + trans[sym]
             )
     return x
 
@@ -243,7 +256,11 @@ def sample_points(ifs, measure, count, tol, seed, workers=1):
     """Point cloud of projected measure samples, truncated to tolerance.
 
     Deterministic in the seed and identical for every worker count: each
-    fixed-size chunk draws from its own substream.
+    fixed-size chunk draws its words (the (count, length) view of uint8
+    symbol columns that `sample_batch` returns) from its own substream and
+    projects them into its own slice of one (count, n) array.  That array
+    is allocated before any chunk runs; a count too large to allocate
+    raises BudgetExceededError.
     """
     if count < 1:
         raise PreconditionError("need at least one point")
@@ -252,14 +269,19 @@ def sample_points(ifs, measure, count, tol, seed, workers=1):
             f"measure alphabet {measure.m} does not match the system's {ifs.m}"
         )
     depth = _projection_depth(ifs, tol)
+    try:
+        pts = np.empty((count, ifs.ambient_dim))
+    except (MemoryError, ValueError):
+        raise BudgetExceededError(
+            f"a cloud of {count} points in R^{ifs.ambient_dim} cannot be allocated"
+        ) from None
 
     def chunk(idx, start, stop):
         rng = substream(seed, _STREAM_POINTS, idx)
         words = measure.sample_batch(stop - start, depth, rng)
-        return _project_batch(ifs, words)
+        _project_batch(ifs, words, out=pts[start:stop])
 
-    blocks = run_chunks(chunk, count, workers=workers)
-    pts = np.concatenate(blocks, axis=0)
+    run_chunks(chunk, count, workers=workers)
     return PointCloud(
         points=pts,
         truncation_error=ifs.metric.gamma**depth * ifs.radius,

@@ -192,7 +192,13 @@ class MarkovMeasure:
 
     def sample_batch(self, count, length, rng):
         """count words of the given length; a word no longer than the order
-        is the head of a stationary block."""
+        is the head of a stationary block.
+
+        Words come as the (count, length) view of one contiguous
+        (length, count) array of symbol columns, uint8 when m <= 256: the
+        walk writes one column per step, and `_project_batch` reads them
+        from the last to the first.
+        """
         count, length = int(count), int(length)
         if length < 0:
             raise PreconditionError("sample length must be >= 0")
@@ -201,19 +207,23 @@ class MarkovMeasure:
         states = np.searchsorted(cdf0, rng.random(count), side="right")
         states = np.minimum(states, self.stationary.size - 1)
         u = rng.random((count, max(length - k, 0)))
-        out = np.empty((count, k + u.shape[1]), dtype=np.int64)
+        cols = np.empty((k + u.shape[1], count), dtype=_symbol_dtype(m))
         tmp = states.copy()
         for j in range(k - 1, -1, -1):
-            out[:, j] = tmp % m
+            cols[j] = tmp % m
             tmp //= m
-        kernel_cdf = np.cumsum(self.kernel, axis=1)
+        # symbol = #{j < m - 1 : cdf[state, j] < u}, so u above a row's
+        # rounded total still takes the last symbol
+        kernel_cdf = np.ascontiguousarray(np.cumsum(self.kernel, axis=1)[:, :-1].T)
         for t in range(u.shape[1]):
-            rows = kernel_cdf[states]
-            sym = (rows < u[:, t][:, None]).sum(axis=1)
-            sym = np.minimum(sym, m - 1)
-            out[:, k + t] = sym
-            states = (states % m ** (k - 1)) * m + sym
-        return out[:, :length]
+            sym = cols[k + t]
+            sym[...] = 0
+            for cdf in kernel_cdf:
+                sym += cdf.take(states) < u[:, t]
+            states %= m ** (k - 1)
+            states *= m
+            states += sym
+        return cols[:length].T
 
 
 class BernoulliMeasure(MarkovMeasure):
@@ -226,14 +236,22 @@ class BernoulliMeasure(MarkovMeasure):
         self.p = self.stationary
 
     def sample_batch(self, count, length, rng):
+        """count words of the given length, in the symbol-column layout of
+        `MarkovMeasure.sample_batch`, drawn from one (count, length) block
+        of uniforms."""
         cdf = np.cumsum(self.p)
         u = rng.random((int(count), int(length)))
         # symbol = #{j < m - 1 : cdf[j] <= u}, the inverse-CDF draw with
         # u >= cdf[-1] (rounding) sent to the last symbol
-        idx = np.zeros(u.shape, dtype=np.int64)
+        idx = np.zeros(u.shape, dtype=_symbol_dtype(self.m))
         for c in cdf[:-1]:
             idx += u >= c
-        return idx
+        return np.ascontiguousarray(idx.T).T
+
+
+def _symbol_dtype(m):
+    """The narrowest dtype of sampled words over an alphabet of size m."""
+    return np.uint8 if m <= 256 else np.int64
 
 
 def _checked_shape(order, kernel):

@@ -94,6 +94,36 @@ def launch(tmp_path, cfg, *args):
     return cli.main(["run", "--config", str(path), "--out", str(out), *args]), out
 
 
+_CAPPED_RUN = textwrap.dedent("""
+    import resource, sys, time
+    from fractdim import cli
+    hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+    cap = 2**31 if hard == resource.RLIM_INFINITY else min(2**31, hard)
+    resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+    start = time.perf_counter()
+    code = cli.main(sys.argv[1:])
+    print(code, time.perf_counter() - start)
+""")
+
+
+def launch_capped(tmp_path, cfg):
+    """Run cfg in a child whose address space is capped at 2 GiB, so a size
+    check that misses fails fast instead of filling the host's memory.
+    Returns the exit code, the seconds cli.main took, stderr and the out dir.
+    """
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run(
+        [sys.executable, "-c", _CAPPED_RUN, "run", "--config", str(path), "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert "Traceback" not in done.stderr
+    code, seconds = done.stdout.split()
+    return int(code), float(seconds), done.stderr, out
+
+
 class TestSchemaGate:
     def test_unknown_top_level_key(self, tmp_path, capsys):
         code, _ = launch(tmp_path, spectrum_config(extra_knob=1))
@@ -555,30 +585,35 @@ class TestExitCodes:
         # of filling memory
         cfg = json.loads((ROOT / "configs" / "cantor_separation.json").read_text())
         cfg["params"]["depth_max"] = 10**12
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps(cfg))
-        out = tmp_path / "out"
-        probe = textwrap.dedent("""
-            import resource, sys, time
-            from fractdim import cli
-            hard = resource.getrlimit(resource.RLIMIT_AS)[1]
-            cap = 2**31 if hard == resource.RLIM_INFINITY else min(2**31, hard)
-            resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
-            start = time.perf_counter()
-            code = cli.main(sys.argv[1:])
-            print(code, time.perf_counter() - start)
-        """)
-        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-        done = subprocess.run(
-            [sys.executable, "-c", probe, "run", "--config", str(path), "--out", str(out)],
-            env=env, capture_output=True, text=True, timeout=60,
-        )
-        assert "Traceback" not in done.stderr
-        code, seconds = done.stdout.split()
-        assert int(code) == 3
-        assert float(seconds) < 1.0
-        assert done.stderr.startswith("precondition violated:")
-        assert "word has 40 symbols; deepest requested depth is 1000000000000" in done.stderr
+        code, seconds, err, out = launch_capped(tmp_path, cfg)
+        assert code == 3
+        assert seconds < 1.0
+        assert err.startswith("precondition violated:")
+        assert "word has 40 symbols; deepest requested depth is 1000000000000" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "config, keys, dim",
+        [
+            ("cantor_dimension", ("params", "count"), 1),
+            ("marstrand_projection", ("params", "count"), 2),
+            ("cantor_spectrum", ("params", "coarse", "count"), 1),
+        ],
+        ids=["dimension", "project", "spectrum-coarse"],
+    )
+    def test_huge_point_count_is_exit_3(self, tmp_path, config, keys, dim):
+        # the cloud is allocated once, before any chunk is sampled, so an
+        # unallocatable count exits 3 instead of sampling chunk after chunk
+        cfg = json.loads((ROOT / "configs" / f"{config}.json").read_text())
+        node = cfg
+        for key in keys[:-1]:
+            node = node[key]
+        node[keys[-1]] = 10**12
+        code, seconds, err, out = launch_capped(tmp_path, cfg)
+        assert code == 3
+        assert seconds < 1.0
+        assert err.startswith("precondition violated:")
+        assert f"a cloud of 1000000000000 points in R^{dim} cannot be allocated" in err
         assert not out.exists()
 
     def test_huge_direction_count_is_exit_3(self, tmp_path):
