@@ -6,6 +6,8 @@ exponential-separation checker on cylinder trees, and the empirical
 Holder-inverse companion.
 """
 
+import heapq
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -251,7 +253,10 @@ class EDEReport:
     diameter of the point's own cylinder.  The witness constant comes
     from the level-1 enclosure gap, normalized so the coarsest requested
     depth passes whenever that gap is positive; freezing it makes the
-    deeper verdicts falsifiable.
+    deeper verdicts falsifiable.  expansions counts the cylinder nodes
+    the search built, m per expanded node; partial is set when the
+    enumeration budget ran out before the deepest requested depth, and
+    depths then lists only the depths finished.
     """
 
     word: tuple
@@ -272,68 +277,45 @@ class EDEReport:
         return bool(self.passed.all()) and not self.partial
 
 
-def _children(ifs, x, k, c, psi, amat, on_symbol=None):
-    """Stack entries for the m children of a level-k node, nearest last.
+def _enemy_distance_bounds(ifs, word, x, depths, budget, spent):
+    """Min over enemy depth-n cylinders of |x - center| - radius, per n in depths.
 
-    Entry (bound, depth, center, scale, composite linear map, on excluded
-    path): bound is |x - center| - radius, and only child on_symbol is
-    marked as lying on the excluded path.
+    One best-first branch and bound (Land-Doig) over the cylinder tree
+    serves every depth.  The heap holds the unexpanded nodes off the
+    excluded word's path, each keyed by the gap from x to its enclosure
+    ball, nearest first.  Moving to depth n walks the path down to level
+    n, pushing the m - 1 siblings met on the way; then the nearest node is
+    expanded until a level-n node is on top.  A node bound never exceeds
+    any bound in its subtree (nested enclosures), so that node's bound is
+    the minimum; it stays on the heap for deeper depths.  spent counts
+    nodes built, m per expansion: the heap keeps what it builds, so the
+    budget also bounds its memory.
     """
-    children = []
-    for s in range(ifs.m):
-        child_c, child_psi, child_a = ifs.child(s, c, psi, amat)
-        child_bound = float(np.linalg.norm(x - child_c)) - child_psi * ifs.radius
-        children.append((child_bound, k + 1, child_c, child_psi, child_a, s == on_symbol))
-    # visit nearest child first so the minimum tightens early
-    children.sort(key=lambda node: node[0], reverse=True)
-    return children
-
-
-def _path_children(ifs, word, x, depth, path):
-    """Grow path so path[k], for k < depth, holds the children of word[:k].
-
-    The excluded path is the same at every depth, so one list per level
-    serves every search along the word.
-    """
-    while len(path) < depth:
-        k = len(path)
-        if k == 0:
-            node = (ifs.center, 1.0, np.eye(ifs.ambient_dim))
-        else:
-            node = next(entry[2:5] for entry in path[-1] if entry[5])
-        path.append(_children(ifs, x, k, *node, on_symbol=word[k]))
-    return path
-
-
-def _enemy_distance_bound(ifs, path, depth, x, budget, spent):
-    """Min over enemy depth-n cylinders of |x - center| - radius.
-
-    Depth-first branch and bound over the cylinder tree.  A node bound
-    never exceeds any bound in its subtree (nested enclosures), so
-    subtrees opening at or above the running minimum are pruned exactly.
-    The excluded word's path is always refined, from the child lists that
-    `_path_children` built; its depth-n node is the one cylinder left out.
-    """
-    best = math.inf
-    stack = [(-math.inf, 0, None, None, None, True)]
-    while stack:
-        bound, k, c, psi, amat, on_path = stack.pop()
-        spent[0] += 1
-        if spent[0] > budget:
-            raise BudgetExceededError(
-                f"separation search exceeded the enumeration budget ({budget})"
-            )
-        if on_path:
-            if k < depth:
-                stack.extend(path[k])
-            continue
-        if bound >= best:
-            continue
-        if k == depth:
-            best = bound
-            continue
-        stack.extend(_children(ifs, x, k, c, psi, amat))
-    return best
+    heap = []
+    # equal bounds pop in push order, so nodes themselves never compare
+    order = itertools.count()
+    path = (ifs.center, 1.0, np.eye(ifs.ambient_dim))
+    level = 0
+    for n in depths:
+        while level < n or heap[0][1] < n:
+            if level < n:
+                k, node, skip = level, path, word[level]
+            else:
+                _, k, _, *node = heapq.heappop(heap)
+                skip = None
+            if spent[0] + ifs.m > budget:
+                raise BudgetExceededError(
+                    f"separation search exceeded the enumeration budget ({budget})"
+                )
+            spent[0] += ifs.m
+            for s in range(ifs.m):
+                c, psi, amat = ifs.child(s, *node)
+                if s == skip:
+                    path, level = (c, psi, amat), k + 1
+                else:
+                    bound = float(np.linalg.norm(x - c)) - psi * ifs.radius
+                    heapq.heappush(heap, (bound, k + 1, next(order), c, psi, amat))
+        yield heap[0][0]
 
 
 def ede_check(ifs, word, depth_range, epsilon, tol):
@@ -355,7 +337,9 @@ def ede_check(ifs, word, depth_range, epsilon, tol):
         depths = depth_range
     else:
         depths = sorted(set(int(n) for n in depth_range))
-    if not depths or depths[0] < 1:
+    if not depths:
+        raise PreconditionError("depth range is empty: its first depth exceeds its last")
+    if depths[0] < 1:
         raise PreconditionError("depths must be positive integers")
     if not (epsilon >= 0 and math.isfinite(epsilon)):
         raise PreconditionError("epsilon must be finite and nonnegative")
@@ -365,23 +349,19 @@ def ede_check(ifs, word, depth_range, epsilon, tol):
         )
     x, trunc = natural_projection(ifs, word, tol)
     metric = ifs.metric
-    budget = enumeration_budget()
     spent = [0]
-    path = []
     dist_lower = []
     diam = []
     done = []
     partial = False
-    for n in depths:
-        try:
-            _path_children(ifs, word, x, n, path)
-            bound = _enemy_distance_bound(ifs, path, n, x, budget, spent)
-        except BudgetExceededError:
-            partial = True
-            break
-        dist_lower.append(bound - trunc)
-        diam.append(metric.weight(word[:n]) * 2.0 * ifs.radius)
-        done.append(n)
+    bounds = _enemy_distance_bounds(ifs, word, x, depths, enumeration_budget(), spent)
+    try:
+        for n, bound in zip(depths, bounds):
+            dist_lower.append(bound - trunc)
+            diam.append(metric.weight(word[:n]) * 2.0 * ifs.radius)
+            done.append(n)
+    except BudgetExceededError:
+        partial = True
     if not done:
         raise BudgetExceededError(
             "budget exhausted before the coarsest requested depth"

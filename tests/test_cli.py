@@ -487,8 +487,10 @@ class TestExitCodes:
             (("holder", "alphas"), [math.nan, 0.5], "Holder exponents must lie"),
             (("samples",), 10**12, "EDE word sample needs 40000000000000 nodes"),
             (("holder", "pair_samples"), 10**12, "Holder base sample needs"),
+            (("depth_min",), 30, "depth range is empty"),
         ],
-        ids=["nan-epsilon", "nan-alpha", "huge-samples", "huge-pair-samples"],
+        ids=["nan-epsilon", "nan-alpha", "huge-samples", "huge-pair-samples",
+             "empty-depth-range"],
     )
     def test_bad_separation_param_is_exit_3(self, tmp_path, capsys, keys, value, message):
         # rejected before any sample is drawn or any artifact written

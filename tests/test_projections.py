@@ -29,9 +29,8 @@ from fractdim.projections import (
     MarstrandReport,
     Subspace,
     _STREAM_BASE_WORDS,
-    _enemy_distance_bound,
+    _enemy_distance_bounds,
     _greedy_enemy_leaves,
-    _path_children,
     ede_check,
     holder_inverse_check,
     marstrand_experiment,
@@ -55,6 +54,10 @@ def square_corners():
 
 def overlap_pair():
     return SimilarityIFS(ratios=[0.5, 0.5], translations=[0.0, 0.5])
+
+
+def overlap_triple():
+    return SimilarityIFS(ratios=[0.55] * 3, translations=[0.0, 0.4, 1.0])
 
 
 UNIFORM2 = BernoulliMeasure([0.5, 0.5])
@@ -241,8 +244,10 @@ class TestEDE:
 
     def test_pruning_keeps_search_small(self):
         rep = ede_check(cantor(), (0, 1) * 20, range(1, 21), 0.1, tol=1e-12)
-        # full enumeration would visit 2^21 nodes; separation prunes almost all
-        assert rep.expansions < 2000
+        # full enumeration would build 2^21 nodes; under separation the
+        # nearest enemy at each depth is the path's sibling, so the search
+        # builds only the m children of each path node
+        assert rep.expansions <= cantor().m * 20
 
     def test_overlap_system_fails_with_evidence(self):
         word = (0,) + (1,) * 49
@@ -271,13 +276,32 @@ class TestEDE:
                 ede_check(cantor(), (0,) * 20, range(1, 5), epsilon, tol=1e-6)
 
     def test_budget_partial_then_error(self, monkeypatch):
-        monkeypatch.setenv("FRACTDIM_BUDGET", "60")
+        # this word costs 2 nodes per depth, the children of its path node
+        monkeypatch.setenv("FRACTDIM_BUDGET", "20")
         rep = ede_check(cantor(), (0,) * 40, range(1, 21), 0.1, tol=1e-12)
         assert rep.partial
-        assert 0 < rep.depths.size < 20
-        monkeypatch.setenv("FRACTDIM_BUDGET", "2")
+        assert rep.depths.tolist() == list(range(1, 11))
+        assert rep.expansions == 20
+        # walking the path down to depth 15 alone takes 30 nodes
         with pytest.raises(BudgetExceededError):
-            ede_check(cantor(), (0,) * 40, range(1, 21), 0.1, tol=1e-12)
+            ede_check(cantor(), (0,) * 40, range(15, 21), 0.1, tol=1e-12)
+
+    def test_budget_bounds_overlapping_search(self, monkeypatch):
+        # overlapping maps prune weakly, so the budget is what stops the search
+        F = overlap_triple()
+        word = (0, 1, 2) * 20
+        budget = 16384
+        x = natural_projection(F, word, 1e-9)[0]
+        spent, reached = [0], 0
+        with pytest.raises(BudgetExceededError):
+            for depth in range(1, 31):
+                reference_enemy_distance_bound(F, word, depth, x, budget, spent)
+                reached = depth
+        monkeypatch.setenv("FRACTDIM_BUDGET", str(budget))
+        rep = ede_check(F, word, range(1, 31), 0.1, tol=1e-9)
+        assert rep.partial
+        assert rep.expansions <= budget
+        assert rep.depths[-1] >= reached
 
     @given(
         st.floats(0.2, 0.45),
@@ -349,7 +373,8 @@ class TestHolder:
 
 
 # Oracle copies of the cylinder-tree walkers as they stood before they were
-# rewritten on SimilarityIFS.child; the rewrite must agree with them bitwise.
+# rewritten on SimilarityIFS.child, the enemy bound as one depth-first search
+# per depth; the rewrites must agree with them bitwise.
 
 
 def reference_enemy_distance_bound(ifs, word, depth, x, budget, spent):
@@ -465,25 +490,59 @@ def coded_points(ifs, seed, count=3):
         yield word, natural_projection(ifs, word, 1e-6)[0]
 
 
+def random_system(kind, seed):
+    """Seeded 2-4 map system: straight or rotated in the plane, or overlapping on the line.
+
+    Overlapping systems have ratios above 1/2, so they sum past 1 on an
+    interval: enclosures of distinct words intersect and pruning is weak.
+    """
+    rng = substream(seed, 79)
+    m = int(rng.integers(2, 5))
+    if kind == "overlapping":
+        return SimilarityIFS(
+            ratios=rng.uniform(0.51, 0.6, m), translations=rng.uniform(0.0, 1.0, m)
+        )
+    ratios = rng.uniform(0.1, 0.3, m)
+    translations = rng.uniform(0.0, 1.0, (m, 2))
+    if kind == "straight":
+        return SimilarityIFS(ratios=ratios, translations=translations)
+    angles = rng.uniform(-math.pi, math.pi, m)
+    rot = [[[math.cos(a), -math.sin(a)], [math.sin(a), math.cos(a)]] for a in angles]
+    return SimilarityIFS(ratios=ratios, translations=translations, orthogonal=rot)
+
+
+RANDOM_SYSTEMS = [
+    (kind, seed) for kind in ("straight", "rotated", "overlapping") for seed in range(4)
+]
+
+
 def same_bits(a, b):
     return np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+def assert_bounds_match_reference(F, seed, depths):
+    """The one search yields, depth by depth, the bits of the per-depth oracle."""
+    for word, x in coded_points(F, seed):
+        bounds = list(_enemy_distance_bounds(F, word, x, depths, 10**7, [0]))
+        assert len(bounds) == len(depths)
+        for depth, bound in zip(depths, bounds):
+            ref = reference_enemy_distance_bound(F, word, depth, x, 10**7, [0])
+            assert same_bits(bound, ref), (word, depth, bound, ref)
 
 
 class TestTreeWalkOracle:
     @pytest.mark.parametrize("name", sorted(WALK_SYSTEMS))
     def test_enemy_bound_matches_reference(self, name):
-        F = WALK_SYSTEMS[name]()
-        for word, x in coded_points(F, 41):
-            # one path serves every depth, as it does in ede_check
-            path = _path_children(F, word, x, 12, [])
-            for depth in range(1, 13):
-                spent, ref_spent = [0], [0]
-                bound = _enemy_distance_bound(F, path, depth, x, 10**7, spent)
-                ref = reference_enemy_distance_bound(
-                    F, word, depth, x, 10**7, ref_spent
-                )
-                assert same_bits(bound, ref), (word, depth, bound, ref)
-                assert spent == ref_spent
+        assert_bounds_match_reference(WALK_SYSTEMS[name](), 41, range(1, 13))
+
+    @pytest.mark.parametrize("kind, seed", RANDOM_SYSTEMS)
+    def test_enemy_bound_matches_reference_on_random_systems(self, kind, seed):
+        assert_bounds_match_reference(random_system(kind, seed), 53, range(1, 11))
+
+    @pytest.mark.parametrize("name", ["cantor", "overlap", "rotated"])
+    def test_sparse_depths_match_reference(self, name):
+        # depths that skip levels walk the path several levels at once
+        assert_bounds_match_reference(WALK_SYSTEMS[name](), 59, [2, 3, 7, 8, 12])
 
     @pytest.mark.parametrize("name", sorted(WALK_SYSTEMS))
     def test_greedy_leaf_matches_reference(self, name):
@@ -508,11 +567,10 @@ class TestTreeWalkOracle:
             radii = np.array([F.metric.weight(w) for w in words]) * F.radius
             balls[depth] = words, centers, radii
         for word, x in coded_points(F, 47):
-            path = _path_children(F, word, x, 6, [])
-            for depth, (words, centers, radii) in balls.items():
+            bounds = _enemy_distance_bounds(F, word, x, sorted(balls), 10**7, [0])
+            for (depth, (words, centers, radii)), bound in zip(balls.items(), bounds):
                 gaps = np.linalg.norm(x - centers, axis=1) - radii
                 brute = float(np.delete(gaps, words.index(word[:depth])).min())
-                bound = _enemy_distance_bound(F, path, depth, x, 10**7, [0])
                 assert bound == pytest.approx(brute, abs=1e-12)
 
 
