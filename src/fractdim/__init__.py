@@ -17,7 +17,7 @@ from .errors import (
     SchemaError,
     WordTooShortError,
 )
-from .symbolic import AdaptedMetric, as_word, common_prefix
+from .symbolic import AdaptedMetric, as_word
 from .measures import (
     BernoulliMeasure,
     GibbsMeasure,
@@ -43,7 +43,6 @@ from .ifs import (
     TranslationFamily,
     lyapunov_exponent,
     natural_projection,
-    pressure,
     sample_points,
     symbolic_dimension,
     transversality_exponent,

@@ -594,13 +594,7 @@ def _run_ede(cfg, workers):
 def _run_transversality(cfg, workers):
     params = cfg["params"]
     ifs = build_ifs(cfg["ifs"])
-    family = TranslationFamily(
-        ifs,
-        low=params["low"],
-        high=params["high"],
-        region_low=params.get("region_low"),
-        region_high=params.get("region_high"),
-    )
+    family = TranslationFamily(ifs, low=params["low"], high=params["high"])
     radii = _dyadic_radii(float(params["r0"]), int(params["levels"]))
     res = transversality_exponent(
         family,
@@ -746,7 +740,6 @@ KINDS = {
             "low": _req(_array), "high": _req(_array),
             "word_a": _req(_integers), "word_b": _req(_integers),
             "r0": _req(_number), "levels": _req(_integer), "samples": _req(_integer),
-            "region_low": _opt(_array), "region_high": _opt(_array),
         },
         ("exponent", "k_hat", "degenerate", "constraint_satisfied",
          "samples", "used_bins"),

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EstimationError, PreconditionError
+from .errors import BudgetExceededError, EstimationError, PreconditionError
 from .measures import relative_entropy
 from .runtime import check_budget, freeze, run_chunks, substream
 
@@ -71,7 +71,7 @@ class _GridIndex:
 
 @dataclass(frozen=True)
 class PointCloud:
-    """Empirical measure: N points with weights summing to one.
+    """Uniform empirical measure: N points, each of mass 1/N.
 
     truncation_error is the certified bound on how far each point may sit
     from its ideal position (0 for exactly placed clouds); estimators
@@ -79,7 +79,6 @@ class PointCloud:
     """
 
     points: np.ndarray
-    weights: np.ndarray = None
     truncation_error: float = 0.0
 
     def __post_init__(self):
@@ -90,18 +89,9 @@ class PointCloud:
             raise PreconditionError("points must be a nonempty (N, n) array")
         if not np.all(np.isfinite(pts)):
             raise PreconditionError("points must be finite")
-        if self.weights is None:
-            w = np.full(pts.shape[0], 1.0 / pts.shape[0])
-        else:
-            w = np.array(self.weights, dtype=float)
-            if w.shape != (pts.shape[0],) or np.any(w < 0):
-                raise PreconditionError("weights must be nonnegative, one per point")
-            if abs(w.sum() - 1.0) > 1e-9:
-                raise PreconditionError("weights must sum to one within 1e-9")
         if not (self.truncation_error >= 0):
             raise PreconditionError("truncation error must be nonnegative")
         object.__setattr__(self, "points", freeze(pts))
-        object.__setattr__(self, "weights", freeze(w))
 
     @property
     def size(self):
@@ -202,7 +192,9 @@ def _pair_sample(n, seed, max_pairs):
     truncated to respect max_pairs and self-pairs are dropped.  The
     sample depends on (n, seed, max_pairs) only, so one draw serves every
     cloud of that size, such as all projections of one sample.  Returns
-    one (a, b) pair of index arrays per stratum.
+    one (a, b) pair of index arrays per stratum, views of one buffer that
+    is allocated before any stratum is drawn; a sample too large to
+    allocate raises BudgetExceededError.
     """
     if n < _MIN_PAIR_POINTS:
         raise PreconditionError(f"need at least {_MIN_PAIR_POINTS} points")
@@ -211,24 +203,34 @@ def _pair_sample(n, seed, max_pairs):
     n_strata = max(1, min(max_pairs // n, n - 1))
     per_stratum = min(n, max_pairs)
     index = np.int32 if n <= np.iinfo(np.int32).max else np.int64
+    try:
+        buf = np.empty((2, n_strata * per_stratum), dtype=index)
+    except (MemoryError, ValueError):
+        raise BudgetExceededError(
+            f"a sample of {n_strata * per_stratum} pairs cannot be allocated"
+        ) from None
     left = np.arange(per_stratum, dtype=index)
     pairs = []
+    end = 0
     for t in range(n_strata):
         partner = substream(seed, _STREAM_PAIRS, t).permutation(n)[:per_stratum]
         keep = partner != left
-        pairs.append((left[keep], partner[keep].astype(index)))
+        a, b = buf[:, end : end + np.count_nonzero(keep)]
+        a[...], b[...] = left[keep], partner[keep]
+        end += a.size
+        pairs.append((a, b))
     return pairs
 
 
 def _pair_profile(cloud, radii, powers, pairs, workers, views):
     """Correlation/energy sums over a fixed pair sample, one profile per view.
 
-    A view is an (N, d) coordinate array of the cloud's points, weighted
-    by cloud.weights, such as the cloud's own points or one projection of
-    them; radii[j] is view j's schedule.
-    A stratum's indices, pair weights and segment edges are made once for
-    all views; each view only gathers, bins and sums.  Strata are the
-    parallel unit and are combined in stratum order, so the sums do not
+    A view is an (N, d) coordinate array of the cloud's points, such as
+    the cloud's own points or one projection of them; radii[j] is view j's
+    schedule.  Every pair weighs (1/N) * (1/N) under the cloud's uniform
+    measure.  A stratum's indices, pair weights and segment edges are made
+    once for all views; each view only gathers, bins and sums.  Strata are
+    the parallel unit and are combined in stratum order, so the sums do not
     depend on the worker count or on how views are grouped.
 
     Each stratum's pairs split into the disjoint segments [0, c/8),
@@ -243,7 +245,7 @@ def _pair_profile(cloud, radii, powers, pairs, workers, views):
     """
     views = [[np.ascontiguousarray(c) for c in v.T] for v in views]
     radii = [np.asarray(r, dtype=float) for r in radii]
-    w = cloud.weights
+    mass = 1.0 / cloud.size
     longest = max(a.size for a, _ in pairs)
     block_base = {
         n_bins: np.arange(longest) // _BIN_BLOCK * n_bins
@@ -276,7 +278,7 @@ def _pair_profile(cloud, radii, powers, pairs, workers, views):
 
     def stratum(t, start, stop):
         a, b = (i.astype(np.intp, copy=False) for i in pairs[t])
-        pw = w[a] * w[b]
+        pw = np.full(a.size, mass * mass)
         edges = [0] + [a.size // c for c in _ENERGY_CUTS]
         cuts = [(lo, hi, pw[lo:hi].sum()) for lo, hi in zip(edges, edges[1:])]
         profiles = []
@@ -325,9 +327,9 @@ def _correlation_fit(schedule, total, hits):
 def correlation_dimension(cloud, schedule, seed=0, max_pairs=_MAX_PAIRS, workers=1):
     """Slope of the correlation sum log C(r) against log r.
 
-    C(r) is the weighted fraction of sampled point pairs within distance
-    r; pairs are drawn by the deterministic stratified scheme of
-    _pair_sample, and strata run in parallel.
+    C(r) is the fraction of sampled point pairs within distance r; pairs
+    are drawn by the deterministic stratified scheme of _pair_sample, and
+    strata run in parallel.
     """
     pairs = _pair_sample(cloud.size, seed, max_pairs)
     schedule.check_floor(cloud)
@@ -436,12 +438,12 @@ class CoarseSpectrum:
 
 
 def _box_masses(cloud, r):
-    """Positive weights of the lattice boxes of side r, in box-id order."""
+    """Positive masses of the lattice boxes of side r, in box-id order."""
     ids, _, dims, _ = _lattice_ids(_lattice_cells(cloud.points, r))
     if np.prod(dims) > ids.size:
         # more cells than points: bin by the rank of each occupied cell
         ids = np.unique(ids, return_inverse=True)[1]
-    masses = np.bincount(ids, weights=cloud.weights)
+    masses = np.bincount(ids, weights=np.full(cloud.size, 1.0 / cloud.size))
     return masses[masses > 0]
 
 

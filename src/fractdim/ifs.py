@@ -1,9 +1,9 @@
 """Similarity iterated function systems on R^n.
 
 Maps f_i(x) = lambda_i O_i x + t_i with orthogonal O_i.  Natural
-projection with certified truncation error, pressure, Lyapunov exponents
-and symbolic dimensions of measure models, point-cloud sampling,
-translation families, and Monte-Carlo transversality exponents.
+projection with certified truncation error, Lyapunov exponents and
+symbolic dimensions of measure models, point-cloud sampling, translation
+families, and Monte-Carlo transversality exponents.
 """
 
 import math
@@ -20,7 +20,6 @@ from .errors import (
     PreconditionError,
     WordTooShortError,
 )
-from .measures import _log_moment
 from .runtime import freeze, run_chunks, substream
 from .symbolic import AdaptedMetric, as_word
 
@@ -113,8 +112,9 @@ class SimilarityIFS:
         return AdaptedMetric(self.ratios)
 
     def fixed_points(self):
-        """Fixed point of each map: (I - lambda_i O_i)^-1 t_i."""
-        return _fixed_points(self.ratios, self.orthogonal, self.translations)
+        """Fixed point of each map: (I - lambda_i O_i)^-1 t_i, one solve."""
+        mats = np.eye(self.ambient_dim) - self.ratios[:, None, None] * self.orthogonal
+        return np.linalg.solve(mats, self.translations[..., None])[..., 0]
 
     def map_point(self, i, x):
         return self.ratios[i] * self.orthogonal[i] @ x + self.translations[i]
@@ -149,12 +149,6 @@ class SimilarityIFS:
         )
 
 
-def _fixed_points(ratios, orthogonal, translations):
-    """Fixed points of x -> ratios[i] orthogonal[i] x + translations[i], one solve."""
-    mats = np.eye(translations.shape[1]) - ratios[:, None, None] * orthogonal
-    return np.linalg.solve(mats, translations[..., None])[..., 0]
-
-
 def natural_projection(ifs, word, tol):
     """Point of the attractor coded by the word, with certified error.
 
@@ -176,15 +170,6 @@ def natural_projection(ifs, word, tol):
         )
     a, b = ifs.word_map(word)
     return a @ ifs.center + b, psi * ifs.radius
-
-
-def pressure(ifs, s):
-    """log sum lambda_i^s; for similarities the defining limit is exact."""
-    if not (s >= 0):
-        raise PreconditionError("pressure exponent must be nonnegative")
-    z = s * np.log(ifs.ratios)
-    # s = inf zeroes every term; a shift by the -inf maximum would give nan
-    return float(_log_moment(z)[0]) if z.max() > -math.inf else -math.inf
 
 
 def _one_marginal(measure, m):
@@ -264,6 +249,8 @@ def sample_points(ifs, measure, count, tol, seed, workers=1):
     """
     if count < 1:
         raise PreconditionError("need at least one point")
+    if not (tol > 0):
+        raise PreconditionError("tolerance must be positive")
     if measure.m != ifs.m:
         raise AlphabetMismatchError(
             f"measure alphabet {measure.m} does not match the system's {ifs.m}"
@@ -293,17 +280,14 @@ class TranslationFamily:
     """Box of translation offsets around a base system.
 
     The offset for map i ranges over [low_i, high_i] coordinatewise; the
-    parameter measure is normalized uniform on the box.  All perturbed
-    fixed points must stay inside the declared compact region (grown
-    automatically when not declared).  constraint_satisfied records
-    whether max_{i != j} lambda_i + lambda_j < 1 holds.
+    parameter measure is normalized uniform on the box.
+    constraint_satisfied records whether max_{i != j} lambda_i + lambda_j
+    < 1 holds.
     """
 
     base: SimilarityIFS
     low: np.ndarray
     high: np.ndarray
-    region_low: np.ndarray = None
-    region_high: np.ndarray = None
     constraint_satisfied: bool = field(init=False)
 
     def __post_init__(self):
@@ -321,25 +305,6 @@ class TranslationFamily:
         object.__setattr__(self, "low", freeze(low))
         object.__setattr__(self, "high", freeze(high))
         lam = self.base.ratios
-        # enclosure of every perturbed fixed point: the base fixed point at
-        # the box midpoint, inflated by ||delta|| / (1 - lambda)
-        mid = 0.5 * (low + high)
-        half = 0.5 * (high - low)
-        fixed_mid = _fixed_points(lam, self.base.orthogonal, self.base.translations + mid)
-        slack = np.linalg.norm(half, axis=1) / (1.0 - lam)
-        lo_need = (fixed_mid - slack[:, None]).min(axis=0)
-        hi_need = (fixed_mid + slack[:, None]).max(axis=0)
-        if self.region_low is None or self.region_high is None:
-            region_low, region_high = lo_need, hi_need
-        else:
-            region_low = np.array(self.region_low, dtype=float).reshape(n)
-            region_high = np.array(self.region_high, dtype=float).reshape(n)
-            if np.any(lo_need < region_low) or np.any(hi_need > region_high):
-                raise PreconditionError(
-                    "perturbed fixed points can leave the declared region"
-                )
-        object.__setattr__(self, "region_low", freeze(region_low))
-        object.__setattr__(self, "region_high", freeze(region_high))
         pair_max = np.max(lam[:, None] + lam[None, :] - 2 * np.diag(lam))
         object.__setattr__(self, "constraint_satisfied", bool(pair_max < 1.0))
 

@@ -25,13 +25,13 @@ from .runtime import check_table_budget, freeze
 _PROB_ATOL = 1e-9
 
 
-def _as_prob_vector(p, atol=_PROB_ATOL):
+def _as_prob_vector(p):
     p = np.array(p, dtype=float)
     if p.ndim != 1 or p.size < 1:
         raise PreconditionError("probability vector must be 1-d and non-empty")
     if np.any(p < 0) or np.any(~np.isfinite(p)):
         raise PreconditionError("probabilities must be finite and non-negative")
-    if abs(p.sum() - 1.0) > atol:
+    if abs(p.sum() - 1.0) > _PROB_ATOL:
         raise PreconditionError(f"probabilities sum to {p.sum()}, not 1")
     return p
 

@@ -405,19 +405,6 @@ class SpectrumCurve:
     similarity_dim: float
     degenerate: bool
 
-    def coverage_interval(self, ambient_dim):
-        """Alpha interval where the level-set formula is guaranteed.
-
-        On the line the whole range is covered; in higher ambient
-        dimension only the decreasing branch alpha >= alpha(0) is.
-        """
-        dim = int(ambient_dim)
-        if dim != ambient_dim or dim < 1:
-            raise PreconditionError("ambient dimension must be a positive integer")
-        if dim == 1:
-            return (self.alpha_min, self.alpha_max)
-        return (self.alpha_peak, self.alpha_max)
-
 
 def _curve_checks(qs, ts, alphas, fs, s0):
     if not np.all(np.diff(ts) < 0):

@@ -95,7 +95,7 @@ def sample_subspace(n, d, seed, index=0):
 
 
 def project_cloud(cloud, subspace):
-    """Coordinates of each point in the subspace basis; weights kept.
+    """Coordinates of each point in the subspace basis.
 
     Orthogonal projection is 1-Lipschitz, so the truncation certificate
     of the source cloud remains valid.
@@ -103,9 +103,7 @@ def project_cloud(cloud, subspace):
     if cloud.ambient_dim != subspace.ambient:
         raise PreconditionError("cloud and subspace ambient dimensions differ")
     return PointCloud(
-        cloud.points @ subspace.basis.T,
-        weights=np.array(cloud.weights),
-        truncation_error=cloud.truncation_error,
+        cloud.points @ subspace.basis.T, truncation_error=cloud.truncation_error
     )
 
 
@@ -428,12 +426,12 @@ class HolderReport:
     word_length: int
     truncation: float
 
-    def stabilized(self, margin=2.0):
-        """Per-alpha flag: deep-half worst constant within margin of shallow."""
+    def stabilized(self):
+        """Per-alpha flag: deep-half worst constant within twice the shallow."""
         half = self.depths.size // 2
         shallow = self.worst[:, :half].max(axis=1)
         deep = self.worst[:, half:].max(axis=1)
-        return (deep <= margin * shallow) & np.isfinite(deep)
+        return (deep <= 2.0 * shallow) & np.isfinite(deep)
 
 
 def _norms(v):

@@ -265,18 +265,25 @@ class TestSchemaGate:
 
 
     @pytest.mark.parametrize(
-        "kind, key, value",
-        [("transversality", "region_low", "mistyped"),
-         ("transversality", "region_high", "mistyped"),
-         ("ede", "tolerance", "mistyped"),
-         ("ede", "words", 5),
-         ("ede", "words", []),
-         ("ede", "words", [[0, 1], "mistyped"]),
-         ("ede", "samples", 0),
-         ("spectrum", "coarse", {"count": 1000, "scale": -1.0})],
+        "kind, key, value, error",
+        [("transversality", "region_low", "mistyped", ": unknown key 'region_low'"),
+         ("transversality", "region_high", "mistyped", ": unknown key 'region_high'"),
+         ("ede", "tolerance", "mistyped", ".tolerance"),
+         ("ede", "words", 5, ".words"),
+         ("ede", "words", [], ".words"),
+         ("ede", "words", [[0, 1], "mistyped"], ".words"),
+         ("ede", "samples", 0, ".samples"),
+         ("spectrum", "coarse", {"count": 1000, "scale": -1.0}, ".coarse")],
+        ids=["transversality-region_low-mistyped", "transversality-region_high-mistyped",
+             "ede-tolerance-mistyped", "ede-words-5", "ede-words-value4",
+             "ede-words-value5", "ede-samples-0", "spectrum-coarse-value7"],
     )
-    def test_fields_outside_the_shipped_configs(self, tmp_path, capsys, kind, key, value):
-        # fields that no file in configs/ sets, and counts or scales out of range
+    def test_fields_outside_the_shipped_configs(
+        self, tmp_path, capsys, kind, key, value, error
+    ):
+        # fields that no file in configs/ sets, and counts or scales out of
+        # range; the translation family's region keys are gone, so any value
+        # of theirs is an unknown key
         base = {
             "transversality": {
                 "low": [[0.0], [0.0]], "high": [[1.0], [1.0]],
@@ -292,7 +299,7 @@ class TestSchemaGate:
             del cfg["params"]["words"]
         code, out = launch(tmp_path, cfg)
         assert code == 2
-        assert capsys.readouterr().err.startswith(f"schema error: config.params.{key}")
+        assert capsys.readouterr().err.startswith(f"schema error: config.params{error}")
         assert not out.exists()
 
     @pytest.mark.parametrize("version", [True, 1.0])
@@ -616,6 +623,37 @@ class TestExitCodes:
         assert seconds < 1.0
         assert err.startswith("precondition violated:")
         assert f"a cloud of 1000000000000 points in R^{dim} cannot be allocated" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            project_config(count=50_000, max_pairs=10**12),
+            dimension_config(
+                count=50_000, correlation={"r0": 0.5, "levels": 10, "max_pairs": 10**12}
+            ),
+            dimension_config(count=50_000, energy={"exponents": [0.5], "max_pairs": 10**12}),
+        ],
+        ids=["project", "correlation", "energy"],
+    )
+    def test_huge_pair_sample_is_exit_3(self, tmp_path, cfg):
+        # the pair sample is allocated once, before any stratum is drawn, so
+        # an unallocatable max_pairs exits 3 instead of filling memory
+        code, seconds, err, out = launch_capped(tmp_path, cfg)
+        assert code == 3
+        assert seconds < 1.0
+        assert err.startswith("precondition violated:")
+        assert "a sample of 2499950000 pairs cannot be allocated" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-3, math.nan], ids=["zero", "negative", "nan"])
+    def test_bad_sample_tol_is_exit_3(self, tmp_path, capsys, tol):
+        # refused before the cloud is sampled, as natural_projection refuses it
+        code, out = launch(tmp_path, dimension_config(sample_tol=tol))
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("precondition violated: tolerance must be positive")
+        assert "Traceback" not in err
         assert not out.exists()
 
     def test_huge_direction_count_is_exit_3(self, tmp_path):

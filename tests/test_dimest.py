@@ -59,17 +59,17 @@ def cantor_cloud(n, seed, p=0.5, depth=25):
     return PointCloud(pts, truncation_error=3.0**-depth)
 
 
+def uniform_weights(cloud):
+    """The mass 1/N of each point of the cloud's uniform empirical measure."""
+    return np.full(cloud.size, 1.0 / cloud.size)
+
+
 class TestPointCloud:
     def test_uniform_weights_default(self):
+        # three points in three boxes: each box holds one point's mass 1/3
         cloud = PointCloud([[0.0], [1.0], [2.0]])
-        assert cloud.weights == pytest.approx(np.full(3, 1 / 3))
+        assert _box_masses(cloud, 0.5).tolist() == [1 / 3] * 3
         assert cloud.size == 3 and cloud.ambient_dim == 1
-
-    def test_bad_weights_rejected(self):
-        with pytest.raises(PreconditionError):
-            PointCloud([[0.0], [1.0]], weights=[0.7, 0.7])
-        with pytest.raises(PreconditionError):
-            PointCloud([[0.0], [1.0]], weights=[1.5, -0.5])
 
     def test_nonfinite_rejected(self):
         with pytest.raises(PreconditionError):
@@ -193,7 +193,7 @@ def reference_pair_profile(cloud, radii, powers, seed, max_pairs, workers):
     n = cloud.size
     n_strata = max(1, min(max_pairs // n, n - 1))
     per_stratum = min(n, max_pairs)
-    pts, w = cloud.points, cloud.weights
+    pts, w = cloud.points, uniform_weights(cloud)
 
     def stratum(t, start, stop):
         rng = substream(seed, _STREAM_PAIRS, t)
@@ -239,11 +239,13 @@ def oracle_cloud(kind):
     if kind == "uniform-1d":
         return PointCloud(rng.random((4000, 1)))
     if kind == "dirichlet-2d":
-        return PointCloud(rng.random((3000, 2)), weights=rng.dirichlet(np.ones(3000)))
+        # the planar uniform case; the name is kept from when it carried
+        # Dirichlet weights, which clouds no longer take
+        return PointCloud(rng.random((3000, 2)))
     if kind == "coincident-2d":
         # a 12 x 12 lattice: many sampled pairs sit at distance zero
         pts = rng.integers(0, 12, (3000, 2)) / 12
-        return PointCloud(pts, weights=rng.dirichlet(np.ones(3000)))
+        return PointCloud(pts)
     pts = rng.integers(0, 40, (2500, 1)) / 40
     return PointCloud(pts)
 
@@ -319,7 +321,7 @@ class TestPairEngine:
 def per_direction_pair_profile(cloud, radii, powers, pairs, workers):
     """The pair profile before direction blocks, verbatim: one cloud per call."""
     cols = [np.ascontiguousarray(c) for c in cloud.points.T]
-    w = cloud.weights
+    w = uniform_weights(cloud)
     radii = np.asarray(radii, dtype=float)
     n_bins = radii.size + 1
     below_dtype = np.min_scalar_type(radii.size)
@@ -391,11 +393,7 @@ def direction_views(kind):
         rng = np.random.default_rng(17)
         scales = 2.0 * 3.0 ** -np.arange(1, 21)
         pts = (rng.random((3000, 2, 20)) < 0.5) @ scales
-        cloud = PointCloud(
-            pts,
-            weights=rng.dirichlet(np.ones(3000)),
-            truncation_error=0.25 * 2**-6.8 / 10,
-        )
+        cloud = PointCloud(pts, truncation_error=0.25 * 2**-6.8 / 10)
     else:
         cloud = oracle_cloud(kind)
     lines = [Subspace([[math.cos(t), math.sin(t)]]) for t in BLOCK_ANGLES]
@@ -599,7 +597,7 @@ class TestGridIndexCells:
     @pytest.mark.parametrize("dim, cell", [(1, 2.0**-9), (2, 0.05), (3, 0.2)])
     def test_cells_match_unique(self, dim, cell):
         rng = np.random.default_rng(dim)
-        cloud = PointCloud(rng.standard_normal((5000, dim)), weights=rng.dirichlet(np.ones(5000)))
+        cloud = PointCloud(rng.standard_normal((5000, dim)))
         grid = _GridIndex(cloud.points, cell)
         cell_ids, cell_starts = np.unique(grid.sorted_ids, return_index=True)
         assert np.array_equal(grid.cell_ids, cell_ids)
@@ -608,7 +606,7 @@ class TestGridIndexCells:
         # the box masses come from the same ids without the grid's sort;
         # dim 1 bins by id over a dense lattice, dims 2 and 3 by cell rank
         masses = _box_masses(cloud, cell)
-        ref = np.add.reduceat(cloud.weights[grid.order], cell_starts)
+        ref = np.add.reduceat(uniform_weights(cloud)[grid.order], cell_starts)
         assert masses.shape == ref.shape
         assert np.allclose(masses, ref, rtol=1e-12, atol=0)
 
@@ -648,7 +646,7 @@ class TestCoarseSpectrum:
         r = 2.0**-9
         spec = coarse_spectrum(cloud, r=r, delta=0.07)
         grid = _GridIndex(cloud.points, r)
-        masses = np.add.reduceat(cloud.weights[grid.order], grid.cell_starts)
+        masses = np.add.reduceat(uniform_weights(cloud)[grid.order], grid.cell_starts)
         masses = masses[masses > 0]
         expo = np.log(masses) / math.log(r)
         for a, f in zip(spec.alpha, spec.f):

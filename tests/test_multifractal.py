@@ -10,7 +10,7 @@ from scipy.special import logsumexp, softmax
 
 import fractdim.multifractal as mf
 from fractdim.errors import EstimationError, PreconditionError
-from fractdim.ifs import SimilarityIFS, pressure
+from fractdim.ifs import SimilarityIFS
 from fractdim.measures import BernoulliMeasure, _log_moment
 from fractdim.multifractal import (
     _EDGE_ATOL,
@@ -221,7 +221,8 @@ class TestProblem:
     def test_similarity_dimension_is_the_pressure_root(self):
         F = SimilarityIFS(ratios=[0.3, 0.45, 0.21], translations=[0.0, 0.4, 0.8])
         s = SpectrumProblem(p=[0.2, 0.3, 0.5], ratios=F.ratios).similarity_dim
-        assert abs(pressure(F, s)) <= 1e-13
+        # the pressure log sum lambda_i^s vanishes at the similarity dimension
+        assert abs(logsumexp(s * np.log(F.ratios))) <= 1e-13
 
     def test_similarity_dimension_monotone_in_ratios(self):
         a = SpectrumProblem(p=[0.5, 0.5], ratios=[0.3, 0.4])
@@ -629,14 +630,6 @@ class TestCurve:
         assert curve.alpha[0] == pytest.approx(1.0, abs=1e-12)
         assert curve.f[0] == pytest.approx(1.0, abs=1e-12)
         assert curve.alpha_min == curve.alpha_max == curve.alpha_peak
-
-    def test_coverage_interval(self):
-        curve = spectrum_curve(THIRDS)
-        assert curve.coverage_interval(1) == (curve.alpha_min, curve.alpha_max)
-        assert curve.coverage_interval(2) == (curve.alpha_peak, curve.alpha_max)
-        assert curve.coverage_interval(3) == (curve.alpha_peak, curve.alpha_max)
-        with pytest.raises(PreconditionError):
-            curve.coverage_interval(0)
 
     def test_f_alpha_tangent_line(self):
         # at q = 1 the spectrum touches the diagonal f = alpha

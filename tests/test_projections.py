@@ -120,7 +120,6 @@ class TestProjectCloud:
         axis = Subspace([[0.0, 1.0]])
         proj = project_cloud(cloud, axis)
         assert proj.points[:, 0] == pytest.approx(cloud.points[:, 1], abs=0)
-        assert np.array_equal(proj.weights, cloud.weights)
         assert proj.truncation_error == cloud.truncation_error
 
     def test_never_expands_distances(self):

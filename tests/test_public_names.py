@@ -29,7 +29,6 @@ PUBLIC_NAMES = [
     "as_word",
     "box_counting",
     "coarse_spectrum",
-    "common_prefix",
     "correlation_dimension",
     "ede_check",
     "empirical_energy",
@@ -42,7 +41,6 @@ PUBLIC_NAMES = [
     "marstrand_experiment",
     "natural_projection",
     "optimal_measure",
-    "pressure",
     "project_cloud",
     "relative_dimension_bound",
     "relative_entropy",
