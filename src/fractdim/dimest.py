@@ -73,6 +73,9 @@ class _GridIndex:
 class PointCloud:
     """Uniform empirical measure: N points, each of mass 1/N.
 
+    Every pair of points then has the same mass, so the pair estimators
+    count pairs, and box masses are point counts over N.
+
     truncation_error is the certified bound on how far each point may sit
     from its ideal position (0 for exactly placed clouds); estimators
     refuse radius schedules that probe below 10x this floor.
@@ -180,8 +183,6 @@ def _ols(logx, logy):
 
 
 _ENERGY_CUTS = (8, 4, 2, 1)
-# pairs per partial bincount: blocks keep the per-bin sums pairwise-accurate
-_BIN_BLOCK = 1024
 
 
 def _pair_sample(n, seed, max_pairs):
@@ -223,64 +224,49 @@ def _pair_sample(n, seed, max_pairs):
 
 
 def _pair_profile(cloud, radii, powers, pairs, workers, views):
-    """Correlation/energy sums over a fixed pair sample, one profile per view.
+    """Correlation/energy pair counts over a fixed pair sample, one per view.
 
     A view is an (N, d) coordinate array of the cloud's points, such as
     the cloud's own points or one projection of them; radii[j] is view j's
-    schedule.  Every pair weighs (1/N) * (1/N) under the cloud's uniform
-    measure.  A stratum's indices, pair weights and segment edges are made
-    once for all views; each view only gathers, bins and sums.  Strata are
-    the parallel unit and are combined in stratum order, so the sums do not
-    depend on the worker count or on how views are grouped.
+    schedule.  The cloud's uniform measure gives every pair the same mass,
+    so pairs are counted and consumers divide counts; the cloud itself is
+    not read, and stays the first argument because the benchmark tracer
+    takes the cloud's size from it.  A stratum's indices and segment edges
+    are made once for all views; each view only gathers, bins and sums.
+    Strata are the parallel unit and are combined in stratum order, so the
+    sums do not depend on the worker count or on how views are grouped.
 
     Each stratum's pairs split into the disjoint segments [0, c/8),
     [c/8, c/4), [c/4, c/2) and [c/2, c).  Every pair is binned once by the
     number of (descending) radii below its distance, so d <= r stays the
-    exact test, and weights are summed per bin in blocks of _BIN_BLOCK
-    pairs.  Cumulative sums over the segments give the nested cuts at an
-    eighth, a quarter, half, and all of the stratum, which the divergence
-    detector compares.  A profile is one tuple (pair_weight, hits per
-    radius, zero_weight, energy sums, nonzero_weight) per cut, cumulative,
-    the last covering the full sample.
+    exact test.  Cumulative sums over the segments give the nested cuts at
+    an eighth, a quarter, half, and all of the stratum, which the
+    divergence detector compares.  A profile is one tuple (pairs, hits per
+    radius, zero-distance pairs, energy sums over the nonzero distances)
+    per cut, cumulative, the last covering the full sample.  Counts are
+    held in float64, exact far beyond any pair budget.
     """
     views = [[np.ascontiguousarray(c) for c in v.T] for v in views]
     radii = [np.asarray(r, dtype=float) for r in radii]
-    mass = 1.0 / cloud.size
-    longest = max(a.size for a, _ in pairs)
-    block_base = {
-        n_bins: np.arange(longest) // _BIN_BLOCK * n_bins
-        for n_bins in {r.size + 1 for r in radii}
-    }
 
-    def binned_hits(d, pw, radii):
-        n_bins = radii.size + 1
-        below = np.zeros(d.size, dtype=np.min_scalar_type(radii.size))
-        for r in radii:
-            below += d > r
-        blocks = -(-d.size // _BIN_BLOCK)
-        binned = np.bincount(
-            block_base[n_bins][: d.size] + below, weights=pw, minlength=blocks * n_bins
-        )
-        per_bin = np.ascontiguousarray(binned.reshape(blocks, n_bins).T).sum(axis=1)
-        # d <= radii[j] iff fewer than radii.size - j radii lie below d
-        return np.cumsum(per_bin)[-2::-1]
-
-    def segment(d, pw, total, radii):
-        hits = binned_hits(d, pw, radii) if radii.size else ()
-        nz = d > 0
-        if nz.all():
-            # no coincident pair: the nonzero sums run over every summand
-            zero, pw_nz, d_nz = 0.0, pw, d
-        else:
-            zero, pw_nz, d_nz = pw[~nz].sum(), pw[nz], d[nz]
-        energies = [np.sum(pw_nz * d_nz ** (-s)) for s in powers]
-        return [total, *hits, zero, *energies, pw_nz.sum()]
+    def segment(d, radii):
+        hits = ()
+        if radii.size:
+            below = np.zeros(d.size, dtype=np.min_scalar_type(radii.size))
+            for r in radii:
+                below += d > r
+            # d <= radii[j] iff fewer than radii.size - j radii lie below d
+            hits = np.cumsum(np.bincount(below, minlength=radii.size + 1))[-2::-1]
+        zero = d.size - np.count_nonzero(d)
+        d_nz = d[d > 0] if zero else d
+        # empirical_energy reports a sum that overflows to inf
+        with np.errstate(over="ignore"):
+            energies = [np.sum(d_nz ** -s) for s in powers]
+        return [d.size, *hits, zero, *energies]
 
     def stratum(t, start, stop):
         a, b = (i.astype(np.intp, copy=False) for i in pairs[t])
-        pw = np.full(a.size, mass * mass)
         edges = [0] + [a.size // c for c in _ENERGY_CUTS]
-        cuts = [(lo, hi, pw[lo:hi].sum()) for lo, hi in zip(edges, edges[1:])]
         profiles = []
         for cols, r in zip(views, radii):
             # coordinate-wise accumulation, in place: the same rounding as
@@ -292,8 +278,8 @@ def _pair_profile(cloud, radii, powers, pairs, workers, views):
                 step *= step
                 d += step
             np.sqrt(d, out=d)
-            rows = [segment(d[lo:hi], pw[lo:hi], total, r) for lo, hi, total in cuts]
-            profiles.append(np.cumsum(rows, axis=0))
+            rows = [segment(d[lo:hi], r) for lo, hi in zip(edges, edges[1:])]
+            profiles.append(np.cumsum(rows, axis=0, dtype=float))
         return profiles
 
     results = run_chunks(stratum, len(pairs), workers=workers, chunk=1)
@@ -302,10 +288,9 @@ def _pair_profile(cloud, radii, powers, pairs, workers, views):
         sums = results[0][j].copy()
         for per_view in results[1:]:
             sums += per_view[j]
-        h, p = r.size, len(powers)
+        h = r.size
         out.append(tuple(
-            (row[0], row[1 : 1 + h], row[1 + h], row[2 + h : 2 + h + p], row[-1])
-            for row in sums
+            (row[0], row[1 : 1 + h], row[1 + h], row[2 + h :]) for row in sums
         ))
     return out
 
@@ -340,7 +325,11 @@ def correlation_dimension(cloud, schedule, seed=0, max_pairs=_MAX_PAIRS, workers
 
 @dataclass(frozen=True)
 class EnergyEstimate:
-    """Empirical s-energy with the doubling-stability divergence flag."""
+    """Empirical s-energy with the doubling-stability divergence flag.
+
+    zero_pair_weight is the fraction of sampled pairs at distance 0,
+    which the energy mean leaves out.
+    """
 
     value: float
     diverged: bool
@@ -358,19 +347,23 @@ def empirical_energy(cloud, s, seed=0, max_pairs=_MAX_PAIRS, workers=1):
     that moves it by more than 10 percent fires.  A finite energy
     settles; a divergent one keeps shifting through new extreme summands.
     """
-    if not (s >= 0):
-        raise PreconditionError("energy exponent must be nonnegative")
+    if not (0 <= s < math.inf):
+        raise PreconditionError(
+            f"energy exponent must be finite and nonnegative, got {s}"
+        )
     pairs = _pair_sample(cloud.size, seed, max_pairs)
     (blocks,) = _pair_profile(cloud, [()], (s,), pairs, workers, [cloud.points])
 
     def mean(block):
-        nonzero_w = block[4]
-        return block[3][0] / nonzero_w if nonzero_w > 0 else math.inf
+        total, _, zero, energies = block
+        return energies[0] / (total - zero) if total > zero else math.inf
 
     running = [mean(b) for b in blocks]
-    full = blocks[-1]
-    if math.isinf(running[-1]):
+    total, _, zero, _ = blocks[-1]
+    if total == zero:
         raise EstimationError("all sampled pairs coincide; energy undefined")
+    if not math.isfinite(running[-1]):
+        raise EstimationError(f"the {s}-energy of the sampled pairs overflows float64")
     diverged = any(
         math.isinf(a) or abs(b - a) > 0.1 * abs(b)
         for a, b in zip(running, running[1:])
@@ -379,7 +372,7 @@ def empirical_energy(cloud, s, seed=0, max_pairs=_MAX_PAIRS, workers=1):
         value=float(running[-1]),
         diverged=bool(diverged),
         half_value=float(running[-2]),
-        zero_pair_weight=float(full[2] / full[0]),
+        zero_pair_weight=float(zero / total),
         s=float(s),
     )
 
@@ -443,7 +436,7 @@ def _box_masses(cloud, r):
     if np.prod(dims) > ids.size:
         # more cells than points: bin by the rank of each occupied cell
         ids = np.unique(ids, return_inverse=True)[1]
-    masses = np.bincount(ids, weights=np.full(cloud.size, 1.0 / cloud.size))
+    masses = np.bincount(ids) / cloud.size
     return masses[masses > 0]
 
 

@@ -300,7 +300,9 @@ class TranslationFamily:
             high = high[:, None]
         if low.shape != (m, n) or high.shape != (m, n):
             raise PreconditionError("offset box must be (m, n) low/high arrays")
-        if np.any(low > high):
+        if not np.all(np.isfinite(low) & np.isfinite(high)):
+            raise PreconditionError("offset box bounds must be finite")
+        if not np.all(low <= high):
             raise PreconditionError("offset box has low > high")
         object.__setattr__(self, "low", freeze(low))
         object.__setattr__(self, "high", freeze(high))

@@ -527,9 +527,19 @@ class TestExitCodes:
              "delta must be positive and finite"),
             ("cantor_spectrum", ("ifs", "translations"), 0,
              "translations must be a vector or an (m, n) array"),
+            ("transversality_family", ("params", "low", 0, 0), math.nan,
+             "offset box bounds must be finite"),
+            ("transversality_family", ("params", "high", 0, 0), math.inf,
+             "offset box bounds must be finite"),
+            ("cantor_dimension", ("params", "energy", "exponents"), [math.inf],
+             "energy exponent must be finite and nonnegative"),
+            ("cantor_dimension", ("params", "energy", "exponents"), [400.0],
+             "the 400.0-energy of the sampled pairs overflows float64"),
         ],
         ids=["correlation-levels", "box-levels", "transversality-levels",
-             "infinite-delta", "scalar-translations"],
+             "infinite-delta", "scalar-translations", "nan-offset-low",
+             "infinite-offset-high", "infinite-energy-exponent",
+             "overflowing-energy"],
     )
     def test_out_of_range_leaf_is_exit_3(self, tmp_path, capsys, name, keys, value, message):
         # refused with a precondition, not a numpy allocation or index error

@@ -22,13 +22,13 @@ DIGESTS = {
     "cantor_dimension/box.csv":
         "efad2ccf42c8d3b9a6713064b2f8d3f70545e4d4f04f7390797ac417c241638c",
     "cantor_dimension/correlation.csv":
-        "bef7f4ce2a3e3c09eb10bcd984e4d349fe72cb73d63d4eb292a51ef55d5ae4cc",
+        "39001326ba2ee43e5dbdbced1bed89a4b1961e42e5e527973b07184decbdd9d7",
     "cantor_dimension/energy.csv":
-        "809e98bf46bbc390f8fc8d68e115a76b59ffc627df58400373e0b15eed656872",
+        "ccde21da8d97a7cf7b7ade9306c7675580bbf2ee751e2acae4f077e75e14dfc8",
     "cantor_dimension/stdout":
-        "b3f47f99d0a8ca8569d214a711183fe61f542fb875920974fa62aa2f8e0c2068",
+        "5cd02c520c5781fff235f199a795043c1d7ec86dd142a834c1aad7a49799c8e9",
     "cantor_dimension/summary.json":
-        "639417e2dfe5b8010d85cc6d5133b9fe22347324419ad20298e435b9506a511f",
+        "e48f5239f3f3086c1c7b3a714b95f582ea3ae66b44472e0250ef35c212d0dd4d",
     "cantor_separation/holder.csv":
         "e8dc3f343161aaa4d6c7f9ca1f2c8ce7425b55291b7d904c29512a2b46fd02de",
     "cantor_separation/stdout":
@@ -58,7 +58,7 @@ DIGESTS = {
     "markov_approximation/summary.json":
         "c80f2c823a2ec94b401275fdff4954a5cce1e7782d41f5c1f262ee4c33f3d8de",
     "marstrand_projection/directions.csv":
-        "81204650d6e633ff62126168e709a57568d66dac01543cbe066521ef98c5ed7f",
+        "857fbb6c6fb285d9796569f05b59d52b2d7874ec9b049191e419a4cf69cdf152",
     "marstrand_projection/stdout":
         "e09a67e764b402edda5ae1b7c1bfd6679abac6add89d57291767a7d5b6d5a4fd",
     "marstrand_projection/summary.json":

@@ -8,7 +8,6 @@ from scipy.stats import linregress
 
 from fractdim import projections
 from fractdim.dimest import (
-    _BIN_BLOCK,
     _ENERGY_CUTS,
     _STREAM_PAIRS,
     PointCloud,
@@ -178,6 +177,18 @@ class TestEnergy:
         with pytest.raises(PreconditionError):
             empirical_energy(cloud, -1.0)
 
+    @pytest.mark.parametrize("s", [math.inf, math.nan])
+    def test_nonfinite_exponent_rejected(self, s):
+        cloud = uniform_cloud(2000, 1, 0)
+        with pytest.raises(PreconditionError, match="finite and nonnegative"):
+            empirical_energy(cloud, s)
+
+    def test_overflow_is_not_reported_as_coincidence(self):
+        # distances below 1 raised to -400 overflow float64
+        cloud = uniform_cloud(2000, 1, 0)
+        with pytest.raises(EstimationError, match="overflows float64"):
+            empirical_energy(cloud, 400.0)
+
     def test_worker_independent(self):
         cloud = uniform_cloud(30_000, 1, 5)
         a = empirical_energy(cloud, 0.7, seed=9, workers=1)
@@ -186,14 +197,14 @@ class TestEnergy:
 
 
 def reference_pair_profile(cloud, radii, powers, seed, max_pairs, workers):
-    """The per-call pair profile the binned engine replaced, verbatim.
+    """The per-call pair profile the binned engine replaced, on counts.
 
-    Draws its own sample and sums masks over nested prefix cuts.
+    Draws its own sample and counts masks over nested prefix cuts.
     """
     n = cloud.size
     n_strata = max(1, min(max_pairs // n, n - 1))
     per_stratum = min(n, max_pairs)
-    pts, w = cloud.points, uniform_weights(cloud)
+    pts = cloud.points
 
     def stratum(t, start, stop):
         rng = substream(seed, _STREAM_PAIRS, t)
@@ -203,20 +214,13 @@ def reference_pair_profile(cloud, radii, powers, seed, max_pairs, workers):
         a = left[keep]
         b = partner[keep]
         d = np.sqrt(np.sum((pts[a] - pts[b]) ** 2, axis=1))
-        pw = w[a] * w[b]
 
         def stats(sl):
-            ds, pws = d[sl], pw[sl]
+            ds = d[sl]
             nz = ds > 0
-            hits = np.array([pws[ds <= r].sum() for r in radii])
-            energies = np.array([np.sum(pws[nz] * ds[nz] ** (-s)) for s in powers])
-            return (
-                pws.sum(),
-                hits,
-                pws[~nz].sum(),
-                energies,
-                pws[nz].sum(),
-            )
+            hits = np.array([np.count_nonzero(ds <= r) for r in radii], dtype=int)
+            energies = np.array([np.sum(ds[nz] ** (-s)) for s in powers])
+            return ds.size, hits, np.count_nonzero(~nz), energies
 
         cuts = [d.size // c for c in _ENERGY_CUTS]
         return tuple(stats(slice(0, c)) for c in cuts)
@@ -225,11 +229,10 @@ def reference_pair_profile(cloud, radii, powers, seed, max_pairs, workers):
 
     def combine(rows):
         total = sum(r[0] for r in rows)
-        hits = sum((r[1] for r in rows), np.zeros(len(radii)))
+        hits = sum((r[1] for r in rows), np.zeros(len(radii), dtype=int))
         zeros = sum(r[2] for r in rows)
         energies = sum((r[3] for r in rows), np.zeros(len(powers)))
-        nonzero = sum(r[4] for r in rows)
-        return total, hits, zeros, energies, nonzero
+        return total, hits, zeros, energies
 
     return tuple(combine([r[k] for r in results]) for k in range(len(_ENERGY_CUTS)))
 
@@ -287,10 +290,14 @@ class TestPairEngine:
         (again,) = _pair_profile(cloud, [radii], powers, pairs, 3, [cloud.points])
         assert len(got) == len(ref) == len(_ENERGY_CUTS)
         for cut_got, cut_again, cut_ref in zip(got, again, ref):
-            # pair weight, hits per radius, zero weight, energies, nonzero weight
-            for field_got, field_again, field_ref in zip(cut_got, cut_again, cut_ref):
+            # pairs, hits per radius, zero-distance pairs, energies
+            for field_got, field_again in zip(cut_got, cut_again):
                 assert np.array_equal(field_got, field_again)
-                np.testing.assert_allclose(field_got, field_ref, rtol=1e-14, atol=0)
+            total, hits, zero, energies = cut_got
+            # counts are exact; only the energy sums round
+            assert total == cut_ref[0] and zero == cut_ref[2]
+            assert np.array_equal(hits, cut_ref[1])
+            np.testing.assert_allclose(energies, cut_ref[3], rtol=1e-14, atol=0)
         if kind.startswith("coincident"):
             assert ref[-1][2] > 0
 
@@ -319,33 +326,23 @@ class TestPairEngine:
 
 
 def per_direction_pair_profile(cloud, radii, powers, pairs, workers):
-    """The pair profile before direction blocks, verbatim: one cloud per call."""
+    """The pair profile before direction blocks, on counts: one cloud per call."""
     cols = [np.ascontiguousarray(c) for c in cloud.points.T]
-    w = uniform_weights(cloud)
     radii = np.asarray(radii, dtype=float)
-    n_bins = radii.size + 1
     below_dtype = np.min_scalar_type(radii.size)
-    longest = max(a.size for a, _ in pairs)
-    block_base = np.arange(longest) // _BIN_BLOCK * n_bins
 
-    def binned_hits(d, pw):
+    def binned_hits(d):
         below = np.zeros(d.size, dtype=below_dtype)
         for r in radii:
             below += d > r
-        blocks = -(-d.size // _BIN_BLOCK)
-        binned = np.bincount(
-            block_base[: d.size] + below, weights=pw, minlength=blocks * n_bins
-        )
-        per_bin = np.ascontiguousarray(binned.reshape(blocks, n_bins).T).sum(axis=1)
         # d <= radii[j] iff fewer than radii.size - j radii lie below d
-        return np.cumsum(per_bin)[-2::-1]
+        return np.cumsum(np.bincount(below, minlength=radii.size + 1))[-2::-1]
 
-    def segment(d, pw):
-        hits = binned_hits(d, pw) if radii.size else ()
+    def segment(d):
+        hits = binned_hits(d) if radii.size else ()
         nz = d > 0
-        pw_nz, d_nz = pw[nz], d[nz]
-        energies = [np.sum(pw_nz * d_nz ** (-s)) for s in powers]
-        return [pw.sum(), *hits, pw[~nz].sum(), *energies, pw_nz.sum()]
+        energies = [np.sum(d[nz] ** (-s)) for s in powers]
+        return [d.size, *hits, d.size - np.count_nonzero(nz), *energies]
 
     def stratum(t, start, stop):
         a, b = pairs[t]
@@ -353,28 +350,24 @@ def per_direction_pair_profile(cloud, radii, powers, pairs, workers):
         # for ambient dimension below 8
         squares = [(c[a] - c[b]) ** 2 for c in cols]
         d = np.sqrt(sum(squares[1:], squares[0]))
-        pw = w[a] * w[b]
         edges = [0] + [d.size // c for c in _ENERGY_CUTS]
-        rows = [segment(d[lo:hi], pw[lo:hi]) for lo, hi in zip(edges, edges[1:])]
-        return np.cumsum(rows, axis=0)
+        rows = [segment(d[lo:hi]) for lo, hi in zip(edges, edges[1:])]
+        return np.cumsum(rows, axis=0, dtype=float)
 
     results = run_chunks(stratum, len(pairs), workers=workers, chunk=1)
     sums = results[0].copy()
     for r in results[1:]:
         sums += r
-    h, p = radii.size, len(powers)
-    return tuple(
-        (row[0], row[1 : 1 + h], row[1 + h], row[2 + h : 2 + h + p], row[-1])
-        for row in sums
-    )
+    h = radii.size
+    return tuple((row[0], row[1 : 1 + h], row[1 + h], row[2 + h :]) for row in sums)
 
 
 def assert_same_profile(got, ref):
     """Every field of every cut equal bit for bit."""
     assert len(got) == len(ref) == len(_ENERGY_CUTS)
     for cut_got, cut_ref in zip(got, ref):
-        # pair weight, hits per radius, zero weight, energies, nonzero weight
-        assert len(cut_got) == len(cut_ref) == 5
+        # pairs, hits per radius, zero-distance pairs, energies
+        assert len(cut_got) == len(cut_ref) == 4
         for field_got, field_ref in zip(cut_got, cut_ref):
             field_got, field_ref = np.asarray(field_got), np.asarray(field_ref)
             assert field_got.dtype == field_ref.dtype

@@ -340,6 +340,21 @@ class TestTranslationFamily:
         bad = TranslationFamily(fat, low=np.zeros(2), high=np.ones(2))
         assert not bad.constraint_satisfied
 
+    @pytest.mark.parametrize(
+        "low, high, message",
+        [
+            ([math.nan, 0.0], [1.0, 1.0], "offset box bounds must be finite"),
+            ([0.0, 0.0], [math.inf, 1.0], "offset box bounds must be finite"),
+            ([0.0, -math.inf], [1.0, 1.0], "offset box bounds must be finite"),
+            ([0.0, 2.0], [1.0, 1.0], "offset box has low > high"),
+        ],
+        ids=["nan-low", "infinite-high", "infinite-low", "low-above-high"],
+    )
+    def test_bad_offset_box_rejected(self, low, high, message):
+        # NaN compares false both ways, so low > high alone lets it through
+        with pytest.raises(PreconditionError, match=message):
+            TranslationFamily(cantor(), low=low, high=high)
+
 
 def dyadic_grid(r0, levels):
     return r0 * 0.5 ** np.arange(levels + 1)
