@@ -62,8 +62,6 @@ _STREAM_CLI_WORDS = 901
 
 def format_value(v):
     """One CSV cell: doubles at 17 significant digits, ints exact."""
-    if isinstance(v, (bool, np.bool_)):
-        return "1" if v else "0"
     if isinstance(v, (int, np.integer)):
         return str(int(v))
     if isinstance(v, (float, np.floating)):
@@ -129,7 +127,13 @@ def _integer(obj, path, minimum=None):
     return int(obj)
 
 
+def _has_null(obj):
+    return obj is None or isinstance(obj, list) and any(map(_has_null, obj))
+
+
 def _array(obj, path, ndim=None):
+    if _has_null(obj):  # which numpy would read as NaN
+        raise SchemaError(f"{path}: expected a numeric array, got null")
     try:
         arr = np.array(obj, dtype=float)
     except (TypeError, ValueError):
@@ -350,6 +354,8 @@ def build_ifs(spec):
     orthogonal = None
     if "rotations" in spec:
         angles = np.array(spec["rotations"], dtype=float).ravel()
+        if not np.all(np.isfinite(angles)):
+            raise PreconditionError("rotation angles must be finite")
         trans = np.array(spec["translations"], dtype=float)
         if trans.ndim != 2 or trans.shape[1] != 2:
             raise PreconditionError("rotation angles only make sense in the plane")

@@ -20,7 +20,7 @@ from .errors import (
     PreconditionError,
     WordTooShortError,
 )
-from .runtime import freeze, run_chunks, substream
+from .runtime import check_budget, freeze, run_chunks, substream
 from .symbolic import AdaptedMetric, as_word
 
 _ORTHO_TOL = 1e-10
@@ -75,6 +75,8 @@ class SimilarityIFS:
             orth = np.array(self.orthogonal, dtype=float)
             if orth.shape != (lam.size, n, n):
                 raise PreconditionError("orthogonal parts must be (m, n, n)")
+        if not (np.all(np.isfinite(trans)) and np.all(np.isfinite(orth))):
+            raise PreconditionError("translations and orthogonal parts must be finite")
         gram = np.einsum("mji,mjk->mik", orth, orth)
         defect = np.max(np.abs(gram - np.eye(n)))
         if defect > _ORTHO_TOL:
@@ -84,12 +86,12 @@ class SimilarityIFS:
         object.__setattr__(self, "ratios", freeze(lam))
         object.__setattr__(self, "translations", freeze(trans))
         object.__setattr__(self, "orthogonal", freeze(orth))
-        fixed = self.fixed_points()
-        c = fixed.mean(axis=0)
-        shifts = np.linalg.norm(
-            self.map_points(np.arange(lam.size), c) - c, axis=1
-        )
-        r = float(np.max(shifts / (1.0 - lam)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            c = self.fixed_points().mean(axis=0)
+            shifts = np.linalg.norm(self.map_points(np.arange(lam.size), c) - c, axis=1)
+            r = float(np.max(shifts / (1.0 - lam)))
+        if not math.isfinite(r):
+            raise PreconditionError(f"bounding ball radius {r}: the maps overflow the float range")
         # invariance certificate: f_i(B(c, r)) inside B(c, r)
         if np.any(shifts + lam * r > r + _BALL_SLACK):
             raise EstimationError("bounding ball failed its invariance check")
@@ -124,12 +126,8 @@ class SimilarityIFS:
         return c + amat @ self.steps[s], psi * self.ratios[s], amat @ self.linear[s]
 
     def map_points(self, idx, x):
-        """Apply maps idx[k] to the single point x, or rowwise to points x."""
-        x = np.asarray(x, dtype=float)
-        if x.ndim == 1:
-            imgs = np.einsum("mij,j->mi", self.orthogonal[idx], x)
-        else:
-            imgs = np.einsum("mij,mj->mi", self.orthogonal[idx], x)
+        """Apply maps idx[k] to the single point x."""
+        imgs = np.einsum("mij,j->mi", self.orthogonal[idx], np.asarray(x, dtype=float))
         return self.ratios[idx][:, None] * imgs + self.translations[idx]
 
     def word_map(self, word):
@@ -160,30 +158,22 @@ def natural_projection(ifs, word, tol):
         raise PreconditionError("tolerance must be positive")
     word = as_word(word, ifs.m)
     psi = ifs.metric.weight(word)
-    diam = 2.0 * ifs.radius
-    if psi * diam > tol:
-        gamma = ifs.metric.gamma
-        required = math.ceil(math.log(tol / max(diam, tol)) / math.log(gamma))
+    if psi * 2.0 * ifs.radius > tol:
         raise WordTooShortError(
             f"word of length {len(word)} cannot reach tolerance {tol:.3g}",
-            required_length=max(required, len(word) + 1),
+            required_length=max(_projection_depth(ifs, tol), len(word) + 1),
         )
     a, b = ifs.word_map(word)
     return a @ ifs.center + b, psi * ifs.radius
 
 
-def _one_marginal(measure, m):
-    if measure.m != m:
-        raise AlphabetMismatchError(
-            f"measure alphabet {measure.m} does not match the system's {m}"
-        )
-    return measure.marginal(1)
-
-
 def lyapunov_exponent(measure, ifs):
     """chi = -sum nu_1(i) log lambda_i, exact for every measure model."""
-    nu1 = _one_marginal(measure, ifs.m)
-    return float(-np.dot(nu1, np.log(ifs.ratios)))
+    if measure.m != ifs.m:
+        raise AlphabetMismatchError(
+            f"measure alphabet {measure.m} does not match the system's {ifs.m}"
+        )
+    return float(-np.dot(measure.marginal(1), np.log(ifs.ratios)))
 
 
 class SymbolicDimension(NamedTuple):
@@ -370,6 +360,7 @@ def transversality_exponent(
         raise PreconditionError("radius grid must be dyadic decreasing")
     if param_samples < 1:
         raise PreconditionError("need at least one parameter sample")
+    check_budget(param_samples, "transversality parameter samples")
 
     const_a, mats_a, tail_a = _affine_decomposition(ifs, word_a)
     const_b, mats_b, tail_b = _affine_decomposition(ifs, word_b)

@@ -4,8 +4,8 @@ locally constant potentials are special cases.
 
 Words of length k are encoded as integers in base m, most significant symbol
 first, so the state of a k-step chain after reading w is code(w) mod m**k.
-Every model exposes exact cylinder masses, level-n marginal tables, entropy in
-nats, and deterministic batch sampling.
+Every model exposes level-n marginal tables (the masses of all length-n
+cylinders), entropy in nats, and deterministic batch sampling.
 
 A stationary law is one linear solve on the state chain, certified by the
 constructor; a Gibbs state is the h-transform of its transfer matrix, built
@@ -46,16 +46,6 @@ def _log_moment(z):
     e = np.exp(z - top)
     total = e.sum(axis=-1, keepdims=True)
     return (top + np.log(total))[..., 0], e / total
-
-
-def encode_word(word, m):
-    code = 0
-    for s in word:
-        s = int(s)
-        if not 0 <= s < m:
-            raise PreconditionError(f"symbol {s} outside alphabet of size {m}")
-        code = code * m + s
-    return code
 
 
 def _xlogx(v):
@@ -108,15 +98,12 @@ class MarkovMeasure:
                 "(leading and trailing marginals differ)"
             )
 
-    def _push_forward(self, dist):
-        """One step of the induced chain on states."""
-        targets = _successors(self.m, self.order)
-        out = np.zeros_like(dist)
-        np.add.at(out, targets.ravel(), (dist[:, None] * self.kernel).ravel())
-        return out
-
     def _check_stationarity(self):
-        resid = np.max(np.abs(self._push_forward(self.stationary) - self.stationary))
+        # one step of the induced chain on states must leave the law in place
+        targets = _successors(self.m, self.order)
+        pushed = np.zeros_like(self.stationary)
+        np.add.at(pushed, targets.ravel(), (self.stationary[:, None] * self.kernel).ravel())
+        resid = np.max(np.abs(pushed - self.stationary))
         if resid > _PROB_ATOL:
             raise PreconditionError(
                 f"stationary distribution violates invariance (residual {resid:.3e})"
@@ -127,9 +114,9 @@ class MarkovMeasure:
         """Build the stationary measure of a kernel.
 
         The positive-entry transition graph on all m**order states must be
-        strongly connected; this is checked before solving, and the
-        stationary distribution is then unique.  A linear solve gives it and
-        the constructor certifies its invariance.
+        strongly connected and every row must sum to 1; both are checked
+        before solving, and the stationary distribution is then unique.  A
+        linear solve gives it and the constructor certifies its invariance.
         """
         order, kernel = _checked_shape(order, kernel)
         op = _state_operator(kernel, order)
@@ -138,39 +125,14 @@ class MarkovMeasure:
                 "kernel graph is not strongly connected; "
                 "stationary distribution would not be unique"
             )
+        if np.any(np.abs(kernel.sum(axis=1) - 1.0) > _PROB_ATOL):
+            raise PreconditionError("kernel rows must sum to 1")
         # dist (I - op) = 0 with sum(dist) = 1 as its last equation is
         # nonsingular for strongly connected op; abs() undoes rounding signs
         eqs = np.eye(op.shape[0]) - op.T
         eqs[-1] = 1.0
         dist = np.abs(np.linalg.solve(eqs, np.eye(op.shape[0])[-1]))
         return cls(order=order, stationary=dist / dist.sum(), kernel=kernel)
-
-    def _mass_factors(self, word):
-        """The mass of the word's first block, then each kernel step along
-        the rest of the word; the walk stops after a zero factor."""
-        m, k = self.m, self.order
-        word = tuple(int(s) for s in word)
-        n = min(len(word), k)
-        state = encode_word(word[:n], m)
-        factor = self.stationary.reshape(m**n, m ** (k - n)).sum(axis=1)[state]
-        yield factor
-        for s in word[k:]:
-            if factor <= 0:
-                return
-            if not 0 <= s < m:
-                raise PreconditionError(f"symbol {s} outside alphabet of size {m}")
-            factor = self.kernel[state, s]
-            yield factor
-            state = (state % m ** (k - 1)) * m + s
-
-    def cylinder_mass(self, word):
-        return float(math.prod(self._mass_factors(word)))
-
-    def log_cylinder_mass(self, word):
-        factors = list(self._mass_factors(word))
-        if factors[-1] <= 0:
-            return -math.inf
-        return sum(map(math.log, factors))
 
     def marginal(self, n):
         n = int(n)
@@ -261,6 +223,8 @@ def _checked_shape(order, kernel):
         raise PreconditionError("markov order must be >= 1")
     kernel = np.array(kernel, dtype=float)
     shape = kernel.shape
+    if len(shape) == 2 and shape[1] >= 1:  # refused before m**order is formed
+        check_table_budget(shape[1], order, "markov kernel")
     if len(shape) != 2 or shape[1] < 1 or shape[0] != shape[1] ** order:
         raise PreconditionError(f"kernel of shape {shape} is not (m**{order}, m)")
     if np.any(kernel < 0) or np.any(~np.isfinite(kernel)):

@@ -345,6 +345,8 @@ def ede_check(ifs, word, depth_range, epsilon, tol):
         raise PreconditionError(
             f"word has {len(word)} symbols; deepest requested depth is {depths[-1]}"
         )
+    if ifs.radius == 0.0:
+        raise PreconditionError("the attractor is one point (enclosure radius 0)")
     x, trunc = natural_projection(ifs, word, tol)
     metric = ifs.metric
     spent = [0]
@@ -374,7 +376,12 @@ def ede_check(ifs, word, depth_range, epsilon, tol):
         - level_r[None, :]
     )
     gap = float(pair_gap[np.triu_indices(ifs.m, k=1)].min())
-    constant = max(gap, 0.0) / (2.0 * ifs.radius) / diam[0] ** epsilon
+    with np.errstate(all="ignore"):
+        constant = max(gap, 0.0) / (2.0 * ifs.radius) / diam[0] ** epsilon
+    if not math.isfinite(constant):
+        raise PreconditionError(
+            f"witness constant {constant} is not finite: diam ** {epsilon:g} underflows"
+        )
     if constant > 0:
         passed = dist_lower >= constant * diam ** (1.0 + epsilon) * (1.0 - 1e-12)
     else:

@@ -22,6 +22,10 @@ CONFIGS = sorted((ROOT / "configs").glob("*.json"))
 
 CANTOR_IFS = {"ratios": [1 / 3, 1 / 3], "translations": [0.0, 2 / 3]}
 UNIFORM2 = {"type": "bernoulli", "weights": [0.5, 0.5]}
+MARKOV2 = {
+    "type": "markov", "order": 2,
+    "kernel": [[0.3, 0.7], [0.6, 0.4], [0.5, 0.5], [0.9, 0.1]],
+}
 
 
 def spectrum_config(**extra):
@@ -120,6 +124,7 @@ def launch_capped(tmp_path, cfg):
         env=env, capture_output=True, text=True, timeout=60,
     )
     assert "Traceback" not in done.stderr
+    assert "Warning" not in done.stderr
     code, seconds = done.stdout.split()
     return int(code), float(seconds), done.stderr, out
 
@@ -273,17 +278,20 @@ class TestSchemaGate:
          ("ede", "words", [], ".words"),
          ("ede", "words", [[0, 1], "mistyped"], ".words"),
          ("ede", "samples", 0, ".samples"),
-         ("spectrum", "coarse", {"count": 1000, "scale": -1.0}, ".coarse")],
+         ("spectrum", "coarse", {"count": 1000, "scale": -1.0}, ".coarse"),
+         ("transversality", "low", [[None], [0.0]],
+          ".low: expected a numeric array, got null")],
         ids=["transversality-region_low-mistyped", "transversality-region_high-mistyped",
              "ede-tolerance-mistyped", "ede-words-5", "ede-words-value4",
-             "ede-words-value5", "ede-samples-0", "spectrum-coarse-value7"],
+             "ede-words-value5", "ede-samples-0", "spectrum-coarse-value7",
+             "transversality-low-null"],
     )
     def test_fields_outside_the_shipped_configs(
         self, tmp_path, capsys, kind, key, value, error
     ):
         # fields that no file in configs/ sets, and counts or scales out of
         # range; the translation family's region keys are gone, so any value
-        # of theirs is an unknown key
+        # of theirs is an unknown key; numpy would read a null as NaN
         base = {
             "transversality": {
                 "low": [[0.0], [0.0]], "high": [[1.0], [1.0]],
@@ -437,21 +445,22 @@ class TestExitCodes:
                 {"kernel": [[math.nan, 0.8], [0.5, 0.5], [0.9, 0.1], [0.4, 0.6]]},
                 "kernel entries must be finite and non-negative",
             ),
+            ({"order": 10**12}, "markov kernel needs 2**1000000000000 nodes"),
+            ({"kernel": [[1e300, 0.5]] * 4}, "kernel rows must sum to 1"),
         ],
-        ids=["three-rows-at-order-2", "order-0", "one-d-kernel", "nan-entry"],
+        ids=["three-rows-at-order-2", "order-0", "one-d-kernel", "nan-entry",
+             "huge-order", "unnormalized-rows"],
     )
-    def test_malformed_markov_kernel_is_exit_3(self, tmp_path, capsys, change, message):
+    def test_malformed_markov_kernel_is_exit_3(self, tmp_path, change, message):
+        # rejected by the shape, entry and row checks, before any solve; the run
+        # has its address space capped, so forming m**order fails fast
         cfg = json.loads((ROOT / "configs" / "markov_approximation.json").read_text())
         cfg["measure"].update(change)
-        start = time.perf_counter()
-        code, out = launch(tmp_path, cfg)
-        # rejected by the shape and entry checks, before any solve
-        assert time.perf_counter() - start < 1.0
+        code, seconds, err, out = launch_capped(tmp_path, cfg)
+        assert seconds < 1.0
         assert code == 3
-        err = capsys.readouterr().err
         assert err.startswith("precondition violated:")
         assert message in err
-        assert "Traceback" not in err
         assert not out.exists()
 
     def test_huge_approx_order_is_exit_3(self, tmp_path, capsys):
@@ -495,12 +504,14 @@ class TestExitCodes:
             (("samples",), 10**12, "EDE word sample needs 40000000000000 nodes"),
             (("holder", "pair_samples"), 10**12, "Holder base sample needs"),
             (("depth_min",), 30, "depth range is empty"),
+            (("epsilon",), 1e12, "witness constant inf is not finite"),
         ],
         ids=["nan-epsilon", "nan-alpha", "huge-samples", "huge-pair-samples",
-             "empty-depth-range"],
+             "empty-depth-range", "huge-epsilon"],
     )
+    @pytest.mark.filterwarnings("error")
     def test_bad_separation_param_is_exit_3(self, tmp_path, capsys, keys, value, message):
-        # rejected before any sample is drawn or any artifact written
+        # rejected before any artifact is written, and with no numpy warning
         cfg = json.loads((ROOT / "configs" / "cantor_separation.json").read_text())
         block = cfg["params"]
         for key in keys[:-1]:
@@ -535,14 +546,25 @@ class TestExitCodes:
              "energy exponent must be finite and nonnegative"),
             ("cantor_dimension", ("params", "energy", "exponents"), [400.0],
              "the 400.0-energy of the sampled pairs overflows float64"),
+            ("cantor_dimension", ("ifs", "translations", 0), math.nan,
+             "translations and orthogonal parts must be finite"),
+            ("cantor_spectrum", ("ifs", "translations", 0), 1e300,
+             "bounding ball radius inf: the maps overflow the float range"),
+            ("cantor_separation", ("ifs", "translations"), [0.0, 0.0],
+             "the attractor is one point (enclosure radius 0)"),
+            ("marstrand_projection", ("ifs", "rotations"), [math.inf, 0.0, 0.0, 0.0],
+             "rotation angles must be finite"),
         ],
         ids=["correlation-levels", "box-levels", "transversality-levels",
              "infinite-delta", "scalar-translations", "nan-offset-low",
              "infinite-offset-high", "infinite-energy-exponent",
-             "overflowing-energy"],
+             "overflowing-energy", "nan-translation", "overflowing-radius",
+             "one-point-attractor", "infinite-rotation"],
     )
+    @pytest.mark.filterwarnings("error")
     def test_out_of_range_leaf_is_exit_3(self, tmp_path, capsys, name, keys, value, message):
-        # refused with a precondition, not a numpy allocation or index error
+        # refused with a precondition, not a numpy allocation, index or
+        # division error, and with no numpy warning
         cfg = json.loads((ROOT / "configs" / f"{name}.json").read_text())
         block = cfg
         for key in keys[:-1]:
@@ -612,17 +634,23 @@ class TestExitCodes:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "config, keys, dim",
+        "config, keys, message",
         [
-            ("cantor_dimension", ("params", "count"), 1),
-            ("marstrand_projection", ("params", "count"), 2),
-            ("cantor_spectrum", ("params", "coarse", "count"), 1),
+            ("cantor_dimension", ("params", "count"),
+             "a cloud of 1000000000000 points in R^1 cannot be allocated"),
+            ("marstrand_projection", ("params", "count"),
+             "a cloud of 1000000000000 points in R^2 cannot be allocated"),
+            ("cantor_spectrum", ("params", "coarse", "count"),
+             "a cloud of 1000000000000 points in R^1 cannot be allocated"),
+            ("transversality_family", ("params", "samples"),
+             "transversality parameter samples needs 1000000000000 nodes"),
         ],
-        ids=["dimension", "project", "spectrum-coarse"],
+        ids=["dimension", "project", "spectrum-coarse", "transversality-samples"],
     )
-    def test_huge_point_count_is_exit_3(self, tmp_path, config, keys, dim):
+    def test_huge_point_count_is_exit_3(self, tmp_path, config, keys, message):
         # the cloud is allocated once, before any chunk is sampled, so an
-        # unallocatable count exits 3 instead of sampling chunk after chunk
+        # unallocatable count exits 3 instead of sampling chunk after chunk;
+        # parameter samples meet the budget before their chunks are listed
         cfg = json.loads((ROOT / "configs" / f"{config}.json").read_text())
         node = cfg
         for key in keys[:-1]:
@@ -632,7 +660,7 @@ class TestExitCodes:
         assert code == 3
         assert seconds < 1.0
         assert err.startswith("precondition violated:")
-        assert f"a cloud of 1000000000000 points in R^{dim} cannot be allocated" in err
+        assert message in err
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -784,17 +812,31 @@ class TestRunners:
                 "energy": {"exponents": [0.5]},
             },
         }
-        path = tmp_path / "dim.json"
-        path.write_text(json.dumps(cfg))
-        outs = []
-        for w in (1, 3):
-            out = tmp_path / f"w{w}"
-            assert cli.main(
-                ["run", "--config", str(path), "--out", str(out), "--workers", str(w)]
-            ) == 0
-            outs.append(out)
-        for name in ("correlation.csv", "box.csv", "energy.csv"):
-            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+        # no shipped config samples a Markov measure: these runs draw their
+        # cloud (in three chunks), their words and their Holder base words
+        # from an order-2 chain
+        markov = {**cfg, "measure": MARKOV2}
+        markov["params"] = {**cfg["params"], "count": 140_000}
+        ede = {
+            "schema": 1, "kind": "ede", "seed": 11, "ifs": CANTOR_IFS, "measure": MARKOV2,
+            "params": {
+                "samples": 20, "word_length": 40, "depth_min": 1, "depth_max": 12,
+                "epsilon": 0.1, "holder": {"alphas": [0.5, 0.9], "pair_samples": 20},
+            },
+        }
+        runs = [(cfg, (1, 3)), (markov, (1, 2)), (ede, (1, 2))]
+        for i, (run_cfg, workers) in enumerate(runs):
+            path = tmp_path / f"run{i}.json"
+            path.write_text(json.dumps(run_cfg))
+            csvs = []
+            for w in workers:
+                out = tmp_path / f"run{i}-w{w}"
+                assert cli.main(
+                    ["run", "--config", str(path), "--out", str(out), "--workers", str(w)]
+                ) == 0
+                csvs.append({p.name: p.read_bytes() for p in sorted(out.glob("*.csv"))})
+            assert len(csvs[0]) == (3 if run_cfg["kind"] == "dimension" else 2)
+            assert csvs[0] == csvs[1]
 
     def test_ede_verdict_table(self, tmp_path):
         cfg = {
