@@ -527,17 +527,14 @@ SUITES = {
 }
 
 
-def run_suite(name, workers=1, report=None):
-    """Run one named suite; returns every CheckResult, reporting rows live."""
+def run_suite(name, workers=1):
+    """Run one named suite; returns every CheckResult, printing rows live."""
     results = []
-    if report is not None:
-        report(f"{'check':<58} {'expected':>22} {'got':>22} {'tol':>8}  verdict")
+    print(f"{'check':<58} {'expected':>22} {'got':>22} {'tol':>8}  verdict")
     for fn in SUITES[name]:
         for res in fn(workers=workers):
             results.append(res)
-            if report is not None:
-                report(res.row())
-    if report is not None:
-        good = sum(r.passed for r in results)
-        report(f"{good}/{len(results)} checks passed")
+            print(res.row())
+    good = sum(r.passed for r in results)
+    print(f"{good}/{len(results)} checks passed")
     return results

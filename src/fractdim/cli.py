@@ -205,8 +205,9 @@ class Block(NamedTuple):
 class Kind(NamedTuple):
     """Everything one experiment kind accepts and produces.
 
-    `measure` is True, False, or the param keys whose presence needs one;
-    `params.quantities` are the quantities every run produces.
+    `ifs` (a bool) and `measure` (True, False, or the param keys whose
+    presence needs one) decide both when a block is required and when it
+    is allowed; `params.quantities` are the quantities every run produces.
     """
 
     run: object
@@ -251,19 +252,24 @@ _IFS_FIELDS = {
 }
 
 
+# measure type -> (checkers of its keys beside 'type', builder)
+_MEASURES = {
+    "bernoulli": ({"weights": _array}, lambda s: BernoulliMeasure(s["weights"])),
+    "markov": ({"order": _integer, "kernel": _array},
+               lambda s: MarkovMeasure.from_kernel(s["kernel"], s["order"])),
+}
+
+
 def _validate_measure_spec(spec):
     if not isinstance(spec, dict) or "type" not in spec:
         raise SchemaError("config.measure: expected an object with a 'type' key")
     kind = spec["type"]
-    if kind == "bernoulli":
-        _check_keys(spec, "config.measure", ("type", "weights"))
-        _array(spec["weights"], "config.measure.weights")
-    elif kind == "markov":
-        _check_keys(spec, "config.measure", ("type", "order", "kernel"))
-        _integer(spec["order"], "config.measure.order")
-        _array(spec["kernel"], "config.measure.kernel")
-    else:
+    if not isinstance(kind, str) or kind not in _MEASURES:
         raise SchemaError(f"config.measure.type: unknown measure type '{kind}'")
+    checks, _ = _MEASURES[kind]
+    _check_keys(spec, "config.measure", ("type", *checks))
+    for key, check in checks.items():
+        check(spec[key], f"config.measure.{key}")
 
 
 def _validate_assertion(item, path, known):
@@ -310,12 +316,17 @@ def validate_config(cfg):
     _check_fields(params, spec.params.fields, "config.params")
     if kind == "ede" and ("words" in params) == ("samples" in params):
         raise SchemaError("config.params: give words or samples, not both")
+    if "ifs" in cfg and not spec.ifs:
+        raise SchemaError(f"config.ifs: kind '{kind}' reads none")
     needs_measure = spec.measure is True or any(
         key in params for key in spec.measure or ()
     )
     if needs_measure and "measure" not in cfg:
         raise SchemaError(f"config: kind '{kind}' requires a measure block")
     if "measure" in cfg:
+        if not needs_measure:
+            without = f" without {' or '.join(spec.measure)}" if spec.measure else ""
+            raise SchemaError(f"config.measure: kind '{kind}' reads none{without}")
         _validate_measure_spec(cfg["measure"])
         if kind == "spectrum" and cfg["measure"]["type"] != "bernoulli":
             raise SchemaError(
@@ -375,21 +386,16 @@ def build_ifs(spec):
 
 
 def build_measure(spec):
-    if spec["type"] == "bernoulli":
-        return BernoulliMeasure(spec["weights"])
-    kernel = np.array(spec["kernel"], dtype=float)
-    return MarkovMeasure.from_kernel(kernel, order=int(spec["order"]))
+    return _MEASURES[spec["type"]][1](spec)
 
 
 # ---------------------------------------------------------------------------
-# Runners.  Each returns (artifacts, quantities): artifacts are
+# Runners.  Each takes (params, seed, workers, ifs, measure), the blocks
+# built by `run`, and returns (artifacts, quantities): artifacts are
 # (filename, header, rows) triples, quantities a flat name -> float map.
 
 
-def _run_spectrum(cfg, workers):
-    params = cfg["params"]
-    ifs = build_ifs(cfg["ifs"])
-    measure = build_measure(cfg["measure"])
+def _run_spectrum(params, seed, workers, ifs, measure):
     problem = SpectrumProblem(measure.p, ifs.ratios)
     qs = np.array(params["qs"], dtype=float) if "qs" in params else None
     curve = spectrum_curve(problem, qs)
@@ -411,7 +417,7 @@ def _run_spectrum(cfg, workers):
         delta = float(block.get("delta", 0.05))
         cloud = sample_points(
             ifs, measure, int(block["count"]), tol=scale / 20.0,
-            seed=cfg["seed"], workers=workers,
+            seed=seed, workers=workers,
         )
         spec = coarse_spectrum(cloud, scale, delta=delta)
         artifacts.append(
@@ -444,11 +450,7 @@ def _fitted_rows(est, schedule, profile):
     return list(zip(est.radii, profile, fitted))
 
 
-def _run_dimension(cfg, workers):
-    params = cfg["params"]
-    ifs = build_ifs(cfg["ifs"])
-    measure = build_measure(cfg["measure"])
-    seed = cfg["seed"]
+def _run_dimension(params, seed, workers, ifs, measure):
     cloud = sample_points(
         ifs, measure, int(params["count"]),
         tol=float(params.get("sample_tol", 1e-7)), seed=seed, workers=workers,
@@ -488,10 +490,7 @@ def _run_dimension(cfg, workers):
     return artifacts, quantities
 
 
-def _run_project(cfg, workers):
-    params = cfg["params"]
-    ifs = build_ifs(cfg["ifs"])
-    measure = build_measure(cfg["measure"])
+def _run_project(params, seed, workers, ifs, measure):
     directions = None
     if "basis" in params:
         directions = [Subspace(b) for b in params["basis"]]
@@ -500,7 +499,7 @@ def _run_project(cfg, workers):
         d=int(params["subspace_dim"]),
         num_directions=int(params["directions"]),
         count=int(params["count"]),
-        seed=cfg["seed"],
+        seed=seed,
         tol=float(params.get("tolerance", 0.1)),
         directions=directions,
         max_pairs=int(params.get("max_pairs", 2_000_000)),
@@ -525,12 +524,7 @@ def _run_project(cfg, workers):
     return artifacts, quantities
 
 
-def _run_ede(cfg, workers):
-    params = cfg["params"]
-    ifs = build_ifs(cfg["ifs"])
-    seed = cfg["seed"]
-    if "measure" in cfg:
-        measure = build_measure(cfg["measure"])
+def _run_ede(params, seed, workers, ifs, measure):
     if "words" in params:
         words = [tuple(w) for w in params["words"]]
     else:
@@ -543,32 +537,24 @@ def _run_ede(cfg, workers):
     depths = range(params["depth_min"], params["depth_max"] + 1)
     epsilon = float(params["epsilon"])
     tol = float(params.get("tolerance", 1e-12))
-    rows = []
-    constants = []
-    passed_flags = []
-    overlap_flags = []
-    worst = []
-    for w in words:
-        rep = ede_check(ifs, w, depths, epsilon, tol)
-        label = "".join(str(s) for s in w[: max(depths)])
-        for k in range(rep.depths.size):
-            rows.append(
-                (label, rep.depths[k], rep.dist_lower[k], rep.diam[k], int(rep.passed[k]))
-            )
-        constants.append(rep.constant)
-        passed_flags.append(rep.all_passed)
-        overlap_flags.append(rep.overlap_suspected)
-        worst.append(rep.worst_exponent)
+    reports = [ede_check(ifs, w, depths, epsilon, tol) for w in words]
+    rows = [
+        ("".join(str(s) for s in w[: max(depths)]),
+         rep.depths[k], rep.dist_lower[k], rep.diam[k], int(rep.passed[k]))
+        for w, rep in zip(words, reports) for k in range(rep.depths.size)
+    ]
     artifacts = [
         ("verdicts.csv", ["word", "depth", "dist_lower", "diam", "passed"], rows)
     ]
+    passed = [rep.all_passed for rep in reports]
+    # np.max, unlike max, returns NaN wherever a NaN worst exponent sits
     quantities = {
         "words": float(len(words)),
-        "fraction_passed": float(np.mean(passed_flags)),
-        "all_passed": float(all(passed_flags)),
-        "any_overlap": float(any(overlap_flags)),
-        "max_worst_exponent": float(np.max(worst)),
-        "min_constant": float(np.min(constants)),
+        "fraction_passed": float(np.mean(passed)),
+        "all_passed": float(all(passed)),
+        "any_overlap": float(any(rep.overlap_suspected for rep in reports)),
+        "max_worst_exponent": float(np.max([rep.worst_exponent for rep in reports])),
+        "min_constant": float(np.min([rep.constant for rep in reports])),
     }
     if "holder" in params:
         block = params["holder"]
@@ -578,15 +564,10 @@ def _run_ede(cfg, workers):
             pair_samples=block["pair_samples"],
             seed=seed,
         )
-        hrows = []
-        for a in range(rep.alphas.size):
-            for d in range(rep.depths.size):
-                hrows.append(
-                    (
-                        rep.alphas[a], rep.depths[d], rep.worst[a, d],
-                        rep.skipped[d], rep.pairs[d],
-                    )
-                )
+        hrows = [
+            (rep.alphas[a], rep.depths[d], rep.worst[a, d], rep.skipped[d], rep.pairs[d])
+            for a in range(rep.alphas.size) for d in range(rep.depths.size)
+        ]
         artifacts.append(
             ("holder.csv", ["alpha", "depth", "worst", "skipped", "pairs"], hrows)
         )
@@ -597,9 +578,7 @@ def _run_ede(cfg, workers):
     return artifacts, quantities
 
 
-def _run_transversality(cfg, workers):
-    params = cfg["params"]
-    ifs = build_ifs(cfg["ifs"])
+def _run_transversality(params, seed, workers, ifs, measure):
     family = TranslationFamily(ifs, low=params["low"], high=params["high"])
     radii = _dyadic_radii(float(params["r0"]), int(params["levels"]))
     res = transversality_exponent(
@@ -608,7 +587,7 @@ def _run_transversality(cfg, workers):
         params["word_b"],
         radii,
         param_samples=int(params["samples"]),
-        seed=cfg["seed"],
+        seed=seed,
         workers=workers,
     )
     rows = list(zip(res.radii, res.measures, res.hits, res.used.astype(int)))
@@ -624,9 +603,7 @@ def _run_transversality(cfg, workers):
     return artifacts, quantities
 
 
-def _run_approx(cfg, workers):
-    params = cfg["params"]
-    measure = build_measure(cfg["measure"])
+def _run_approx(params, seed, workers, ifs, measure):
     base_entropy = measure.entropy()
     rows = []
     for k in params["orders"]:
@@ -651,8 +628,7 @@ def _run_approx(cfg, workers):
     return artifacts, quantities
 
 
-def _run_gibbs(cfg, workers):
-    params = cfg["params"]
+def _run_gibbs(params, seed, workers, ifs, measure):
     pot = LocallyConstantPotential(
         depth=int(params["depth"]),
         m=int(params["alphabet"]),
@@ -833,7 +809,10 @@ def run(config_path, out_dir, workers=1, seed_override=None):
     overridden = seed_override is not None
     if overridden:
         cfg["seed"] = int(seed_override)
-    artifacts, quantities = KINDS[cfg["kind"]].run(cfg, workers)
+    spec = KINDS[cfg["kind"]]
+    ifs = build_ifs(cfg["ifs"]) if spec.ifs else None
+    measure = build_measure(cfg["measure"]) if "measure" in cfg else None
+    artifacts, quantities = spec.run(cfg["params"], cfg["seed"], workers, ifs, measure)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     for name, header, rows in artifacts:
@@ -879,7 +858,7 @@ def verify(suite, workers=1):
         known = ", ".join(sorted(SUITES))
         print(f"unknown suite '{suite}' (known: {known})", file=sys.stderr)
         return 2
-    results = run_suite(suite, workers=workers, report=print)
+    results = run_suite(suite, workers=workers)
     return 0 if all(r.passed for r in results) else 1
 
 

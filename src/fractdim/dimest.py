@@ -45,6 +45,13 @@ def _lattice_cells(points, cell):
     """Absolute lattice index floor(x / cell) of every point."""
     if not (cell > 0 and math.isfinite(cell)):
         raise PreconditionError("cell size must be positive and finite")
+    # refused before the int64 cast, which would wrap indices past 2**63
+    reach = float(np.abs(points).max()) / cell
+    if not reach < 2**62:
+        raise PreconditionError(
+            f"cell size {cell:g} is too fine for the cloud: lattice indices "
+            f"reach {reach:.3g}, past 2**62"
+        )
     return np.floor(points / cell).astype(np.int64)
 
 
@@ -425,8 +432,6 @@ class CoarseSpectrum:
     f: np.ndarray
     peak_alpha: float
     peak_f: float
-    r: float
-    delta: float
     occupied: int
 
 
@@ -474,8 +479,6 @@ def coarse_spectrum(cloud, r, delta=0.05):
         f=freeze(f_hat),
         peak_alpha=float(centers[top].mean()),
         peak_f=float(f_hat.max()),
-        r=float(r),
-        delta=float(delta),
         occupied=int(masses.size),
     )
 

@@ -266,12 +266,6 @@ def _state_operator(kernel, order):
     return op
 
 
-def as_markov(measure):
-    if not isinstance(measure, MarkovMeasure):
-        raise PreconditionError(f"not a sequence-space measure: {type(measure)!r}")
-    return measure
-
-
 def markov_approximation(measure, order):
     """Best k-step approximation: exact level-(k+1) marginals, ratio kernel.
 
@@ -301,7 +295,8 @@ def relative_entropy(mu, nu):
     nu step (absolute continuity of marginals fails).  For shift-invariant
     mu the level-(k+1) check settles every level.
     """
-    nu = as_markov(nu)
+    if not isinstance(nu, MarkovMeasure):
+        raise PreconditionError(f"not a sequence-space measure: {type(nu)!r}")
     if mu.m != nu.m:
         raise PreconditionError("measures live on different alphabets")
     m, k = nu.m, nu.order

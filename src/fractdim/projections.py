@@ -257,8 +257,6 @@ class EDEReport:
     depths then lists only the depths finished.
     """
 
-    word: tuple
-    epsilon: float
     constant: float
     depths: np.ndarray
     dist_lower: np.ndarray
@@ -398,8 +396,6 @@ def ede_check(ifs, word, depth_range, epsilon, tol):
     for arr in (dist_lower, diam, passed):
         arr.flags.writeable = False
     return EDEReport(
-        word=word,
-        epsilon=float(epsilon),
         constant=float(constant),
         depths=np.array(done),
         dist_lower=dist_lower,

@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -13,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fractdim import cli
+from fractdim import acceptance, cli
 from fractdim.acceptance import _determinism_configs
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -271,27 +272,35 @@ class TestSchemaGate:
 
     @pytest.mark.parametrize(
         "kind, key, value, error",
-        [("transversality", "region_low", "mistyped", ": unknown key 'region_low'"),
-         ("transversality", "region_high", "mistyped", ": unknown key 'region_high'"),
-         ("ede", "tolerance", "mistyped", ".tolerance"),
-         ("ede", "words", 5, ".words"),
-         ("ede", "words", [], ".words"),
-         ("ede", "words", [[0, 1], "mistyped"], ".words"),
-         ("ede", "samples", 0, ".samples"),
-         ("spectrum", "coarse", {"count": 1000, "scale": -1.0}, ".coarse"),
+        [("transversality", "region_low", "mistyped", ".params: unknown key 'region_low'"),
+         ("transversality", "region_high", "mistyped", ".params: unknown key 'region_high'"),
+         ("ede", "tolerance", "mistyped", ".params.tolerance"),
+         ("ede", "words", 5, ".params.words"),
+         ("ede", "words", [], ".params.words"),
+         ("ede", "words", [[0, 1], "mistyped"], ".params.words"),
+         ("ede", "samples", 0, ".params.samples"),
+         ("spectrum", "coarse", {"count": 1000, "scale": -1.0}, ".params.coarse"),
          ("transversality", "low", [[None], [0.0]],
-          ".low: expected a numeric array, got null")],
+          ".params.low: expected a numeric array, got null"),
+         ("gibbs", "ifs", {"ratios": "nonsense"}, ".ifs: kind 'gibbs' reads none"),
+         ("approx", "ifs", CANTOR_IFS, ".ifs: kind 'approx' reads none"),
+         ("transversality", "measure", UNIFORM2, ".measure: kind 'transversality' reads none"),
+         ("gibbs", "measure", UNIFORM2, ".measure: kind 'gibbs' reads none"),
+         ("ede", "measure", UNIFORM2,
+          ".measure: kind 'ede' reads none without samples or holder")],
         ids=["transversality-region_low-mistyped", "transversality-region_high-mistyped",
              "ede-tolerance-mistyped", "ede-words-5", "ede-words-value4",
              "ede-words-value5", "ede-samples-0", "spectrum-coarse-value7",
-             "transversality-low-null"],
+             "transversality-low-null", "gibbs-ifs", "approx-ifs",
+             "transversality-measure", "gibbs-measure", "ede-words-measure"],
     )
     def test_fields_outside_the_shipped_configs(
         self, tmp_path, capsys, kind, key, value, error
     ):
-        # fields that no file in configs/ sets, and counts or scales out of
-        # range; the translation family's region keys are gone, so any value
-        # of theirs is an unknown key; numpy would read a null as NaN
+        # fields that no file in configs/ sets, counts or scales out of
+        # range, and blocks the run does not read; the translation family's
+        # region keys are gone, so any value of theirs is an unknown key;
+        # numpy would read a null as NaN
         base = {
             "transversality": {
                 "low": [[0.0], [0.0]], "high": [[1.0], [1.0]],
@@ -300,14 +309,22 @@ class TestSchemaGate:
             },
             "ede": {"words": [[0, 1] * 15], "depth_min": 1, "depth_max": 4, "epsilon": 0.1},
             "spectrum": {"qs": [0.0, 1.0]},
+            "gibbs": {"depth": 1, "alphabet": 2, "table": [-0.5, -1.0]},
+            "approx": {"orders": [1, 2]},
         }[kind]
-        cfg = {"schema": 1, "kind": kind, "seed": 3, "ifs": CANTOR_IFS,
-               "measure": UNIFORM2, "params": {**base, key: value}}
+        blocks = {"gibbs": {}, "approx": {"measure": UNIFORM2}}.get(
+            kind, {"ifs": CANTOR_IFS, "measure": UNIFORM2}
+        )
+        cfg = {"schema": 1, "kind": kind, "seed": 3, **blocks, "params": dict(base)}
+        if key in ("ifs", "measure"):
+            cfg[key] = value
+        else:
+            cfg["params"][key] = value
         if key == "samples":
             del cfg["params"]["words"]
         code, out = launch(tmp_path, cfg)
         assert code == 2
-        assert capsys.readouterr().err.startswith(f"schema error: config.params{error}")
+        assert capsys.readouterr().err.startswith(f"schema error: config{error}")
         assert not out.exists()
 
     @pytest.mark.parametrize("version", [True, 1.0])
@@ -554,12 +571,14 @@ class TestExitCodes:
              "the attractor is one point (enclosure radius 0)"),
             ("marstrand_projection", ("ifs", "rotations"), [math.inf, 0.0, 0.0, 0.0],
              "rotation angles must be finite"),
+            ("cantor_spectrum", ("params", "coarse", "scale"), 1e-300,
+             "cell size 1e-300 is too fine for the cloud: lattice indices reach"),
         ],
         ids=["correlation-levels", "box-levels", "transversality-levels",
              "infinite-delta", "scalar-translations", "nan-offset-low",
              "infinite-offset-high", "infinite-energy-exponent",
              "overflowing-energy", "nan-translation", "overflowing-radius",
-             "one-point-attractor", "infinite-rotation"],
+             "one-point-attractor", "infinite-rotation", "overflowing-cell-index"],
     )
     @pytest.mark.filterwarnings("error")
     def test_out_of_range_leaf_is_exit_3(self, tmp_path, capsys, name, keys, value, message):
@@ -576,6 +595,7 @@ class TestExitCodes:
         assert err.startswith("precondition violated:")
         assert message in err
         assert "Traceback" not in err
+        assert "Warning" not in err
         assert not out.exists()
 
     @pytest.mark.parametrize("delta", [1e-13, 1e-320])
@@ -730,6 +750,24 @@ class TestExitCodes:
         printed = capsys.readouterr().out
         assert printed.count("pass") == 2
         assert (out / "structure.csv").exists()
+
+
+class TestVerify:
+    @pytest.mark.parametrize("suite", ["closed-form", "marstrand-small", "determinism-small"])
+    def test_suite_passes(self, capsys, suite):
+        assert cli.main(["verify", suite]) == 0
+        footer = capsys.readouterr().out.splitlines()[-1]
+        assert re.fullmatch(r"([1-9][0-9]*)/\1 checks passed", footer)
+
+    def test_failing_check_is_exit_1(self, capsys, monkeypatch):
+        monkeypatch.setitem(
+            acceptance.SUITES, "failing",
+            [lambda workers=1: [acceptance._flag("a flag that is false", False)]],
+        )
+        assert cli.main(["verify", "failing"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-2].endswith("FAIL")
+        assert lines[-1] == "0/1 checks passed"
 
 
 def test_cli_import_leaves_scipy_unloaded():
