@@ -41,11 +41,11 @@ from .measures import (
 from .multifractal import SpectrumProblem, T_derivative, solve_T, spectrum_curve
 from .dimest import (
     RadiusSchedule,
+    _RUN_PAIRS,
     _dyadic_radii,
     box_counting,
     coarse_spectrum,
-    correlation_dimension,
-    empirical_energy,
+    pair_estimates,
 )
 from .projections import Subspace, ede_check, holder_inverse_check, marstrand_experiment
 from .runtime import check_budget, enumeration_budget, substream
@@ -457,12 +457,16 @@ def _run_dimension(params, seed, workers, ifs, measure):
     )
     artifacts = []
     quantities = {"count": float(cloud.size), "truncation": cloud.truncation_error}
-    if "correlation" in params:
-        block = params["correlation"]
-        schedule = _fit_schedule(cloud, block)
-        est = correlation_dimension(
-            cloud, schedule, seed=seed,
-            max_pairs=int(block.get("max_pairs", 2_000_000)), workers=workers,
+    corr, energy = params.get("correlation", {}), params.get("energy", {})
+    corr_pairs, energy_pairs = (int(b.get("max_pairs", _RUN_PAIRS)) for b in (corr, energy))
+    exponents = np.array(energy.get("exponents", []), dtype=float).tolist()
+    # one pair draw serves both blocks when they share a budget; energy
+    # errors are raised as the estimates are read, after the box block's
+    shared = corr and energy and corr_pairs == energy_pairs
+    if corr:
+        schedule = _fit_schedule(cloud, corr)
+        est, energies = pair_estimates(
+            cloud, schedule, exponents if shared else (), seed, corr_pairs, workers
         )
         artifacts.append(("correlation.csv", ["radius", "correlation", "fitted"],
                           _fitted_rows(est, schedule, est.profile)))
@@ -473,20 +477,15 @@ def _run_dimension(params, seed, workers, ifs, measure):
         artifacts.append(("box.csv", ["radius", "boxes", "fitted"],
                           _fitted_rows(est, schedule, est.profile.astype(int))))
         quantities.update(box=est.value, box_stderr=est.stderr)
-    if "energy" in params:
-        block = params["energy"]
+    if energy:
+        if not shared:
+            _, energies = pair_estimates(cloud, None, exponents, seed, energy_pairs, workers)
         rows = []
-        for i, s in enumerate(np.array(block["exponents"], dtype=float)):
-            est = empirical_energy(
-                cloud, float(s), seed=seed,
-                max_pairs=int(block.get("max_pairs", 2_000_000)), workers=workers,
-            )
+        for i, est in enumerate(energies):
             rows.append((est.s, est.value, est.half_value, int(est.diverged)))
             quantities[f"energy{i}_value"] = est.value
             quantities[f"energy{i}_diverged"] = float(est.diverged)
-        artifacts.append(
-            ("energy.csv", ["s", "energy", "half_energy", "diverged"], rows)
-        )
+        artifacts.append(("energy.csv", ["s", "energy", "half_energy", "diverged"], rows))
     return artifacts, quantities
 
 
@@ -502,7 +501,7 @@ def _run_project(params, seed, workers, ifs, measure):
         seed=seed,
         tol=float(params.get("tolerance", 0.1)),
         directions=directions,
-        max_pairs=int(params.get("max_pairs", 2_000_000)),
+        max_pairs=int(params.get("max_pairs", _RUN_PAIRS)),
         workers=workers,
     )
     within = np.abs(report.estimates - report.predicted) <= report.tolerance

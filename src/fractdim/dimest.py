@@ -8,6 +8,7 @@ randomness flows through per-stratum substreams and reductions are
 associative sums combined in stratum order.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -18,6 +19,8 @@ from .measures import relative_entropy
 from .runtime import check_budget, freeze, run_chunks, substream
 
 _MAX_PAIRS = 10**7
+# pair budget of a config run and of marstrand_experiment
+_RUN_PAIRS = 2_000_000
 _MIN_PAIR_POINTS = 1000
 _MIN_BOXES = 100
 _RESOLUTION_FACTOR = 10.0
@@ -92,7 +95,22 @@ class PointCloud:
     truncation_error: float = 0.0
 
     def __post_init__(self):
-        pts = np.array(self.points, dtype=float)
+        self._adopt(np.array(self.points, dtype=float))
+
+    @classmethod
+    def _own(cls, points, truncation_error=0.0):
+        """A cloud that takes ownership of a float array, without a copy.
+
+        For an array the library has just filled, such as sample_points'
+        buffer; the array is frozen, so its maker must not write to it
+        afterwards.  Arrays passed to the constructor are copied instead.
+        """
+        cloud = object.__new__(cls)
+        object.__setattr__(cloud, "truncation_error", truncation_error)
+        cloud._adopt(points)
+        return cloud
+
+    def _adopt(self, pts):
         if pts.ndim == 1:
             pts = pts[:, None]
         if pts.ndim != 2 or pts.shape[0] < 1:
@@ -192,7 +210,7 @@ def _ols(logx, logy):
 _ENERGY_CUTS = (8, 4, 2, 1)
 
 
-def _pair_sample(n, seed, max_pairs):
+def _pair_sample(n, seed, max_pairs, workers=1):
     """Deterministic stratified pair sample over an n-point cloud.
 
     Stratum t pairs point i with entry i of a substream(seed, t)
@@ -202,7 +220,9 @@ def _pair_sample(n, seed, max_pairs):
     cloud of that size, such as all projections of one sample.  Returns
     one (a, b) pair of index arrays per stratum, views of one buffer that
     is allocated before any stratum is drawn; a sample too large to
-    allocate raises BudgetExceededError.
+    allocate raises BudgetExceededError.  Strata are drawn in parallel,
+    each into its own slot of the buffer, and one ordered pass then packs
+    the slots to the left, so the sample is the same for any worker count.
     """
     if n < _MIN_PAIR_POINTS:
         raise PreconditionError(f"need at least {_MIN_PAIR_POINTS} points")
@@ -218,14 +238,29 @@ def _pair_sample(n, seed, max_pairs):
             f"a sample of {n_strata * per_stratum} pairs cannot be allocated"
         ) from None
     left = np.arange(per_stratum, dtype=index)
+
+    def draw(t, start, stop):
+        partner = substream(seed, _STREAM_PAIRS, t).permutation(n)[:per_stratum]
+        # self-pairs are rare (one per stratum on average), so the pairs
+        # between them are copied run by run, with no gathered temporaries
+        at = t * per_stratum
+        self_pairs = np.flatnonzero(partner == left)
+        for lo, hi in itertools.pairwise([-1, *self_pairs, per_stratum]):
+            buf[0, at : at + hi - lo - 1] = left[lo + 1 : hi]
+            buf[1, at : at + hi - lo - 1] = partner[lo + 1 : hi]
+            at += hi - lo - 1
+        return at - t * per_stratum
+
     pairs = []
     end = 0
-    for t in range(n_strata):
-        partner = substream(seed, _STREAM_PAIRS, t).permutation(n)[:per_stratum]
-        keep = partner != left
-        a, b = buf[:, end : end + np.count_nonzero(keep)]
-        a[...], b[...] = left[keep], partner[keep]
-        end += a.size
+    for t, kept in enumerate(run_chunks(draw, n_strata, workers=workers, chunk=1)):
+        lo = t * per_stratum
+        if lo > end:
+            # row by row: a 1-d overlapping move to the left needs no copy
+            for row in buf:
+                row[end : end + kept] = row[lo : lo + kept]
+        a, b = buf[:, end : end + kept]
+        end += kept
         pairs.append((a, b))
     return pairs
 
@@ -316,20 +351,6 @@ def _correlation_fit(schedule, total, hits):
     return FitEstimate(slope, err, freeze(radii), freeze(corr))
 
 
-def correlation_dimension(cloud, schedule, seed=0, max_pairs=_MAX_PAIRS, workers=1):
-    """Slope of the correlation sum log C(r) against log r.
-
-    C(r) is the fraction of sampled point pairs within distance r; pairs
-    are drawn by the deterministic stratified scheme of _pair_sample, and
-    strata run in parallel.
-    """
-    pairs = _pair_sample(cloud.size, seed, max_pairs)
-    schedule.check_floor(cloud)
-    (profile,) = _pair_profile(cloud, [schedule.radii], (), pairs, workers, [cloud.points])
-    total, hits = profile[-1][:2]
-    return _correlation_fit(schedule, total, hits)
-
-
 @dataclass(frozen=True)
 class EnergyEstimate:
     """Empirical s-energy with the doubling-stability divergence flag.
@@ -345,6 +366,79 @@ class EnergyEstimate:
     s: float
 
 
+def _valid_exponent(s):
+    return 0 <= s < math.inf
+
+
+def _energy_estimates(exponents, profile):
+    """One EnergyEstimate per exponent, each checked as it is read.
+
+    Column i of the profile's energy sums is exponent i; the divergence
+    flag compares the running means of successive cuts.
+    """
+    for i, s in enumerate(exponents):
+        if not _valid_exponent(s):
+            raise PreconditionError(
+                f"energy exponent must be finite and nonnegative, got {s}"
+            )
+        running = [
+            energies[i] / (total - zero) if total > zero else math.inf
+            for total, _, zero, energies in profile
+        ]
+        total, _, zero, _ = profile[-1]
+        if total == zero:
+            raise EstimationError("all sampled pairs coincide; energy undefined")
+        if not math.isfinite(running[-1]):
+            raise EstimationError(f"the {s}-energy of the sampled pairs overflows float64")
+        diverged = any(
+            math.isinf(a) or abs(b - a) > 0.1 * abs(b)
+            for a, b in zip(running, running[1:])
+        )
+        yield EnergyEstimate(
+            value=float(running[-1]),
+            diverged=bool(diverged),
+            half_value=float(running[-2]),
+            zero_pair_weight=float(zero / total),
+            s=float(s),
+        )
+
+
+def pair_estimates(cloud, schedule=None, exponents=(), seed=0, max_pairs=_MAX_PAIRS,
+                   workers=1):
+    """Correlation fit and s-energies from one pair sample and one pass.
+
+    The correlation sum and the s-energy are two kernels over the same
+    sampled pairs of mu x mu, so one _pair_sample draw and one
+    _pair_profile pass serve both.  Returns (fit, energies): fit is the
+    correlation FitEstimate over the schedule (None without one), and
+    energies yields one EnergyEstimate per exponent, in order.  An energy
+    is checked only as it is read, so a caller can report the errors of
+    its other estimators first; the pass sums the exponents before the
+    first invalid one, and draws nothing when that leaves no work.
+    """
+    powers = list(itertools.takewhile(_valid_exponent, exponents))
+    if schedule is None and not powers:
+        return None, _energy_estimates(exponents, ())
+    pairs = _pair_sample(cloud.size, seed, max_pairs, workers)
+    radii = ()
+    if schedule is not None:
+        schedule.check_floor(cloud)
+        radii = schedule.radii
+    (profile,) = _pair_profile(cloud, [radii], powers, pairs, workers, [cloud.points])
+    fit = None if schedule is None else _correlation_fit(schedule, *profile[-1][:2])
+    return fit, _energy_estimates(exponents, profile)
+
+
+def correlation_dimension(cloud, schedule, seed=0, max_pairs=_MAX_PAIRS, workers=1):
+    """Slope of the correlation sum log C(r) against log r.
+
+    C(r) is the fraction of sampled point pairs within distance r; pairs
+    are drawn by the deterministic stratified scheme of _pair_sample, and
+    strata run in parallel.
+    """
+    return pair_estimates(cloud, schedule, (), seed, max_pairs, workers)[0]
+
+
 def empirical_energy(cloud, s, seed=0, max_pairs=_MAX_PAIRS, workers=1):
     """Mean of |x - y|^-s over sampled pairs, zero distances excluded.
 
@@ -354,34 +448,7 @@ def empirical_energy(cloud, s, seed=0, max_pairs=_MAX_PAIRS, workers=1):
     that moves it by more than 10 percent fires.  A finite energy
     settles; a divergent one keeps shifting through new extreme summands.
     """
-    if not (0 <= s < math.inf):
-        raise PreconditionError(
-            f"energy exponent must be finite and nonnegative, got {s}"
-        )
-    pairs = _pair_sample(cloud.size, seed, max_pairs)
-    (blocks,) = _pair_profile(cloud, [()], (s,), pairs, workers, [cloud.points])
-
-    def mean(block):
-        total, _, zero, energies = block
-        return energies[0] / (total - zero) if total > zero else math.inf
-
-    running = [mean(b) for b in blocks]
-    total, _, zero, _ = blocks[-1]
-    if total == zero:
-        raise EstimationError("all sampled pairs coincide; energy undefined")
-    if not math.isfinite(running[-1]):
-        raise EstimationError(f"the {s}-energy of the sampled pairs overflows float64")
-    diverged = any(
-        math.isinf(a) or abs(b - a) > 0.1 * abs(b)
-        for a, b in zip(running, running[1:])
-    )
-    return EnergyEstimate(
-        value=float(running[-1]),
-        diverged=bool(diverged),
-        half_value=float(running[-2]),
-        zero_pair_weight=float(zero / total),
-        s=float(s),
-    )
+    return next(pair_estimates(cloud, None, (s,), seed, max_pairs, workers)[1])
 
 
 def _dyadic_box_counts(points, finest, levels):

@@ -259,10 +259,7 @@ def sample_points(ifs, measure, count, tol, seed, workers=1):
         _project_batch(ifs, words, out=pts[start:stop])
 
     run_chunks(chunk, count, workers=workers)
-    return PointCloud(
-        points=pts,
-        truncation_error=ifs.metric.gamma**depth * ifs.radius,
-    )
+    return PointCloud._own(pts, ifs.metric.gamma**depth * ifs.radius)
 
 
 @dataclass(frozen=True)

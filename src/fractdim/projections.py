@@ -16,6 +16,7 @@ import numpy as np
 from .dimest import (
     PointCloud,
     RadiusSchedule,
+    _RUN_PAIRS,
     _correlation_fit,
     _pair_profile,
     _pair_sample,
@@ -153,7 +154,7 @@ def marstrand_experiment(
     seed,
     tol=0.1,
     directions=None,
-    max_pairs=2_000_000,
+    max_pairs=_RUN_PAIRS,
     workers=1,
 ):
     """Projected correlation dimensions against min(d, h/chi).
@@ -190,7 +191,7 @@ def marstrand_experiment(
         for v in directions:
             if v.ambient != n or v.dim != d:
                 raise PreconditionError("supplied direction has wrong shape")
-    pairs = _pair_sample(cloud.size, seed, max_pairs)
+    pairs = _pair_sample(cloud.size, seed, max_pairs, workers)
     estimates = np.empty(len(directions))
     stderrs = np.empty(len(directions))
     for lo in range(0, len(directions), _DIRECTION_BLOCK):

@@ -1,5 +1,6 @@
 """Batch driver contract: schema gate, exit codes, artifact formats."""
 
+import hashlib
 import itertools
 import json
 import math
@@ -704,6 +705,33 @@ class TestExitCodes:
         assert "a sample of 2499950000 pairs cannot be allocated" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "params, message",
+        [
+            ({"correlation": {"r0": 1e-9, "levels": 6},
+              "box": {"r0": 0.5, "levels": 10**12}, "energy": {"exponents": [math.inf]}},
+             "schedule probes below the truncation floor"),
+            ({"correlation": {"r0": 0.5, "levels": 6},
+              "box": {"r0": 0.5, "levels": 10**12}, "energy": {"exponents": [400.0]}},
+             "finest radius r0 * 2^-1000000000000 underflows to 0"),
+            ({"correlation": {"r0": 0.5, "levels": 6},
+              "energy": {"exponents": [0.5, 400.0, math.inf]}},
+             "the 400.0-energy of the sampled pairs overflows float64"),
+            ({"correlation": {"r0": 0.5, "levels": 6},
+              "energy": {"exponents": [0.5, math.inf, 400.0]}},
+             "energy exponent must be finite and nonnegative"),
+        ],
+        ids=["correlation-first", "box-before-energy", "overflow-first", "exponent-first"],
+    )
+    def test_errors_come_in_block_order(self, tmp_path, capsys, params, message):
+        # correlation and energy share one pair draw, but the first failing
+        # block (correlation, box, energy, exponents in order) names the error
+        code, out = launch(tmp_path, dimension_config(**params))
+        err = capsys.readouterr().err
+        assert code == 3
+        assert message in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("tol", [0.0, -1e-3, math.nan], ids=["zero", "negative", "nan"])
     def test_bad_sample_tol_is_exit_3(self, tmp_path, capsys, tol):
         # refused before the cloud is sampled, as natural_projection refuses it
@@ -875,6 +903,45 @@ class TestRunners:
                 csvs.append({p.name: p.read_bytes() for p in sorted(out.glob("*.csv"))})
             assert len(csvs[0]) == (3 if run_cfg["kind"] == "dimension" else 2)
             assert csvs[0] == csvs[1]
+
+    @pytest.mark.parametrize(
+        "params, digests",
+        [
+            ({"correlation": {"r0": 0.5, "levels": 6, "max_pairs": 300_000},
+              "box": {"r0": 0.5, "levels": 6},
+              "energy": {"exponents": [0.5, 0.9], "max_pairs": 120_000}},
+             {"box.csv": "4b4a7612d8d5b34601c9d4617a5e68d8932b1d10c4c29393192298c22121e05e",
+              "correlation.csv":
+                  "7cbeedeccd435bf1820a3d290b5140f03ac000341eac287bd31783ecb4501d81",
+              "energy.csv": "d666e6d3b58fab507142ed025797f722141ee8960ab1b59668bb50dd418efe09",
+              "summary.json":
+                  "6e43ee7587438f939fbe258659a7cfa6d1d1e06a47f381dd2e51312079acd085"}),
+            ({"correlation": {"r0": 0.5, "levels": 6, "max_pairs": 150_000},
+              "energy": {"exponents": [0.5, 0.9], "max_pairs": 150_000}},
+             {"correlation.csv":
+                  "b44076c880e7b234e273917e5873f78f5dec3d8d3187b4ccf2618e71a49093b0",
+              "energy.csv": "36f0e97a0eb37c4d58a2b84f20103c840416e516893aa8ac06897949f5c8eb7a",
+              "summary.json":
+                  "aa549f12994793cef8c3d1853b77352d16f1f29786c3c7b43ae3bd89ea71170c"}),
+            ({"energy": {"exponents": [0.3, 0.7, 1.1]}},
+             {"energy.csv": "fc526a7363ec2a2a2b4c8866ba52665625c8bf8638d3557f80dcdda94476f222",
+              "summary.json":
+                  "275f95cb4fae82e6398fd97c48eb12501eaa4cfcaa334e604857bf0915979c6e"}),
+        ],
+        ids=["split-budgets", "shared-budget", "energy-only"],
+    )
+    def test_pair_budgets_keep_their_artifacts(self, tmp_path, params, digests):
+        # digests written when each estimate drew its own pair sample: a
+        # shared draw, or one draw per distinct budget, writes the same bytes
+        cfg = {**dimension_config(**params), "seed": 5}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        for workers in (1, 2, 3):
+            out = tmp_path / f"out-w{workers}"
+            assert cli.run(path, out, workers=workers) == 0
+            got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                   for p in sorted(out.iterdir()) if p.name != "manifest.json"}
+            assert got == digests
 
     def test_ede_verdict_table(self, tmp_path):
         cfg = {

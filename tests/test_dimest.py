@@ -1,6 +1,8 @@
 """Dimension estimators against closed forms and brute-force oracles."""
 
 import math
+import sys
+import time
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from fractdim import projections
 from fractdim.dimest import (
     _ENERGY_CUTS,
     _STREAM_PAIRS,
+    EnergyEstimate,
     PointCloud,
     RadiusSchedule,
     _GridIndex,
@@ -18,6 +21,7 @@ from fractdim.dimest import (
     coarse_spectrum,
     correlation_dimension,
     empirical_energy,
+    pair_estimates,
     relative_dimension_bound,
     _linear_fit,
     _pair_profile,
@@ -73,6 +77,16 @@ class TestPointCloud:
     def test_nonfinite_rejected(self):
         with pytest.raises(PreconditionError):
             PointCloud([[0.0], [math.inf]])
+        with pytest.raises(PreconditionError, match="finite"):
+            PointCloud._own(np.array([[0.0], [math.nan]]))
+
+    def test_callers_array_is_copied_and_own_array_is_taken(self):
+        pts = np.random.default_rng(0).random((50, 2))
+        cloud = PointCloud(pts)
+        assert not np.shares_memory(cloud.points, pts) and pts.flags.writeable
+        owned = PointCloud._own(pts, truncation_error=0.5)
+        assert owned.points is pts and not pts.flags.writeable
+        assert owned.truncation_error == 0.5 and owned == PointCloud._own(pts, 0.5)
 
     def test_box_masses_sum_to_one(self):
         cloud = uniform_cloud(5000, 2, 3)
@@ -196,6 +210,70 @@ class TestEnergy:
         assert a.value == b.value and a.half_value == b.half_value
 
 
+def reference_pair_sample(n, seed, max_pairs):
+    """The serial _pair_sample the threaded draw replaced, kept verbatim."""
+    if n < 1000:
+        raise PreconditionError("need at least 1000 points")
+    if max_pairs < 1:
+        raise PreconditionError("pair budget must be at least 1")
+    n_strata = max(1, min(max_pairs // n, n - 1))
+    per_stratum = min(n, max_pairs)
+    index = np.int32 if n <= np.iinfo(np.int32).max else np.int64
+    buf = np.empty((2, n_strata * per_stratum), dtype=index)
+    left = np.arange(per_stratum, dtype=index)
+    pairs = []
+    end = 0
+    for t in range(n_strata):
+        partner = substream(seed, _STREAM_PAIRS, t).permutation(n)[:per_stratum]
+        keep = partner != left
+        a, b = buf[:, end : end + np.count_nonzero(keep)]
+        a[...], b[...] = left[keep], partner[keep]
+        end += a.size
+        pairs.append((a, b))
+    return pairs
+
+
+def reference_correlation_dimension(cloud, schedule, seed, max_pairs):
+    """The separate correlation call: its own draw and a pass with no powers."""
+    pairs = reference_pair_sample(cloud.size, seed, max_pairs)
+    schedule.check_floor(cloud)
+    (profile,) = _pair_profile(cloud, [schedule.radii], (), pairs, 1, [cloud.points])
+    total, hits = profile[-1][:2]
+    return _correlation_fit(schedule, total, hits)
+
+
+def reference_empirical_energy(cloud, s, seed, max_pairs):
+    """The separate energy call, kept verbatim: its own draw and pass."""
+    if not (0 <= s < math.inf):
+        raise PreconditionError(
+            f"energy exponent must be finite and nonnegative, got {s}"
+        )
+    pairs = reference_pair_sample(cloud.size, seed, max_pairs)
+    (blocks,) = _pair_profile(cloud, [()], (s,), pairs, 1, [cloud.points])
+
+    def mean(block):
+        total, _, zero, energies = block
+        return energies[0] / (total - zero) if total > zero else math.inf
+
+    running = [mean(b) for b in blocks]
+    total, _, zero, _ = blocks[-1]
+    if total == zero:
+        raise EstimationError("all sampled pairs coincide; energy undefined")
+    if not math.isfinite(running[-1]):
+        raise EstimationError(f"the {s}-energy of the sampled pairs overflows float64")
+    diverged = any(
+        math.isinf(a) or abs(b - a) > 0.1 * abs(b)
+        for a, b in zip(running, running[1:])
+    )
+    return EnergyEstimate(
+        value=float(running[-1]),
+        diverged=bool(diverged),
+        half_value=float(running[-2]),
+        zero_pair_weight=float(zero / total),
+        s=float(s),
+    )
+
+
 def reference_pair_profile(cloud, radii, powers, seed, max_pairs, workers):
     """The per-call pair profile the binned engine replaced, on counts.
 
@@ -267,6 +345,40 @@ class TestPairEngine:
             assert np.array_equal(a, left[keep])
             assert np.array_equal(b, partner[keep])
 
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "n, max_pairs",
+        [(1000, 10**7), (1000, 2_500), (1500, 1000), (1200, 5000), (3001, 100_003)],
+    )
+    def test_threaded_draw_matches_serial_reference(self, n, max_pairs, workers):
+        ref = reference_pair_sample(n, 9, max_pairs)
+        got = _pair_sample(n, 9, max_pairs, workers)
+        assert len(got) == len(ref)
+        for (a, b), (ref_a, ref_b) in zip(got, ref):
+            assert a.dtype == ref_a.dtype and b.dtype == ref_b.dtype
+            assert np.array_equal(a, ref_a) and np.array_equal(b, ref_b)
+        # every stratum is a view of one buffer, packed as the serial loop wrote it
+        buf, ref_buf = got[0][0].base, ref[0][0].base
+        assert buf.shape == ref_buf.shape and buf.dtype == ref_buf.dtype
+        assert all(a.base is buf and b.base is buf for a, b in got)
+        end = sum(a.size for a, _ in got)
+        assert np.array_equal(buf[:, :end], ref_buf[:, :end])
+
+    def test_threads_fill_disjoint_slots_under_frequent_switches(self):
+        # more workers than cores and a short switch interval interleave the
+        # strata's writes into the shared buffer as much as possible
+        ref = reference_pair_sample(2000, 5, 60_001)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            start = time.perf_counter()
+            got = _pair_sample(2000, 5, 60_001, workers=6)
+            assert time.perf_counter() - start < 30.0
+        finally:
+            sys.setswitchinterval(interval)
+        for (a, b), (ref_a, ref_b) in zip(got, ref, strict=True):
+            assert np.array_equal(a, ref_a) and np.array_equal(b, ref_b)
+
     def test_sample_preconditions(self):
         with pytest.raises(PreconditionError):
             _pair_sample(5000, 0, 0)
@@ -300,6 +412,52 @@ class TestPairEngine:
             np.testing.assert_allclose(energies, cut_ref[3], rtol=1e-14, atol=0)
         if kind.startswith("coincident"):
             assert ref[-1][2] > 0
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize(
+        "kind", ["uniform-1d", "dirichlet-2d", "coincident-2d", "coincident-1d"]
+    )
+    def test_shared_pass_equals_separate_passes(self, kind, workers):
+        cloud = oracle_cloud(kind)
+        radii = RadiusSchedule(r0=0.5, levels=10, fit_lo=0, fit_hi=10).radii
+        powers = (0.0, 0.4, 1.3)
+        pairs = _pair_sample(cloud.size, 3, 35_000, workers)
+        (shared,) = _pair_profile(cloud, [radii], powers, pairs, workers, [cloud.points])
+        (corr,) = _pair_profile(cloud, [radii], (), pairs, workers, [cloud.points])
+        for k, s in enumerate(powers):
+            (energy,) = _pair_profile(cloud, [()], (s,), pairs, workers, [cloud.points])
+            for (total, hits, zero, energies), corr_cut, energy_cut in zip(shared, corr, energy):
+                # bitwise: totals, hits and zero counts, and each exponent's sums
+                assert total == corr_cut[0] == energy_cut[0]
+                assert zero == corr_cut[2] == energy_cut[2]
+                assert hits.tobytes() == corr_cut[1].tobytes()
+                assert energies[k : k + 1].tobytes() == energy_cut[3].tobytes()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_one_draw_gives_the_separate_estimates(self, workers):
+        cloud = cantor_cloud(20_000, 7)
+        schedule = RadiusSchedule(r0=0.5, levels=8, fit_lo=1, fit_hi=8)
+        exponents = [0.0, 0.3, 0.6, 0.9]
+        fit, energies = pair_estimates(cloud, schedule, exponents, 4, 150_000, workers)
+        ref = reference_correlation_dimension(cloud, schedule, 4, 150_000)
+        assert (fit.value, fit.stderr) == (ref.value, ref.stderr)
+        assert fit.profile.tobytes() == ref.profile.tobytes()
+        assert list(energies) == [
+            reference_empirical_energy(cloud, s, 4, 150_000) for s in exponents
+        ]
+        assert pair_estimates(cloud, None, exponents, 4, 150_000, workers)[0] is None
+
+    def test_energies_are_checked_as_they_are_read(self):
+        cloud = uniform_cloud(2000, 1, 0)
+        sch = RadiusSchedule(r0=0.25, levels=4, fit_lo=0, fit_hi=4)
+        _, energies = pair_estimates(cloud, sch, [0.5, 400.0, -1.0], max_pairs=20_000)
+        assert next(energies) == empirical_energy(cloud, 0.5, max_pairs=20_000)
+        with pytest.raises(EstimationError, match="overflows float64"):
+            next(energies)
+        # a bad first exponent is refused before any draw, as a separate call did
+        _, energies = pair_estimates(PointCloud(np.zeros((10, 1))), None, [math.nan])
+        with pytest.raises(PreconditionError, match="finite and nonnegative"):
+            next(energies)
 
     def test_marstrand_matches_per_direction_reference(self):
         ifs = SimilarityIFS(

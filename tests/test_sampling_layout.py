@@ -13,6 +13,7 @@ import time
 import numpy as np
 import pytest
 
+from fractdim import ifs as ifs_module
 from fractdim.ifs import (
     _STREAM_POINTS,
     SimilarityIFS,
@@ -244,3 +245,19 @@ class TestSamplePoints:
         finally:
             sys.setswitchinterval(interval)
         assert cloud.points.tobytes() == want
+
+    def test_cloud_takes_the_buffer_the_chunks_filled(self, monkeypatch):
+        # no copy at the end: the cloud's points are the slices the chunks
+        # projected into
+        filled = []
+
+        def recorded(ifs, words, out=None):
+            filled.append(out)
+            return _project_batch(ifs, words, out=out)
+
+        monkeypatch.setattr(ifs_module, "_project_batch", recorded)
+        ifs, mu = SYSTEMS["equal-1d"], BernoulliMeasure([0.3, 0.7])
+        cloud = sample_points(ifs, mu, 2 * CHUNK + 5, tol=1e-6, seed=3, workers=2)
+        assert len(filled) == 3
+        assert all(np.shares_memory(cloud.points, out) for out in filled)
+        assert not cloud.points.flags.writeable

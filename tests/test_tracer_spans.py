@@ -4,9 +4,12 @@
 reads the call's arguments, so a signature change can crash a traced
 benchmark run while every traced name still resolves.  The tracer is
 loaded from its file, unedited, and small estimator runs go through it.
+A `dimension` run calls no traced estimator for its pairs, so its pair
+draw must run in `run_chunks`, whose chunks the tracer records as spans.
 """
 
 import importlib.util
+import json
 from pathlib import Path
 
 import numpy as np
@@ -67,3 +70,55 @@ def test_traced_pair_estimators_match_untraced():
         "projections.marstrand_experiment",
     }
     assert all("pairs" in s["attrs"] for s in profiles)
+
+
+def dimension_runs(tmp_path, tag, workers=2):
+    """A small `dimension` run per pair budget layout, artifacts by file name."""
+    budgets = {"shared": (100_000, 100_000), "split": (100_000, 60_000)}
+    out = {}
+    for name, (corr_pairs, energy_pairs) in budgets.items():
+        cfg = {
+            "schema": 1, "kind": "dimension", "seed": 4,
+            "ifs": {"ratios": [1 / 3, 1 / 3], "translations": [0.0, 2 / 3]},
+            "measure": {"type": "bernoulli", "weights": [0.5, 0.5]},
+            "params": {
+                "count": 20_000,
+                "correlation": {"r0": 0.5, "levels": 6, "max_pairs": corr_pairs},
+                "box": {"r0": 0.5, "levels": 6},
+                "energy": {"exponents": [0.5, 0.9], "max_pairs": energy_pairs},
+            },
+        }
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(cfg))
+        directory = tmp_path / f"{name}-{tag}"
+        assert cli.run(path, directory, workers=workers) == 0
+        out[name] = {p.name: p.read_bytes() for p in sorted(directory.iterdir())
+                     if p.name != "manifest.json"}
+    return out
+
+
+def test_traced_dimension_run_draws_pairs_in_chunk_spans(tmp_path):
+    # structure, not timing: the pair draw runs in `run_chunks`, so its
+    # strata are `dimest.chunk` spans and not self time of `cli.run`
+    tracing = load_tracing()
+    plain = dimension_runs(tmp_path, "plain")
+    tracer = tracing.Tracer("dimension")
+    with tracing.instrument(tracer):
+        traced = dimension_runs(tmp_path, "traced")
+    assert traced == plain
+    spans = {s["id"]: s for s in tracer.spans}
+    runs = sorted((s for s in tracer.spans if s["name"] == "cli.run"),
+                  key=lambda s: s["start"])
+    for run, draws in zip(runs, ([5], [5, 3])):
+        # one draw per distinct budget: 20,000 points and 100,000 or
+        # 60,000 pairs make 5 or 3 strata; the cloud's chunks are ifs.chunk
+        below_run = [s for s in tracer.spans if s["parent"] == run["id"]]
+        pooled = [s for s in below_run if s["name"] == "runtime.run_chunks"]
+        assert [s["attrs"]["chunks"] for s in pooled] == draws
+        for pool in pooled:
+            kids = [s for s in tracer.spans if s["parent"] == pool["id"]]
+            assert len(kids) == pool["attrs"]["chunks"]
+            assert {s["name"] for s in kids} == {"dimest.chunk"}
+        profiles = [s for s in below_run if s["name"] == "dimest._pair_profile"]
+        assert len(profiles) == len(draws)
+        assert all(spans[s["parent"]] is run for s in pooled + profiles)
