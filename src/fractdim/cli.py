@@ -42,6 +42,7 @@ from .multifractal import SpectrumProblem, T_derivative, solve_T, spectrum_curve
 from .dimest import (
     RadiusSchedule,
     _RUN_PAIRS,
+    _check_lattice_reach,
     _dyadic_radii,
     box_counting,
     coarse_spectrum,
@@ -415,6 +416,8 @@ def _run_spectrum(params, seed, workers, ifs, measure):
         block = params["coarse"]
         scale = float(block["scale"])
         delta = float(block.get("delta", 0.05))
+        # refused before sampling: every point lies in the enclosure ball
+        _check_lattice_reach(scale, ifs.center, ifs.radius)
         cloud = sample_points(
             ifs, measure, int(block["count"]), tol=scale / 20.0,
             seed=seed, workers=workers,

@@ -44,17 +44,27 @@ def _lattice_ids(k):
     return k @ strides, k_min, dims, strides
 
 
-def _lattice_cells(points, cell):
-    """Absolute lattice index floor(x / cell) of every point."""
-    if not (cell > 0 and math.isfinite(cell)):
-        raise PreconditionError("cell size must be positive and finite")
-    # refused before the int64 cast, which would wrap indices past 2**63
-    reach = float(np.abs(points).max()) / cell
+def _check_lattice_reach(cell, points, radius=0.0):
+    """Refuse a cell size whose lattice indices floor(x / cell) reach 2**62.
+
+    x ranges over the rows of points and, with a radius, over the balls
+    of that radius about them: an IFS's enclosure ball holds every point
+    of its clouds, so a scale can be refused before any is sampled.  The
+    int64 cast would wrap indices past 2**63.
+    """
+    reach = (float(np.abs(points).max()) + radius) / cell
     if not reach < 2**62:
         raise PreconditionError(
             f"cell size {cell:g} is too fine for the cloud: lattice indices "
             f"reach {reach:.3g}, past 2**62"
         )
+
+
+def _lattice_cells(points, cell):
+    """Absolute lattice index floor(x / cell) of every point."""
+    if not (cell > 0 and math.isfinite(cell)):
+        raise PreconditionError("cell size must be positive and finite")
+    _check_lattice_reach(cell, points)
     return np.floor(points / cell).astype(np.int64)
 
 
@@ -131,12 +141,22 @@ class PointCloud:
 
 
 def _dyadic_radii(r0, levels):
-    """Radii r0 * 2^-j for j = 0..levels; the finest must not underflow to 0."""
+    """Radii r0 * 2^-j for j = 0..levels, exact: the finest must be normal.
+
+    A normal radius is r0 * 2^-j exactly and its bit pattern is
+    bits(r0) - (j << 52), which _radii_below bins distances by.
+    """
     if not (r0 > 0 and math.isfinite(r0)):
         raise PreconditionError("top radius must be positive and finite")
-    if r0 * 0.5 ** max(levels, 0) == 0:
+    # ldexp, not r0 * 0.5**levels: 0.5**levels is 0 past 1074 levels
+    finest = math.ldexp(r0, -max(levels, 0))
+    if finest == 0:
         raise PreconditionError(f"finest radius r0 * 2^-{levels} underflows to 0")
-    return r0 * 0.5 ** np.arange(levels + 1)
+    if finest < np.finfo(float).tiny:
+        raise PreconditionError(
+            f"finest radius r0 * 2^-{levels} = {finest:.3g} is subnormal"
+        )
+    return np.ldexp(r0, -np.arange(levels + 1))
 
 
 @dataclass(frozen=True)
@@ -265,6 +285,24 @@ def _pair_sample(n, seed, max_pairs, workers=1):
     return pairs
 
 
+def _radii_below(d, radii):
+    """How many radii lie below each distance: the sum of d > r over radii.
+
+    radii are _dyadic_radii's r0 * 2^-j for j < L, with a normal finest
+    radius, so bits(radii[j]) = bits(radii[-1]) + ((L - 1 - j) << 52); d
+    is nonnegative (+0 and inf included).  Nonnegative doubles order as
+    their int64 bit patterns do, so d > radii[j] exactly when
+    j >= L - 1 - q, q = (bits(d) - bits(radii[-1]) - 1) >> 52, and the
+    count is q + 1 clipped to [0, L]: a subtract, a shift and a clip for
+    all radii at once, then the cast to the narrow bin type.
+    """
+    base = int(radii[-1:].view(np.int64)[0]) - (1 << 52) + 1
+    below = d.view(np.int64) - base
+    below >>= 52
+    np.clip(below, 0, radii.size, out=below)
+    return below.astype(np.min_scalar_type(radii.size))
+
+
 def _pair_profile(cloud, radii, powers, pairs, workers, views):
     """Correlation/energy pair counts over a fixed pair sample, one per view.
 
@@ -281,7 +319,10 @@ def _pair_profile(cloud, radii, powers, pairs, workers, views):
     Each stratum's pairs split into the disjoint segments [0, c/8),
     [c/8, c/4), [c/4, c/2) and [c/2, c).  Every pair is binned once by the
     number of (descending) radii below its distance, so d <= r stays the
-    exact test.  Cumulative sums over the segments give the nested cuts at
+    exact test.  The bins come from the distance's float bits in one
+    integer pass per view and stratum (_radii_below), which needs every
+    schedule to be _dyadic_radii's, finest radius normal; the segments
+    slice it.  Cumulative sums over the segments give the nested cuts at
     an eighth, a quarter, half, and all of the stratum, which the
     divergence detector compares.  A profile is one tuple (pairs, hits per
     radius, zero-distance pairs, energy sums over the nonzero distances)
@@ -291,14 +332,11 @@ def _pair_profile(cloud, radii, powers, pairs, workers, views):
     views = [[np.ascontiguousarray(c) for c in v.T] for v in views]
     radii = [np.asarray(r, dtype=float) for r in radii]
 
-    def segment(d, radii):
+    def segment(d, below, size):
         hits = ()
-        if radii.size:
-            below = np.zeros(d.size, dtype=np.min_scalar_type(radii.size))
-            for r in radii:
-                below += d > r
-            # d <= radii[j] iff fewer than radii.size - j radii lie below d
-            hits = np.cumsum(np.bincount(below, minlength=radii.size + 1))[-2::-1]
+        if below is not None:
+            # d <= radii[j] iff fewer than size - j radii lie below d
+            hits = np.cumsum(np.bincount(below, minlength=size + 1))[-2::-1]
         zero = d.size - np.count_nonzero(d)
         d_nz = d[d > 0] if zero else d
         # empirical_energy reports a sum that overflows to inf
@@ -310,17 +348,23 @@ def _pair_profile(cloud, radii, powers, pairs, workers, views):
         a, b = (i.astype(np.intp, copy=False) for i in pairs[t])
         edges = [0] + [a.size // c for c in _ENERGY_CUTS]
         profiles = []
-        for cols, r in zip(views, radii):
+        for (first, *rest), r in zip(views, radii):
             # coordinate-wise accumulation, in place: the same rounding as
-            # a row sum for ambient dimension below 8
-            d = np.zeros(a.size)
-            for c in cols:
+            # a row sum for ambient dimension below 8 (0 + s is s for s >= 0)
+            d = first[a]
+            d -= first[b]
+            d *= d
+            for c in rest:
                 step = c[a]
                 step -= c[b]
                 step *= step
                 d += step
             np.sqrt(d, out=d)
-            rows = [segment(d[lo:hi], r) for lo, hi in zip(edges, edges[1:])]
+            below = _radii_below(d, r) if r.size else None
+            rows = [
+                segment(d[lo:hi], None if below is None else below[lo:hi], r.size)
+                for lo, hi in zip(edges, edges[1:])
+            ]
             profiles.append(np.cumsum(rows, axis=0, dtype=float))
         return profiles
 

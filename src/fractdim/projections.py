@@ -103,9 +103,8 @@ def project_cloud(cloud, subspace):
     """
     if cloud.ambient_dim != subspace.ambient:
         raise PreconditionError("cloud and subspace ambient dimensions differ")
-    return PointCloud(
-        cloud.points @ subspace.basis.T, truncation_error=cloud.truncation_error
-    )
+    # the product is a fresh array, so the cloud takes it without a copy
+    return PointCloud._own(cloud.points @ subspace.basis.T, cloud.truncation_error)
 
 
 @dataclass(frozen=True)

@@ -574,12 +574,17 @@ class TestExitCodes:
              "rotation angles must be finite"),
             ("cantor_spectrum", ("params", "coarse", "scale"), 1e-300,
              "cell size 1e-300 is too fine for the cloud: lattice indices reach"),
+            ("cantor_dimension", ("params", "correlation", "levels"), 1060,
+             "finest radius r0 * 2^-1060 = 4.05e-320 is subnormal"),
+            ("transversality_family", ("params", "levels"), 1060,
+             "finest radius r0 * 2^-1060 = 4.05e-320 is subnormal"),
         ],
         ids=["correlation-levels", "box-levels", "transversality-levels",
              "infinite-delta", "scalar-translations", "nan-offset-low",
              "infinite-offset-high", "infinite-energy-exponent",
              "overflowing-energy", "nan-translation", "overflowing-radius",
-             "one-point-attractor", "infinite-rotation", "overflowing-cell-index"],
+             "one-point-attractor", "infinite-rotation", "overflowing-cell-index",
+             "subnormal-correlation-radius", "subnormal-transversality-radius"],
     )
     @pytest.mark.filterwarnings("error")
     def test_out_of_range_leaf_is_exit_3(self, tmp_path, capsys, name, keys, value, message):
@@ -612,6 +617,19 @@ class TestExitCodes:
         assert code == 3
         assert err.startswith("precondition violated: coarse spectrum bins needs")
         assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_too_fine_coarse_scale_is_refused_before_sampling(self, tmp_path, capsys):
+        # the enclosure ball bounds the lattice reach, so no million-point
+        # cloud is drawn at a projection depth of about 630 symbols first
+        cfg = json.loads((ROOT / "configs" / "cantor_spectrum.json").read_text())
+        cfg["params"]["coarse"]["scale"] = 1e-300
+        start = time.perf_counter()
+        code, out = launch(tmp_path, cfg)
+        assert time.perf_counter() - start < 2.0
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("precondition violated: cell size 1e-300 is too fine")
         assert not out.exists()
 
     def test_rotations_on_the_line_name_the_plane(self, tmp_path, capsys):

@@ -1,5 +1,7 @@
 """Every shipped config writes the bytes of the digest table, at workers 1 and 2.
 
+The configs that run the pair profile are checked at workers 3 as well.
+
 DIGESTS holds the sha256 of each CSV, each summary.json and the printed
 report of every config in configs/; manifest.json holds wall times and is
 left out.  A change that moves any of these bytes is a drift: name it in
@@ -76,12 +78,18 @@ def sha256(data):
     return hashlib.sha256(data).hexdigest()
 
 
+# the configs that run through the pair profile, whose strata the workers share
+PAIR_CONFIGS = ("cantor_dimension", "marstrand_projection")
+
+
 def test_table_covers_every_config():
     assert sorted({key.split("/")[0] for key in DIGESTS}) == CONFIGS
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-@pytest.mark.parametrize("name", CONFIGS)
+@pytest.mark.parametrize(
+    "name, workers",
+    [(name, w) for w in (1, 2) for name in CONFIGS] + [(name, 3) for name in PAIR_CONFIGS],
+)
 def test_artifacts_match_digest_table(tmp_path, name, workers):
     out = tmp_path / "out"
     printed = io.StringIO()

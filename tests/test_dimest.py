@@ -6,6 +6,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import linregress
 
 from fractdim import projections
@@ -17,6 +19,8 @@ from fractdim.dimest import (
     RadiusSchedule,
     _GridIndex,
     _box_masses,
+    _dyadic_radii,
+    _radii_below,
     box_counting,
     coarse_spectrum,
     correlation_dimension,
@@ -103,6 +107,21 @@ class TestSchedule:
     def test_radii_are_dyadic(self):
         sch = RadiusSchedule(r0=1.0, levels=4, fit_lo=0, fit_hi=4)
         assert sch.radii == pytest.approx([1.0, 0.5, 0.25, 0.125, 0.0625])
+
+    @pytest.mark.parametrize("r0, levels", [(1e-300, 30), (1.0, 1023), (3e-308, 1)])
+    def test_subnormal_finest_radius_rejected(self, r0, levels):
+        # a subnormal radius is not r0 * 2^-j bit for bit, which the pair
+        # profile's binning needs
+        with pytest.raises(PreconditionError, match="is subnormal"):
+            _dyadic_radii(r0, levels)
+        with pytest.raises(PreconditionError, match="is subnormal"):
+            RadiusSchedule(r0=r0, levels=levels, fit_lo=0, fit_hi=levels)
+
+    @pytest.mark.parametrize("r0, levels", [(1e-300, 25), (1.0, 1022), (3e-308, 0)])
+    def test_normal_finest_radius_accepted(self, r0, levels):
+        radii = _dyadic_radii(r0, levels)
+        assert radii[-1] >= np.finfo(float).tiny
+        assert radii[-1] == math.ldexp(r0, -levels)
 
     def test_short_fit_window_rejected(self):
         with pytest.raises(PreconditionError):
@@ -313,6 +332,57 @@ def reference_pair_profile(cloud, radii, powers, seed, max_pairs, workers):
         return total, hits, zeros, energies
 
     return tuple(combine([r[k] for r in results]) for k in range(len(_ENERGY_CUTS)))
+
+
+def compare_and_add_below(d, radii):
+    """The per-radius binning the bit rule replaced, kept verbatim."""
+    below = np.zeros(d.size, dtype=np.min_scalar_type(radii.size))
+    for r in radii:
+        below += d > r
+    return below
+
+
+@st.composite
+def dyadic_schedules(draw):
+    """(r0, levels): any normal r0, any level count whose finest radius is normal."""
+    mantissa = draw(st.integers(0, 2**52 - 1))
+    exponent = draw(st.integers(-1022, 1023))
+    r0 = math.ldexp(1.0 + mantissa / 2**52, exponent)
+    return r0, draw(st.integers(0, exponent + 1022))
+
+
+class TestRadiusBits:
+    """The float-bit binning against the compare-and-add loop."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(dyadic_schedules(), st.lists(st.floats(0.0, allow_nan=False), max_size=20))
+    def test_matches_compare_and_add(self, schedule, extra):
+        r0, levels = schedule
+        radii = _dyadic_radii(r0, levels)
+        if levels <= 1074:
+            # the product the schedule was built by while 0.5**j was nonzero
+            assert radii.tobytes() == (r0 * 0.5 ** np.arange(levels + 1)).tobytes()
+        tiny = np.finfo(float).tiny
+        d = np.concatenate([
+            radii,
+            np.nextafter(radii, 0.0),
+            np.nextafter(radii, math.inf),
+            [0.0, 5e-324, tiny / 2, np.nextafter(tiny, 0.0), tiny, 1e308,
+             np.finfo(float).max, math.inf],
+            extra,
+        ])
+        got = _radii_below(d, radii)
+        ref = compare_and_add_below(d, radii)
+        assert got.dtype == ref.dtype
+        assert np.array_equal(got, ref)
+
+    def test_every_bin_is_reached(self):
+        # a full-range schedule: 1023 + 1022 levels, finest radius tiny
+        radii = _dyadic_radii(2.0**1023, 2045)
+        assert radii[-1] == np.finfo(float).tiny
+        d = np.concatenate([[0.0], radii[::-1], [math.inf]])
+        assert np.array_equal(_radii_below(d, radii), compare_and_add_below(d, radii))
+        assert np.array_equal(np.unique(_radii_below(d, radii)), np.arange(radii.size + 1))
 
 
 def oracle_cloud(kind):

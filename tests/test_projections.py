@@ -136,6 +136,20 @@ class TestProjectCloud:
         d_img = np.linalg.norm(proj.points[a] - proj.points[b], axis=1)
         assert np.all(d_img <= d_src + 1e-12)
 
+    def test_takes_the_product_without_a_copy(self):
+        from fractdim.dimest import PointCloud
+
+        cloud = sample_points(square_corners(), UNIFORM4, 2000, tol=1e-6, seed=2)
+        v = sample_subspace(2, 1, 7)
+        proj = project_cloud(cloud, v)
+        # the cloud the copying constructor built from the same product
+        old = PointCloud(cloud.points @ v.basis.T, truncation_error=cloud.truncation_error)
+        assert proj.points.dtype == old.points.dtype and proj.points.shape == old.points.shape
+        assert proj.points.tobytes() == old.points.tobytes()
+        assert proj.truncation_error == old.truncation_error
+        assert not proj.points.flags.writeable
+        assert not np.shares_memory(proj.points, cloud.points)
+
     def test_dim_mismatch(self):
         cloud = sample_points(cantor(), UNIFORM2, 100, tol=1e-6, seed=0)
         with pytest.raises(PreconditionError):
