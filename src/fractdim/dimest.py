@@ -240,9 +240,11 @@ def _pair_sample(n, seed, max_pairs, workers=1):
     cloud of that size, such as all projections of one sample.  Returns
     one (a, b) pair of index arrays per stratum, views of one buffer that
     is allocated before any stratum is drawn; a sample too large to
-    allocate raises BudgetExceededError.  Strata are drawn in parallel,
-    each into its own slot of the buffer, and one ordered pass then packs
-    the slots to the left, so the sample is the same for any worker count.
+    allocate raises BudgetExceededError, and a sample that keeps no pair
+    (a budget of one self-pair) raises EstimationError.  Strata are drawn
+    in parallel, each into its own slot of the buffer, and one ordered
+    pass then packs the slots to the left, so the sample is the same for
+    any worker count.
     """
     if n < _MIN_PAIR_POINTS:
         raise PreconditionError(f"need at least {_MIN_PAIR_POINTS} points")
@@ -282,6 +284,10 @@ def _pair_sample(n, seed, max_pairs, workers=1):
         a, b = buf[:, end : end + kept]
         end += kept
         pairs.append((a, b))
+    if end == 0:
+        raise EstimationError(
+            f"a pair budget of {max_pairs} kept no pair: every drawn pair was a self-pair"
+        )
     return pairs
 
 
@@ -294,95 +300,113 @@ def _radii_below(d, radii):
     their int64 bit patterns do, so d > radii[j] exactly when
     j >= L - 1 - q, q = (bits(d) - bits(radii[-1]) - 1) >> 52, and the
     count is q + 1 clipped to [0, L]: a subtract, a shift and a clip for
-    all radii at once, then the cast to the narrow bin type.
+    all radii at once.  The counts stay int64, the type bincount reads.
     """
     base = int(radii[-1:].view(np.int64)[0]) - (1 << 52) + 1
     below = d.view(np.int64) - base
     below >>= 52
     np.clip(below, 0, radii.size, out=below)
-    return below.astype(np.min_scalar_type(radii.size))
+    return below
+
+
+def _cut_rows(d, powers):
+    """Pairs, zero-distance pairs and energy sums at each _ENERGY_CUTS cut.
+
+    The stratum's distances split into the disjoint segments [0, c/8),
+    [c/8, c/4), [c/4, c/2) and [c/2, c); each segment is summed once and
+    a cumulative sum gives the nested cuts, the last the whole stratum.
+    """
+    edges = [0] + [d.size // c for c in _ENERGY_CUTS]
+    rows = []
+    for lo, hi in itertools.pairwise(edges):
+        seg = d[lo:hi]
+        zero = seg.size - np.count_nonzero(seg)
+        nonzero = seg[seg > 0] if zero else seg
+        # empirical_energy reports a sum that overflows to inf
+        with np.errstate(over="ignore"):
+            rows.append([seg.size, zero, *(np.sum(nonzero ** -s) for s in powers)])
+    return np.cumsum(rows, axis=0, dtype=float)
 
 
 def _pair_profile(cloud, radii, powers, pairs, workers, views):
-    """Correlation/energy pair counts over a fixed pair sample, one per view.
+    """Correlation hits and energy cut rows over a fixed pair sample, per view.
 
     A view is an (N, d) coordinate array of the cloud's points, such as
     the cloud's own points or one projection of them; radii[j] is view j's
     schedule.  The cloud's uniform measure gives every pair the same mass,
     so pairs are counted and consumers divide counts; the cloud itself is
     not read, and stays the first argument because the benchmark tracer
-    takes the cloud's size from it.  A stratum's indices and segment edges
-    are made once for all views; each view only gathers, bins and sums.
+    takes the cloud's size from it.  A stratum's indices are made once for
+    all views; each view gathers its distances, bins them and sums.
     Strata are the parallel unit and are combined in stratum order, so the
-    sums do not depend on the worker count or on how views are grouped.
+    results do not depend on the worker count or on how views are grouped.
 
-    Each stratum's pairs split into the disjoint segments [0, c/8),
-    [c/8, c/4), [c/4, c/2) and [c/2, c).  Every pair is binned once by the
-    number of (descending) radii below its distance, so d <= r stays the
-    exact test.  The bins come from the distance's float bits in one
-    integer pass per view and stratum (_radii_below), which needs every
-    schedule to be _dyadic_radii's, finest radius normal; the segments
-    slice it.  Cumulative sums over the segments give the nested cuts at
-    an eighth, a quarter, half, and all of the stratum, which the
-    divergence detector compares.  A profile is one tuple (pairs, hits per
-    radius, zero-distance pairs, energy sums over the nonzero distances)
-    per cut, cumulative, the last covering the full sample.  Counts are
+    Per view and stratum: two gathers and a subtract give the coordinate
+    steps.  A one-coordinate view's distance is |step|, the same bits as
+    sqrt(step * step) wherever the square neither overflows nor goes
+    subnormal (2^-511 <= |step| < 2^512) and the exact distance outside;
+    a wider view sums the squared steps in place, which rounds as a row
+    sum does below 8 coordinates, and takes the square root.  With radii,
+    one integer pass bins every distance by the number of (descending)
+    radii below it, from its float bits (_radii_below, which needs the
+    schedule to be _dyadic_radii's, finest radius normal), so d <= r stays
+    the exact test; one bincount over the whole stratum counts the bins,
+    the only thing the correlation fit reads.  With powers, _cut_rows
+    adds the rows the energy divergence detector compares; without them
+    the segments are never cut, so a correlation-only view (every
+    Marstrand direction) pays for none of it.
+
+    Returns one (total, hits, cuts) per view: the sampled pairs, hits[j]
+    the pairs within radii[j], and cuts one (pairs, zero-distance pairs,
+    energy sums over the nonzero distances) row per cut, cumulative, the
+    last covering the full sample; cuts is () without powers.  Counts are
     held in float64, exact far beyond any pair budget.
     """
     views = [[np.ascontiguousarray(c) for c in v.T] for v in views]
     radii = [np.asarray(r, dtype=float) for r in radii]
 
-    def segment(d, below, size):
-        hits = ()
-        if below is not None:
-            # d <= radii[j] iff fewer than size - j radii lie below d
-            hits = np.cumsum(np.bincount(below, minlength=size + 1))[-2::-1]
-        zero = d.size - np.count_nonzero(d)
-        d_nz = d[d > 0] if zero else d
-        # empirical_energy reports a sum that overflows to inf
-        with np.errstate(over="ignore"):
-            energies = [np.sum(d_nz ** -s) for s in powers]
-        return [d.size, *hits, zero, *energies]
-
     def stratum(t, start, stop):
         a, b = (i.astype(np.intp, copy=False) for i in pairs[t])
-        edges = [0] + [a.size // c for c in _ENERGY_CUTS]
         profiles = []
         for (first, *rest), r in zip(views, radii):
-            # coordinate-wise accumulation, in place: the same rounding as
-            # a row sum for ambient dimension below 8 (0 + s is s for s >= 0)
             d = first[a]
             d -= first[b]
-            d *= d
-            for c in rest:
-                step = c[a]
-                step -= c[b]
-                step *= step
-                d += step
-            np.sqrt(d, out=d)
-            below = _radii_below(d, r) if r.size else None
-            rows = [
-                segment(d[lo:hi], None if below is None else below[lo:hi], r.size)
-                for lo, hi in zip(edges, edges[1:])
-            ]
-            profiles.append(np.cumsum(rows, axis=0, dtype=float))
+            if rest:
+                # coordinate-wise accumulation, in place: the same rounding
+                # as a row sum for ambient dimension below 8
+                d *= d
+                for c in rest:
+                    step = c[a]
+                    step -= c[b]
+                    step *= step
+                    d += step
+                np.sqrt(d, out=d)
+            else:
+                np.abs(d, out=d)
+            bins = np.bincount(_radii_below(d, r), minlength=r.size + 1) if r.size else None
+            profiles.append((bins, _cut_rows(d, powers) if powers else None))
         return profiles
 
     results = run_chunks(stratum, len(pairs), workers=workers, chunk=1)
+    total = float(sum(a.size for a, _ in pairs))
     out = []
     for j, r in enumerate(radii):
-        sums = results[0][j].copy()
-        for per_view in results[1:]:
-            sums += per_view[j]
-        h = r.size
-        out.append(tuple(
-            (row[0], row[1 : 1 + h], row[1 + h], row[2 + h :]) for row in sums
-        ))
+        hits = np.zeros(0)
+        if r.size:
+            bins = sum(per_view[j][0] for per_view in results)
+            # d <= radii[j] iff fewer than r.size - j radii lie below d
+            hits = np.cumsum(bins, dtype=float)[-2::-1]
+        cuts = ()
+        if powers:
+            # stratum order; 0 + x is x for these nonnegative sums
+            sums = sum(per_view[j][1] for per_view in results)
+            cuts = tuple((row[0], row[1], row[2:]) for row in sums)
+        out.append((total, hits, cuts))
     return out
 
 
 def _correlation_fit(schedule, total, hits):
-    """Correlation-sum slope from a pair profile's full-sample cut."""
+    """Correlation-sum slope from a pair profile's total and hits."""
     radii = schedule.radii
     corr = hits / total
     win = schedule.fit_slice
@@ -414,10 +438,10 @@ def _valid_exponent(s):
     return 0 <= s < math.inf
 
 
-def _energy_estimates(exponents, profile):
+def _energy_estimates(exponents, cuts):
     """One EnergyEstimate per exponent, each checked as it is read.
 
-    Column i of the profile's energy sums is exponent i; the divergence
+    Column i of the cut rows' energy sums is exponent i; the divergence
     flag compares the running means of successive cuts.
     """
     for i, s in enumerate(exponents):
@@ -427,9 +451,9 @@ def _energy_estimates(exponents, profile):
             )
         running = [
             energies[i] / (total - zero) if total > zero else math.inf
-            for total, _, zero, energies in profile
+            for total, zero, energies in cuts
         ]
-        total, _, zero, _ = profile[-1]
+        total, zero, _ = cuts[-1]
         if total == zero:
             raise EstimationError("all sampled pairs coincide; energy undefined")
         if not math.isfinite(running[-1]):
@@ -468,9 +492,11 @@ def pair_estimates(cloud, schedule=None, exponents=(), seed=0, max_pairs=_MAX_PA
     if schedule is not None:
         schedule.check_floor(cloud)
         radii = schedule.radii
-    (profile,) = _pair_profile(cloud, [radii], powers, pairs, workers, [cloud.points])
-    fit = None if schedule is None else _correlation_fit(schedule, *profile[-1][:2])
-    return fit, _energy_estimates(exponents, profile)
+    ((total, hits, cuts),) = _pair_profile(
+        cloud, [radii], powers, pairs, workers, [cloud.points]
+    )
+    fit = None if schedule is None else _correlation_fit(schedule, total, hits)
+    return fit, _energy_estimates(exponents, cuts)
 
 
 def correlation_dimension(cloud, schedule, seed=0, max_pairs=_MAX_PAIRS, workers=1):

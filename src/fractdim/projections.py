@@ -215,7 +215,7 @@ def marstrand_experiment(
         # error raised is always that of the first failing direction
         for j, (schedule, profile) in enumerate(zip(schedules, profiles), start=lo):
             try:
-                est = _correlation_fit(schedule, *profile[-1][:2])
+                est = _correlation_fit(schedule, *profile[:2])
             except (PreconditionError, EstimationError) as exc:
                 raise _direction_error(j, exc) from exc
             estimates[j] = est.value

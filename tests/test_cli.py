@@ -724,6 +724,22 @@ class TestExitCodes:
         assert not out.exists()
 
     @pytest.mark.parametrize(
+        "block",
+        [{"correlation": {"r0": 0.5, "levels": 6, "max_pairs": 1}},
+         {"energy": {"exponents": [0.5], "max_pairs": 1}}],
+        ids=["correlation", "energy"],
+    )
+    def test_pair_sample_of_one_self_pair_is_exit_3(self, tmp_path, block):
+        # at seed 5891 the one drawn pair is a self-pair, which leaves no
+        # pair at all; refused by name instead of dividing 0 by 0
+        cfg = {**dimension_config(count=1000, **block), "seed": 5891}
+        code, _, err, out = launch_capped(tmp_path, cfg)
+        assert code == 3
+        assert err.startswith("precondition violated:")
+        assert "a pair budget of 1 kept no pair" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "params, message",
         [
             ({"correlation": {"r0": 1e-9, "levels": 6},

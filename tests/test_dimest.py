@@ -256,26 +256,25 @@ def reference_correlation_dimension(cloud, schedule, seed, max_pairs):
     """The separate correlation call: its own draw and a pass with no powers."""
     pairs = reference_pair_sample(cloud.size, seed, max_pairs)
     schedule.check_floor(cloud)
-    (profile,) = _pair_profile(cloud, [schedule.radii], (), pairs, 1, [cloud.points])
-    total, hits = profile[-1][:2]
+    ((total, hits, _),) = _pair_profile(cloud, [schedule.radii], (), pairs, 1, [cloud.points])
     return _correlation_fit(schedule, total, hits)
 
 
 def reference_empirical_energy(cloud, s, seed, max_pairs):
-    """The separate energy call, kept verbatim: its own draw and pass."""
+    """The separate energy call: its own draw and pass, read from the cut rows."""
     if not (0 <= s < math.inf):
         raise PreconditionError(
             f"energy exponent must be finite and nonnegative, got {s}"
         )
     pairs = reference_pair_sample(cloud.size, seed, max_pairs)
-    (blocks,) = _pair_profile(cloud, [()], (s,), pairs, 1, [cloud.points])
+    ((_, _, blocks),) = _pair_profile(cloud, [()], (s,), pairs, 1, [cloud.points])
 
     def mean(block):
-        total, _, zero, energies = block
+        total, zero, energies = block
         return energies[0] / (total - zero) if total > zero else math.inf
 
     running = [mean(b) for b in blocks]
-    total, _, zero, _ = blocks[-1]
+    total, zero, _ = blocks[-1]
     if total == zero:
         raise EstimationError("all sampled pairs coincide; energy undefined")
     if not math.isfinite(running[-1]):
@@ -373,7 +372,8 @@ class TestRadiusBits:
         ])
         got = _radii_below(d, radii)
         ref = compare_and_add_below(d, radii)
-        assert got.dtype == ref.dtype
+        # int64, the type bincount reads; the counts equal the loop's exactly
+        assert got.dtype == np.int64
         assert np.array_equal(got, ref)
 
     def test_every_bin_is_reached(self):
@@ -383,6 +383,47 @@ class TestRadiusBits:
         d = np.concatenate([[0.0], radii[::-1], [math.inf]])
         assert np.array_equal(_radii_below(d, radii), compare_and_add_below(d, radii))
         assert np.array_equal(np.unique(_radii_below(d, radii)), np.arange(radii.size + 1))
+
+
+class TestOneCoordinateDistance:
+    """A one-coordinate view's distance |step| against sqrt(step * step)."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(
+        st.floats(2.0**-511, 2.0**512, exclude_max=True).flatmap(
+            lambda x: st.sampled_from([x, -x])
+        ),
+        min_size=1, max_size=20,
+    ))
+    def test_abs_is_the_rounded_root_in_range(self, steps):
+        # the square is normal and finite, so its rounded root is |step|
+        d = np.array(steps + [2.0**-511, np.nextafter(2.0**512, 0.0)])
+        assert np.sqrt(d * d).tobytes() == np.abs(d).tobytes()
+
+    @pytest.mark.parametrize(
+        "step",
+        [2.0**512, np.finfo(float).max, np.nextafter(2.0**-520, 1.0), 2.0**-538, 5e-324],
+        ids=["square-overflows", "largest", "square-loses-bits", "square-underflows",
+             "smallest-subnormal"],
+    )
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_outside_the_range_the_distance_is_exact(self, step, sign):
+        # the square overflows or loses bits, so the old root moved the
+        # distance; the profile's distance is |step| itself
+        d = np.array([sign * step])
+        with np.errstate(over="ignore"):
+            assert np.sqrt(d * d)[0] != step
+        view = np.array([[0.0], [sign * step]])
+        pairs = [(np.array([1], dtype=np.int32), np.array([0], dtype=np.int32))]
+        # every normal radius, from 2^1023 down to the smallest normal
+        radii = _dyadic_radii(2.0**1023, 2045)
+        powers = (0.0, 0.5)
+        ((total, hits, cuts),) = _pair_profile(None, [radii], powers, pairs, 1, [view])
+        assert total == 1.0
+        assert np.array_equal(hits, (step <= radii).astype(float))
+        _, zero, energies = cuts[-1]
+        assert zero == 0.0
+        assert energies.tobytes() == np.append(1.0, np.array([step]) ** -0.5).tobytes()
 
 
 def oracle_cloud(kind):
@@ -449,6 +490,14 @@ class TestPairEngine:
         for (a, b), (ref_a, ref_b) in zip(got, ref, strict=True):
             assert np.array_equal(a, ref_a) and np.array_equal(b, ref_b)
 
+    def test_a_sample_that_keeps_no_pair_is_refused(self):
+        # a one-pair budget whose only draw pairs point 0 with itself
+        assert reference_pair_sample(1000, 5891, 1)[0][0].size == 0
+        for workers in (1, 2):
+            with pytest.raises(EstimationError, match="pair budget of 1 kept no pair"):
+                _pair_sample(1000, 5891, 1, workers)
+        assert sum(a.size for a, _ in _pair_sample(1000, 5890, 1)) == 1
+
     def test_sample_preconditions(self):
         with pytest.raises(PreconditionError):
             _pair_sample(5000, 0, 0)
@@ -468,17 +517,20 @@ class TestPairEngine:
         powers = (0.0, 0.4, 1.3)
         ref = reference_pair_profile(cloud, radii, powers, 3, max_pairs, 1)
         pairs = _pair_sample(cloud.size, 3, max_pairs)
-        (got,) = _pair_profile(cloud, [radii], powers, pairs, 1, [cloud.points])
-        (again,) = _pair_profile(cloud, [radii], powers, pairs, 3, [cloud.points])
-        assert len(got) == len(ref) == len(_ENERGY_CUTS)
-        for cut_got, cut_again, cut_ref in zip(got, again, ref):
-            # pairs, hits per radius, zero-distance pairs, energies
-            for field_got, field_again in zip(cut_got, cut_again):
-                assert np.array_equal(field_got, field_again)
-            total, hits, zero, energies = cut_got
-            # counts are exact; only the energy sums round
-            assert total == cut_ref[0] and zero == cut_ref[2]
-            assert np.array_equal(hits, cut_ref[1])
+        got = _pair_profile(cloud, [radii], powers, pairs, 1, [cloud.points])[0]
+        again = _pair_profile(cloud, [radii], powers, pairs, 3, [cloud.points])[0]
+        total, hits, cuts = got
+        assert total == again[0] and hits.tobytes() == again[1].tobytes()
+        assert len(cuts) == len(again[2]) == len(ref) == len(_ENERGY_CUTS)
+        # counts are exact; only the energy sums round
+        assert total == ref[-1][0]
+        assert np.array_equal(hits, ref[-1][1])
+        for row, row_again, cut_ref in zip(cuts, again[2], ref):
+            # pairs, zero-distance pairs, energies
+            for field, field_again in zip(row, row_again, strict=True):
+                assert np.array_equal(field, field_again)
+            pairs_in_cut, zero, energies = row
+            assert pairs_in_cut == cut_ref[0] and zero == cut_ref[2]
             np.testing.assert_allclose(energies, cut_ref[3], rtol=1e-14, atol=0)
         if kind.startswith("coincident"):
             assert ref[-1][2] > 0
@@ -494,14 +546,16 @@ class TestPairEngine:
         pairs = _pair_sample(cloud.size, 3, 35_000, workers)
         (shared,) = _pair_profile(cloud, [radii], powers, pairs, workers, [cloud.points])
         (corr,) = _pair_profile(cloud, [radii], (), pairs, workers, [cloud.points])
+        # a correlation-only call cuts no rows
+        assert corr[2] == ()
+        # bitwise: totals and hits, then each exponent's cut rows
+        assert shared[0] == corr[0] and shared[1].tobytes() == corr[1].tobytes()
         for k, s in enumerate(powers):
             (energy,) = _pair_profile(cloud, [()], (s,), pairs, workers, [cloud.points])
-            for (total, hits, zero, energies), corr_cut, energy_cut in zip(shared, corr, energy):
-                # bitwise: totals, hits and zero counts, and each exponent's sums
-                assert total == corr_cut[0] == energy_cut[0]
-                assert zero == corr_cut[2] == energy_cut[2]
-                assert hits.tobytes() == corr_cut[1].tobytes()
-                assert energies[k : k + 1].tobytes() == energy_cut[3].tobytes()
+            assert energy[0] == shared[0] and energy[1].size == 0
+            for (total, zero, energies), energy_cut in zip(shared[2], energy[2], strict=True):
+                assert total == energy_cut[0] and zero == energy_cut[1]
+                assert energies[k : k + 1].tobytes() == energy_cut[2].tobytes()
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_one_draw_gives_the_separate_estimates(self, workers):
@@ -590,17 +644,27 @@ def per_direction_pair_profile(cloud, radii, powers, pairs, workers):
     return tuple((row[0], row[1 : 1 + h], row[1 + h], row[2 + h :]) for row in sums)
 
 
-def assert_same_profile(got, ref):
-    """Every field of every cut equal bit for bit."""
-    assert len(got) == len(ref) == len(_ENERGY_CUTS)
-    for cut_got, cut_ref in zip(got, ref):
-        # pairs, hits per radius, zero-distance pairs, energies
-        assert len(cut_got) == len(cut_ref) == 4
-        for field_got, field_ref in zip(cut_got, cut_ref):
-            field_got, field_ref = np.asarray(field_got), np.asarray(field_ref)
-            assert field_got.dtype == field_ref.dtype
-            assert field_got.shape == field_ref.shape
-            assert field_got.tobytes() == field_ref.tobytes()
+def assert_same_profile(got, ref, powers):
+    """Every field the profile returns equal bit for bit to the reference's.
+
+    The total and hits are the reference's full-sample cut; the cut rows,
+    returned only with powers, are each cut's (pairs, zero-distance pairs,
+    energies).
+    """
+    assert len(ref) == len(_ENERGY_CUTS)
+    total, hits, cuts = got
+    fields = [(total, ref[-1][0]), (hits, ref[-1][1])]
+    if powers:
+        assert len(cuts) == len(ref)
+        for row, (pairs, _, zero, energies) in zip(cuts, ref):
+            fields += zip(row, (pairs, zero, energies), strict=True)
+    else:
+        assert cuts == ()
+    for field_got, field_ref in fields:
+        field_got, field_ref = np.asarray(field_got), np.asarray(field_ref)
+        assert field_got.dtype == field_ref.dtype
+        assert field_got.shape == field_ref.shape
+        assert field_got.tobytes() == field_ref.tobytes()
 
 
 # five lines through the origin; the floor-levels cloud's truncation floor
@@ -646,9 +710,9 @@ class TestDirectionBlocks:
         assert len(got) == len(projs)
         for proj, schedule, profile in zip(projs, schedules, got):
             ref = per_direction_pair_profile(proj, schedule.radii, powers, pairs, 1)
-            assert_same_profile(profile, ref)
-        if kind == "coincident-2d":
-            assert got[0][-1][2] > 0
+            assert_same_profile(profile, ref, powers)
+        if kind == "coincident-2d" and powers:
+            assert got[0][2][-1][1] > 0
 
     @pytest.mark.parametrize("workers", [1, 3])
     @pytest.mark.parametrize(
@@ -661,7 +725,7 @@ class TestDirectionBlocks:
         for powers in [(), (0.0, 0.4, 1.3)]:
             (got,) = _pair_profile(cloud, [radii], powers, pairs, workers, [cloud.points])
             ref = per_direction_pair_profile(cloud, radii, powers, pairs, 1)
-            assert_same_profile(got, ref)
+            assert_same_profile(got, ref, powers)
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     @pytest.mark.parametrize("block", [1, 2, 3])
