@@ -132,7 +132,10 @@ class SimilarityIFS:
 
     def word_map(self, word):
         """Affine composite of f along the word: x -> A x + b."""
-        word = as_word(word, self.m)
+        return self._compose(as_word(word, self.m))
+
+    def _compose(self, word):
+        """word_map of a validated word."""
         n = self.ambient_dim
         a = np.eye(n)
         b = np.zeros(n)
@@ -156,15 +159,33 @@ def natural_projection(ifs, word, tol):
     """
     if not (tol > 0):
         raise PreconditionError("tolerance must be positive")
-    word = as_word(word, ifs.m)
-    psi = ifs.metric.weight(word)
+    return _natural_projection(ifs, np.array(as_word(word, ifs.m), dtype=np.intp), tol)
+
+
+def _natural_projection(ifs, sym, tol):
+    """natural_projection of a validated int array, for a positive tol.
+
+    On a straight system the composite map of the first k symbols is psi_k
+    times the identity, so f_word(center) is psi(word) center plus the
+    rows psi_k t[w_k] summed in word order from +0: the bits of word_map's
+    forward recurrence, whose off-diagonal products are exact zeros.
+    Rotated systems keep word_map.
+    """
+    psi = float(ifs.metric._prefix_weights(sym, (sym.size,))[0])
     if psi * 2.0 * ifs.radius > tol:
         raise WordTooShortError(
-            f"word of length {len(word)} cannot reach tolerance {tol:.3g}",
-            required_length=max(_projection_depth(ifs, tol), len(word) + 1),
+            f"word of length {sym.size} cannot reach tolerance {tol:.3g}",
+            required_length=max(_projection_depth(ifs, tol), sym.size + 1),
         )
-    a, b = ifs.word_map(word)
-    return a @ ifs.center + b, psi * ifs.radius
+    if ifs._straight():
+        scale = np.cumprod(np.concatenate(([1.0], ifs.ratios[sym])))
+        rows = scale[:-1, None] * ifs.translations[sym]
+        b = np.add.accumulate(np.concatenate((np.zeros((1, ifs.ambient_dim)), rows)))[-1]
+        x = scale[-1] * ifs.center + b
+    else:
+        a, b = ifs._compose(sym)
+        x = a @ ifs.center + b
+    return x, psi * ifs.radius
 
 
 def lyapunov_exponent(measure, ifs):

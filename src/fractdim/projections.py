@@ -27,7 +27,7 @@ from .errors import (
     EstimationError,
     PreconditionError,
 )
-from .ifs import _project_batch, natural_projection, sample_points, symbolic_dimension
+from .ifs import _natural_projection, _project_batch, sample_points, symbolic_dimension
 from .runtime import check_budget, enumeration_budget, substream
 from .symbolic import as_word
 
@@ -139,6 +139,17 @@ def _projection_schedule(points, truncation_error, predicted, max_pairs):
     return RadiusSchedule(r0=r0, levels=levels, fit_lo=_FIT_SKIP, fit_hi=levels)
 
 
+def _integer(value, what):
+    """value as an int; a non-integral or non-finite value is refused by name."""
+    try:
+        integral = value == int(value)
+    except (TypeError, ValueError, OverflowError):
+        integral = False
+    if not integral:
+        raise PreconditionError(f"{what} must be an integer, got {value}")
+    return int(value)
+
+
 def _direction_error(j, exc):
     """An error of exc's type whose message names direction j."""
     return type(exc)(f"direction {j}: {exc}")
@@ -247,14 +258,17 @@ class EDEReport:
 
     dist_lower[i] underestimates the true distance from the coded point
     to the union of all other depth-n cylinder images (enclosure-ball
-    bound minus projection truncation); diam[i] is the exact adapted
-    diameter of the point's own cylinder.  The witness constant comes
-    from the level-1 enclosure gap, normalized so the coarsest requested
-    depth passes whenever that gap is positive; freezing it makes the
-    deeper verdicts falsifiable.  expansions counts the cylinder nodes
-    the search built, m per expanded node; partial is set when the
-    enumeration budget ran out before the deepest requested depth, and
-    depths then lists only the depths finished.
+    bound minus projection truncation); diam[i] is the adapted diameter
+    of the point's own cylinder, AdaptedMetric.weight of the word's first
+    n symbols times the enclosure diameter, bit for bit (one running
+    product serves every depth up to 64 symbols).  The witness constant
+    comes from the level-1 enclosure gap, normalized so the coarsest
+    requested depth passes whenever that gap is positive; freezing it
+    makes the deeper verdicts falsifiable.  expansions counts the
+    cylinder nodes the search built, m per expanded node, counted before
+    they are built; partial is set when the enumeration budget ran out
+    before the deepest requested depth, and depths then lists only the
+    depths finished.
     """
 
     constant: float
@@ -273,6 +287,31 @@ class EDEReport:
         return bool(self.passed.all()) and not self.partial
 
 
+def _child_steps(ifs, psi, amats):
+    """amat @ steps[s] for each of K nodes and each s, shape (K, m, n).
+
+    A straight system's composite map is psi times the identity, and carries
+    no matrix (amats is None): psi * steps[s] has the bits of that product,
+    whose off-diagonal terms are exact zeros.
+    """
+    if amats is None:
+        return psi[:, None, None] * ifs.steps
+    return np.matmul(amats[:, None], ifs.steps[:, :, None])[..., 0]
+
+
+def _child_block(ifs, x, c, psi, amats, steps):
+    """The m children of K nodes (c, psi, amats) as one block, with their bounds.
+
+    The block is (centers (K, m, n), ratios psi (K, m), the K parents' maps
+    or None); child (k, s) takes the map amats[k] @ linear[s] when it is
+    itself expanded.  Bounds are |x - center| - psi * radius, a (K, m) list.
+    """
+    centers = c[:, None, :] + steps
+    psis = psi[:, None] * ifs.ratios
+    bounds = _norms(x - centers) - psis * ifs.radius
+    return (centers, psis, amats), bounds.tolist()
+
+
 def _enemy_distance_bounds(ifs, word, x, depths, budget, spent):
     """Min over enemy depth-n cylinders of |x - center| - radius, per n in depths.
 
@@ -284,33 +323,59 @@ def _enemy_distance_bounds(ifs, word, x, depths, budget, spent):
     expanded until a level-n node is on top.  A node bound never exceeds
     any bound in its subtree (nested enclosures), so that node's bound is
     the minimum; it stays on the heap for deeper depths.  spent counts
-    nodes built, m per expansion: the heap keeps what it builds, so the
-    budget also bounds its memory.
+    nodes built, m per expansion, checked before the expansion: the heap
+    keeps what it builds, so the budget also bounds its memory.
+
+    The path and all its children, down to the deepest level the depths
+    and the budget allow, are built in one pass: psi by cumprod, the path
+    maps (rotated systems only) one product per level, and the path
+    centers by a running sum of the steps taken.  A heap entry is (bound,
+    depth, order, block, k, s), child (k, s) of a block of siblings that
+    holds no arrays of its own; an expanded node builds its m children as
+    one block.  Every center, psi and map has the bits SimilarityIFS.child
+    gives it.
     """
+    m = ifs.m
+    sym = np.array(word[: min(depths[-1], budget // m)], dtype=np.intp)
+    psi = np.cumprod(np.concatenate(([1.0], ifs.ratios[sym])))
+    skips = sym.tolist()
+    if ifs._straight():
+        amats = None
+    else:
+        amats = np.empty((sym.size, ifs.ambient_dim, ifs.ambient_dim))
+        amats[:1] = np.eye(ifs.ambient_dim)
+        for k in range(1, sym.size):
+            amats[k] = amats[k - 1] @ ifs.linear[skips[k - 1]]
+    steps = _child_steps(ifs, psi[:-1], amats)
+    taken = steps[np.arange(sym.size), sym]
+    path = np.add.accumulate(np.concatenate((ifs.center[None], taken)))
+    path_block, path_bounds = _child_block(ifs, x, path[:-1], psi[:-1], amats, steps)
     heap = []
-    # equal bounds pop in push order, so nodes themselves never compare
+    # equal bounds pop in push order, so blocks themselves never compare
     order = itertools.count()
-    path = (ifs.center, 1.0, np.eye(ifs.ambient_dim))
     level = 0
     for n in depths:
         while level < n or heap[0][1] < n:
-            if level < n:
-                k, node, skip = level, path, word[level]
-            else:
-                _, k, _, *node = heapq.heappop(heap)
-                skip = None
-            if spent[0] + ifs.m > budget:
+            if spent[0] + m > budget:
                 raise BudgetExceededError(
                     f"separation search exceeded the enumeration budget ({budget})"
                 )
-            spent[0] += ifs.m
-            for s in range(ifs.m):
-                c, psi, amat = ifs.child(s, *node)
-                if s == skip:
-                    path, level = (c, psi, amat), k + 1
-                else:
-                    bound = float(np.linalg.norm(x - c)) - psi * ifs.radius
-                    heapq.heappush(heap, (bound, k + 1, next(order), c, psi, amat))
+            spent[0] += m
+            if level < n:
+                depth = k = level
+                block, bounds, skip = path_block, path_bounds[k], skips[k]
+                level += 1
+            else:
+                _, depth, _, (centers, psis, maps), k, s = heapq.heappop(heap)
+                node_c, node_psi = centers[k, s : s + 1], psis[k, s : s + 1]
+                node_map = None if maps is None else (maps[k] @ ifs.linear[s])[None]
+                block, (bounds,) = _child_block(
+                    ifs, x, node_c, node_psi, node_map, _child_steps(ifs, node_psi, node_map)
+                )
+                k, skip = 0, None
+            for s, bound in enumerate(bounds):
+                if s != skip:
+                    heapq.heappush(heap, (bound, depth + 1, next(order), block, k, s))
         yield heap[0][0]
 
 
@@ -332,7 +397,7 @@ def ede_check(ifs, word, depth_range, epsilon, tol):
     if isinstance(depth_range, range) and depth_range.step > 0:
         depths = depth_range
     else:
-        depths = sorted(set(int(n) for n in depth_range))
+        depths = sorted({_integer(n, "depth") for n in depth_range})
     if not depths:
         raise PreconditionError("depth range is empty: its first depth exceeds its last")
     if depths[0] < 1:
@@ -345,18 +410,18 @@ def ede_check(ifs, word, depth_range, epsilon, tol):
         )
     if ifs.radius == 0.0:
         raise PreconditionError("the attractor is one point (enclosure radius 0)")
-    x, trunc = natural_projection(ifs, word, tol)
-    metric = ifs.metric
+    if not (tol > 0):
+        raise PreconditionError("tolerance must be positive")
+    sym = np.array(word, dtype=np.intp)
+    x, trunc = _natural_projection(ifs, sym, tol)
     spent = [0]
     dist_lower = []
-    diam = []
     done = []
     partial = False
     bounds = _enemy_distance_bounds(ifs, word, x, depths, enumeration_budget(), spent)
     try:
         for n, bound in zip(depths, bounds):
             dist_lower.append(bound - trunc)
-            diam.append(metric.weight(word[:n]) * 2.0 * ifs.radius)
             done.append(n)
     except BudgetExceededError:
         partial = True
@@ -365,7 +430,7 @@ def ede_check(ifs, word, depth_range, epsilon, tol):
             "budget exhausted before the coarsest requested depth"
         )
     dist_lower = np.array(dist_lower)
-    diam = np.array(diam)
+    diam = ifs.metric._prefix_weights(sym, done) * 2.0 * ifs.radius
     level_c = ifs.map_points(np.arange(ifs.m), ifs.center)
     level_r = ifs.ratios * ifs.radius
     pair_gap = (
@@ -515,8 +580,7 @@ def holder_inverse_check(
             raise PreconditionError("base words must share a length of at least 4")
         base = np.array(words, dtype=np.int64)
         length = base.shape[1]
-    if max_depth is None:
-        max_depth = length // 2
+    max_depth = length // 2 if max_depth is None else _integer(max_depth, "enemy depth")
     if not 1 <= max_depth < length:
         raise PreconditionError("enemy depth must sit inside the word length")
     x_base = _project_batch(ifs, base)

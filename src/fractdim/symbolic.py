@@ -67,3 +67,17 @@ class AdaptedMetric:
         for s in word:
             out *= self.ratios[s]
         return out
+
+    def _prefix_weights(self, sym, lengths):
+        """weight(sym[:n]) for each n in lengths, of a validated int array.
+
+        The bits of weight: prefixes up to _LOG_SPACE_LEN symbols are
+        products in word order, so one cumprod serves them all, and longer
+        ones are summed in log space.
+        """
+        head = np.cumprod(np.concatenate(([1.0], np.array(self.ratios)[sym[:_LOG_SPACE_LEN]])))
+        return np.array([
+            head[n] if n <= _LOG_SPACE_LEN
+            else math.exp(float(self._log_ratios[sym[:n]].sum()))
+            for n in lengths
+        ])

@@ -1,5 +1,6 @@
 """Grassmannian draws, projections, separation and Holder checks."""
 
+import heapq
 import itertools
 import math
 
@@ -288,6 +289,37 @@ class TestEDE:
             with pytest.raises(PreconditionError):
                 ede_check(cantor(), (0,) * 20, range(1, 5), epsilon, tol=1e-6)
 
+    @pytest.mark.parametrize(
+        "depths, bad",
+        [
+            ([1.5, 2.9, 3], "1.5"),
+            (np.array([1.99, 3.2]), "1.99"),
+            ([1, math.inf], "inf"),
+            ([math.nan, 2], "nan"),
+            (["2"], "2"),
+        ],
+    )
+    def test_non_integral_depths_rejected(self, depths, bad):
+        with pytest.raises(PreconditionError, match=f"depth must be an integer, got {bad}"):
+            ede_check(cantor(), (0, 1) * 20, depths, 0.1, tol=1e-12)
+
+    def test_integral_float_depths_accepted(self):
+        word = (0, 1) * 20
+        got = ede_check(cantor(), word, np.array([3.0, 1.0, 2.0]), 0.1, tol=1e-12)
+        ref = ede_check(cantor(), word, range(1, 4), 0.1, tol=1e-12)
+        assert got.depths.tolist() == [1, 2, 3]
+        assert got.dist_lower.tobytes() == ref.dist_lower.tobytes()
+
+    def test_diam_is_the_weight_across_the_log_space_switch(self):
+        # a ratio of 0.75 keeps depth-100 enclosures a hundred ulps wide,
+        # so the search still resolves them
+        F = SimilarityIFS(ratios=[0.75, 0.2], translations=[0.0, 0.8])
+        word = (1, 0, 1) + (0,) * 117
+        rep = ede_check(F, word, range(1, 101), 0.1, tol=1e-12)
+        assert rep.depths.tolist() == list(range(1, 101))
+        for n, diam in zip(rep.depths.tolist(), rep.diam):
+            assert same_bits(diam, F.metric.weight(word[:n]) * 2.0 * F.radius), n
+
     def test_budget_partial_then_error(self, monkeypatch):
         # this word costs 2 nodes per depth, the children of its path node
         monkeypatch.setenv("FRACTDIM_BUDGET", "20")
@@ -362,6 +394,16 @@ class TestHolder:
                 holder_inverse_check(cantor(), UNIFORM2, [alpha], 10, seed=0)
         with pytest.raises(PreconditionError):
             holder_inverse_check(cantor(), UNIFORM2, [math.nan, 0.5], 10, seed=0)
+
+    @pytest.mark.parametrize("max_depth", [3.5, math.inf, math.nan, "3"])
+    def test_non_integral_enemy_depth_rejected(self, max_depth):
+        with pytest.raises(PreconditionError, match="enemy depth must be an integer, got"):
+            holder_inverse_check(cantor(), UNIFORM2, [0.5], 4, seed=0, max_depth=max_depth)
+
+    def test_integral_float_enemy_depth_accepted(self):
+        got = holder_inverse_check(cantor(), UNIFORM2, [0.5], 4, seed=0, max_depth=3.0)
+        ref = holder_inverse_check(cantor(), UNIFORM2, [0.5], 4, seed=0, max_depth=3)
+        assert holder_bits(got) == holder_bits(ref)
 
     def test_ragged_base_words_rejected(self):
         with pytest.raises(PreconditionError):
@@ -585,6 +627,150 @@ class TestTreeWalkOracle:
                 gaps = np.linalg.norm(x - centers, axis=1) - radii
                 brute = float(np.delete(gaps, words.index(word[:depth])).min())
                 assert bound == pytest.approx(brute, abs=1e-12)
+
+
+# Oracle copy of the separation search as it stood before the path and its
+# siblings were built in one pass: one heap of nodes that each hold their
+# center, psi and map, grown one SimilarityIFS.child call at a time.  The
+# one-pass search must yield its bits, spend as much and run out of budget
+# at the same node.
+
+
+def reference_heap_enemy_distance_bounds(ifs, word, x, depths, budget, spent):
+    heap = []
+    # equal bounds pop in push order, so nodes themselves never compare
+    order = itertools.count()
+    path = (ifs.center, 1.0, np.eye(ifs.ambient_dim))
+    level = 0
+    for n in depths:
+        while level < n or heap[0][1] < n:
+            if level < n:
+                k, node, skip = level, path, word[level]
+            else:
+                _, k, _, *node = heapq.heappop(heap)
+                skip = None
+            if spent[0] + ifs.m > budget:
+                raise BudgetExceededError(
+                    f"separation search exceeded the enumeration budget ({budget})"
+                )
+            spent[0] += ifs.m
+            for s in range(ifs.m):
+                c, psi, amat = ifs.child(s, *node)
+                if s == skip:
+                    path, level = (c, psi, amat), k + 1
+                else:
+                    bound = float(np.linalg.norm(x - c)) - psi * ifs.radius
+                    heapq.heappush(heap, (bound, k + 1, next(order), c, psi, amat))
+        yield heap[0][0]
+
+
+def run_search(search, F, word, x, depths, budget):
+    """Bounds yielded before the budget ran out, whether it did, and the nodes spent."""
+    spent, got = [0], []
+    try:
+        for bound in search(F, word, x, depths, budget, spent):
+            got.append(bound)
+    except BudgetExceededError:
+        return got, True, spent[0]
+    return got, False, spent[0]
+
+
+SEARCH_SYSTEMS = {
+    "overlap": overlap_pair,
+    "rotated": rotated_pair,
+    # overlapping enclosures: the search expands nodes off the word's path
+    "random-rotated": lambda: random_system("rotated", 30),
+}
+
+
+class TestHeapSearchOracle:
+    @pytest.mark.parametrize("name", sorted(SEARCH_SYSTEMS))
+    def test_every_budget_matches_the_heap_of_nodes(self, name):
+        F = SEARCH_SYSTEMS[name]()
+        depths = range(1, 21)
+        for word, x in coded_points(F, 67):
+            need = run_search(reference_heap_enemy_distance_bounds, F, word, x, depths, 10**7)[2]
+            if name == "random-rotated":
+                assert need > F.m * depths[-1]
+            for budget in range(F.m, need + 1):
+                got = run_search(_enemy_distance_bounds, F, word, x, depths, budget)
+                ref = run_search(reference_heap_enemy_distance_bounds, F, word, x, depths, budget)
+                assert got[1:] == ref[1:], (word, budget)
+                assert len(got[0]) == len(ref[0]), (word, budget)
+                assert all(same_bits(a, b) for a, b in zip(got[0], ref[0])), (word, budget)
+            # the full need finishes every depth
+            assert not got[1]
+
+    @pytest.mark.parametrize("name", sorted(SEARCH_SYSTEMS))
+    def test_sparse_depths_match_the_heap_of_nodes(self, name):
+        F = SEARCH_SYSTEMS[name]()
+        for word, x in coded_points(F, 71):
+            got = run_search(_enemy_distance_bounds, F, word, x, [3, 4, 9, 17], 10**7)
+            ref = run_search(
+                reference_heap_enemy_distance_bounds, F, word, x, [3, 4, 9, 17], 10**7
+            )
+            assert got[1:] == ref[1:]
+            assert all(same_bits(a, b) for a, b in zip(got[0], ref[0]))
+
+
+# Oracle copy of natural_projection and word_map as they stood before
+# straight systems summed their path in one pass.
+
+
+def reference_natural_projection(ifs, word, tol):
+    word = as_word(word, ifs.m)
+    psi = ifs.metric.weight(word)
+    assert psi * 2.0 * ifs.radius <= tol
+    n = ifs.ambient_dim
+    a = np.eye(n)
+    b = np.zeros(n)
+    for s in word:
+        b = a @ ifs.translations[s] + b
+        a = ifs.ratios[s] * (a @ ifs.orthogonal[s])
+    return a @ ifs.center + b, psi * ifs.radius
+
+
+STRAIGHT_SYSTEMS = {
+    "line": lambda: SimilarityIFS(ratios=[0.3, 0.45, 0.2], translations=[-1.0, 0.25, 0.9]),
+    "plane": lambda: SimilarityIFS(
+        ratios=[0.35, 0.2, 0.4], translations=[[-0.5, 0.0], [0.3, -0.8], [-0.0, 0.6]]
+    ),
+    # the words of maps 0 and 1 sum only -0.0 in the second coordinate
+    "signed-zero": lambda: SimilarityIFS(
+        ratios=[0.2, 0.45, 0.3], translations=[[-0.2, -0.0], [0.6, -0.0], [0.1, -0.9]]
+    ),
+    "space": lambda: SimilarityIFS(
+        ratios=[0.25, 0.3, 0.15, 0.4],
+        translations=[[0.0, -0.0, 0.0], [-0.7, 0.1, 0.0], [0.2, -0.6, 0.5], [0.0, 0.3, -0.9]],
+    ),
+}
+
+
+class TestStraightNaturalProjection:
+    @pytest.mark.parametrize("length", [1, 2, 64, 65, 300])
+    @pytest.mark.parametrize("name", sorted(STRAIGHT_SYSTEMS))
+    def test_matches_word_map(self, name, length):
+        F = STRAIGHT_SYSTEMS[name]()
+        assert F._straight()
+        rng = substream(17, length)
+        for _ in range(5):
+            word = tuple(int(s) for s in rng.integers(0, F.m, length))
+            x, trunc = natural_projection(F, word, 1e3)
+            ref_x, ref_trunc = reference_natural_projection(F, word, 1e3)
+            assert x.tobytes() == ref_x.tobytes(), word
+            assert same_bits(trunc, ref_trunc)
+            assert type(trunc) is type(ref_trunc)
+
+    @pytest.mark.parametrize("name", sorted(STRAIGHT_SYSTEMS))
+    def test_matches_word_map_when_the_ratio_product_underflows(self, name):
+        F = STRAIGHT_SYSTEMS[name]()
+        smallest = int(np.argmin(F.ratios))
+        word = (1, 0) + (smallest,) * 1000
+        x, trunc = natural_projection(F, word, 1e-9)
+        ref_x, ref_trunc = reference_natural_projection(F, word, 1e-9)
+        assert trunc == 0.0
+        assert x.tobytes() == ref_x.tobytes()
+        assert same_bits(trunc, ref_trunc)
 
 
 # Oracle copies of the scalar Holder descent, one base word and one depth at
