@@ -6,6 +6,7 @@ symbolic dimensions of measure models, point-cloud sampling, translation
 families, and Monte-Carlo transversality exponents.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -109,7 +110,7 @@ class SimilarityIFS:
     def ambient_dim(self):
         return self.translations.shape[1]
 
-    @property
+    @functools.cached_property
     def metric(self):
         return AdaptedMetric(self.ratios)
 

@@ -183,6 +183,7 @@ def marstrand_experiment(
     if not 1 <= d < n:
         raise PreconditionError("projection dimension must satisfy 1 <= d < n")
     if directions is None:
+        num_directions = _integer(num_directions, "direction count")
         if num_directions < 1:
             raise PreconditionError("need at least one direction")
         # refused before sampling: each direction is drawn one by one
@@ -304,12 +305,12 @@ def _child_block(ifs, x, c, psi, amats, steps):
 
     The block is (centers (K, m, n), ratios psi (K, m), the K parents' maps
     or None); child (k, s) takes the map amats[k] @ linear[s] when it is
-    itself expanded.  Bounds are |x - center| - psi * radius, a (K, m) list.
+    itself expanded.  Bounds are |x - center| - psi * radius, a (K, m) array.
     """
     centers = c[:, None, :] + steps
     psis = psi[:, None] * ifs.ratios
     bounds = _norms(x - centers) - psis * ifs.radius
-    return (centers, psis, amats), bounds.tolist()
+    return (centers, psis, amats), bounds
 
 
 def _enemy_distance_bounds(ifs, word, x, depths, budget, spent):
@@ -373,7 +374,7 @@ def _enemy_distance_bounds(ifs, word, x, depths, budget, spent):
                     ifs, x, node_c, node_psi, node_map, _child_steps(ifs, node_psi, node_map)
                 )
                 k, skip = 0, None
-            for s, bound in enumerate(bounds):
+            for s, bound in enumerate(bounds.tolist()):
                 if s != skip:
                     heapq.heappush(heap, (bound, depth + 1, next(order), block, k, s))
         yield heap[0][0]
@@ -520,33 +521,33 @@ def _greedy_enemy_leaves(ifs, base, x, max_depth):
     enclosure ball sits closest to x[i], the first one on ties.  All rows
     descend together, one tree level per step.  Purely deterministic;
     gives an empirical (not certified) nearest enemy for the Holder ratio.
-    Returns symbols of shape (count, max_depth, length) for base words
-    of shape (count, length).
+    Each level's children come from the separation search's _child_steps
+    and _child_block, so a straight system carries no map.  Returns symbols
+    of shape (count, max_depth, length) for base words of shape (count,
+    length).
     """
     count, length = base.shape
     n = ifs.ambient_dim
     rows = count * max_depth
     words = np.repeat(base, max_depth, axis=0)
-    target = np.repeat(x, max_depth, axis=0)
+    target = np.repeat(x, max_depth, axis=0)[:, None, :]
     deviate = np.tile(np.arange(max_depth), count)
     every = np.arange(rows)
     c = np.broadcast_to(ifs.center, (rows, n))
     psi = np.ones(rows)
-    amat = np.broadcast_to(np.eye(n), (rows, n, n)).copy()
-    steps = ifs.steps[:, :, None]
+    amat = None if ifs._straight() else np.broadcast_to(np.eye(n), (rows, n, n))
     leaves = np.empty((rows, length), dtype=np.int64)
     for j in range(length):
-        # child s of every row, as SimilarityIFS.child builds it
-        cand = c[:, None, :] + np.matmul(amat[:, None], steps)[..., 0]
-        radii = psi[:, None] * ifs.ratios * ifs.radius
-        val = _norms(target[:, None, :] - cand) - radii
+        (cand, psis, _), val = _child_block(
+            ifs, target, c, psi, amat, _child_steps(ifs, psi, amat)
+        )
         at = deviate == j
         val[every[at], words[at, j]] = math.inf
         sym = np.where(deviate > j, words[:, j], np.argmin(val, axis=1))
         leaves[:, j] = sym
-        c = cand[every, sym]
-        psi = psi * ifs.ratios[sym]
-        amat = np.matmul(amat, ifs.linear[sym])
+        c, psi = cand[every, sym], psis[every, sym]
+        if amat is not None:
+            amat = np.matmul(amat, ifs.linear[sym])
     return leaves.reshape(count, max_depth, length)
 
 
@@ -569,6 +570,7 @@ def holder_inverse_check(
     metric = ifs.metric
     length = max(4, math.ceil(-12.0 * math.log(10.0) / math.log(metric.gamma)))
     if base_words is None:
+        pair_samples = _integer(pair_samples, "base sample count")
         if pair_samples < 1:
             raise PreconditionError("need at least one base sample")
         check_budget(pair_samples * length, "Holder base sample")
@@ -602,10 +604,7 @@ def holder_inverse_check(
             [math.exp(v) for v in np.sum(log_lam[leaves], axis=1).tolist()]
         ).reshape(-1, max_depth) * ifs.radius
         gap = _norms(x[:, None, :] - y)
-        rho = np.array(
-            [[metric.weight(w[: d - 1]) for d in range(1, max_depth + 1)]
-             for w in block.tolist()]
-        )
+        rho = np.array([metric._prefix_weights(w, range(max_depth)) for w in block])
         e_base = base_psi[lo : lo + _HOLDER_BLOCK, -1] * ifs.radius
         # a partner deviating at level j <= d is an enemy at depth d, so the
         # per-depth ratio accumulates over deviation levels; once a partner

@@ -62,6 +62,15 @@ class TestConstruction:
         )
         assert F.ambient_dim == 2
 
+    def test_metric_built_once_and_kept_out_of_repr(self):
+        F = cantor()
+        before = repr(F)
+        assert F.metric is F.metric
+        assert F.metric.ratios == (1 / 3, 1 / 3)
+        assert repr(F) == before
+        assert "metric" not in before
+        assert cantor().metric is not F.metric
+
     def test_non_orthogonal_rejected(self):
         bad = [[[1, 0], [0.5, 1]], [[1, 0], [0, 1]]]
         with pytest.raises(PreconditionError):

@@ -39,7 +39,7 @@ from fractdim.projections import (
     sample_subspace,
 )
 from fractdim.runtime import substream
-from fractdim.symbolic import as_word
+from fractdim.symbolic import AdaptedMetric, as_word
 
 CANTOR_DIM = math.log(2) / math.log(3)
 
@@ -227,6 +227,11 @@ class TestMarstrand:
         with pytest.raises(PreconditionError, match="^direction 2: fit window"):
             marstrand_experiment(flat, UNIFORM2, 1, 0, **kw)
 
+    @pytest.mark.parametrize("num_directions", [2.5, math.inf, math.nan, "3"])
+    def test_non_integral_direction_count_rejected(self, num_directions):
+        with pytest.raises(PreconditionError, match="direction count must be an integer, got"):
+            marstrand_experiment(square_corners(), UNIFORM4, 1, num_directions, 1000, 0)
+
     def test_worker_independent(self):
         kw = dict(num_directions=4, count=20_000, seed=7, max_pairs=200_000)
         a = marstrand_experiment(square_corners(), UNIFORM4, 1, workers=1, **kw)
@@ -405,6 +410,39 @@ class TestHolder:
         ref = holder_inverse_check(cantor(), UNIFORM2, [0.5], 4, seed=0, max_depth=3)
         assert holder_bits(got) == holder_bits(ref)
 
+    @pytest.mark.parametrize("pair_samples", [2.5, math.inf, math.nan, "3"])
+    def test_non_integral_sample_count_rejected(self, pair_samples):
+        with pytest.raises(PreconditionError, match="base sample count must be an integer, got"):
+            holder_inverse_check(cantor(), UNIFORM2, [0.5], pair_samples, seed=0)
+
+    def test_integral_float_sample_count_accepted(self):
+        got = holder_inverse_check(cantor(), UNIFORM2, [0.5], 3.0, seed=0)
+        ref = holder_inverse_check(cantor(), UNIFORM2, [0.5], 3, seed=0)
+        assert holder_bits(got) == holder_bits(ref)
+        assert got.pairs.tolist() == ref.pairs.tolist()
+
+    @pytest.mark.parametrize("name, straight", [("line", True), ("rotated", False)])
+    def test_descent_carries_a_map_only_on_rotated_systems(self, name, straight, monkeypatch):
+        F = SYSTEMS[name]()
+        child_steps = projections._child_steps
+        maps = []
+
+        def spy(ifs, psi, amats):
+            maps.append(amats)
+            return child_steps(ifs, psi, amats)
+
+        monkeypatch.setattr(projections, "_child_steps", spy)
+        holder_inverse_check(F, BernoulliMeasure(np.full(F.m, 1.0 / F.m)), [0.5], 3, seed=0)
+        assert maps
+        assert all((amats is None) == straight for amats in maps)
+
+    def test_rho_makes_no_weight_call(self, monkeypatch):
+        def refuse(self, word):
+            raise AssertionError("per-depth weight call")
+
+        monkeypatch.setattr(AdaptedMetric, "weight", refuse)
+        holder_inverse_check(cantor(), UNIFORM2, [0.5], 3, seed=0)
+
     def test_ragged_base_words_rejected(self):
         with pytest.raises(PreconditionError):
             holder_inverse_check(
@@ -536,6 +574,24 @@ WALK_SYSTEMS = {
     "rotated": rotated_pair,
 }
 
+STRAIGHT_SYSTEMS = {
+    "line": lambda: SimilarityIFS(ratios=[0.3, 0.45, 0.2], translations=[-1.0, 0.25, 0.9]),
+    "plane": lambda: SimilarityIFS(
+        ratios=[0.35, 0.2, 0.4], translations=[[-0.5, 0.0], [0.3, -0.8], [-0.0, 0.6]]
+    ),
+    # the words of maps 0 and 1 sum only -0.0 in the second coordinate
+    "signed-zero": lambda: SimilarityIFS(
+        ratios=[0.2, 0.45, 0.3], translations=[[-0.2, -0.0], [0.6, -0.0], [0.1, -0.9]]
+    ),
+    "space": lambda: SimilarityIFS(
+        ratios=[0.25, 0.3, 0.15, 0.4],
+        translations=[[0.0, -0.0, 0.0], [-0.7, 0.1, 0.0], [0.2, -0.6, 0.5], [0.0, 0.3, -0.9]],
+    ),
+}
+
+# every system the tree walkers are checked on, straight ones included
+SYSTEMS = {**WALK_SYSTEMS, **STRAIGHT_SYSTEMS}
+
 
 def coded_points(ifs, seed, count=3):
     """Seeded 40-symbol words with the points they code."""
@@ -599,9 +655,9 @@ class TestTreeWalkOracle:
         # depths that skip levels walk the path several levels at once
         assert_bounds_match_reference(WALK_SYSTEMS[name](), 59, [2, 3, 7, 8, 12])
 
-    @pytest.mark.parametrize("name", sorted(WALK_SYSTEMS))
+    @pytest.mark.parametrize("name", sorted(WALK_SYSTEMS) + sorted(STRAIGHT_SYSTEMS))
     def test_greedy_leaf_matches_reference(self, name):
-        F = WALK_SYSTEMS[name]()
+        F = SYSTEMS[name]()
         length = 12
         for word, x in coded_points(F, 43):
             base = np.array([word[:length]])
@@ -728,22 +784,6 @@ def reference_natural_projection(ifs, word, tol):
         b = a @ ifs.translations[s] + b
         a = ifs.ratios[s] * (a @ ifs.orthogonal[s])
     return a @ ifs.center + b, psi * ifs.radius
-
-
-STRAIGHT_SYSTEMS = {
-    "line": lambda: SimilarityIFS(ratios=[0.3, 0.45, 0.2], translations=[-1.0, 0.25, 0.9]),
-    "plane": lambda: SimilarityIFS(
-        ratios=[0.35, 0.2, 0.4], translations=[[-0.5, 0.0], [0.3, -0.8], [-0.0, 0.6]]
-    ),
-    # the words of maps 0 and 1 sum only -0.0 in the second coordinate
-    "signed-zero": lambda: SimilarityIFS(
-        ratios=[0.2, 0.45, 0.3], translations=[[-0.2, -0.0], [0.6, -0.0], [0.1, -0.9]]
-    ),
-    "space": lambda: SimilarityIFS(
-        ratios=[0.25, 0.3, 0.15, 0.4],
-        translations=[[0.0, -0.0, 0.0], [-0.7, 0.1, 0.0], [0.2, -0.6, 0.5], [0.0, 0.3, -0.9]],
-    ),
-}
 
 
 class TestStraightNaturalProjection:
@@ -894,9 +934,9 @@ HOLDER_SYSTEMS = ["cantor", "overlap", "rotated", "tetra"]
 
 class TestHolderOracle:
     @pytest.mark.parametrize("seed", [3, 11])
-    @pytest.mark.parametrize("name", HOLDER_SYSTEMS)
+    @pytest.mark.parametrize("name", HOLDER_SYSTEMS + sorted(STRAIGHT_SYSTEMS))
     def test_batched_matches_scalar(self, name, seed):
-        F = WALK_SYSTEMS[name]()
+        F = SYSTEMS[name]()
         mu = BernoulliMeasure(np.full(F.m, 1.0 / F.m))
         alphas = [0.3, 0.5, 0.8, 0.95]
         rep = holder_inverse_check(F, mu, alphas, 70, seed)
@@ -921,3 +961,18 @@ class TestHolderOracle:
         ref = scalar_holder_inverse_check(overlap_pair(), UNIFORM2, [0.8], 1, seed=3, **kw)
         assert holder_bits(rep) == holder_bits(ref)
         assert rep.skipped.sum() > 0
+
+    @pytest.mark.parametrize("name", ["cantor", "rotated"])
+    def test_long_words_match_scalar_past_the_log_space_switch(self, name):
+        # rho of a prefix longer than 64 symbols is summed in log space; on
+        # these systems every pair that deep counts as a skip, so this pins
+        # the path through that branch, not its values
+        F = WALK_SYSTEMS[name]()
+        mu = BernoulliMeasure(np.full(F.m, 1.0 / F.m))
+        rng = substream(29, 80)
+        words = [tuple(int(s) for s in rng.integers(0, F.m, 80)) for _ in range(3)]
+        kw = dict(base_words=words, max_depth=70)
+        rep = holder_inverse_check(F, mu, [0.3, 0.8], 1, seed=0, **kw)
+        ref = scalar_holder_inverse_check(F, mu, [0.3, 0.8], 1, seed=0, **kw)
+        assert holder_bits(rep) == holder_bits(ref)
+        assert same_bits(rep.truncation, ref.truncation)
