@@ -21,7 +21,7 @@ from .errors import (
     PreconditionError,
     WordTooShortError,
 )
-from .runtime import check_budget, freeze, run_chunks, substream
+from .runtime import _integer, check_budget, freeze, run_chunks, substream
 from .symbolic import AdaptedMetric, as_word
 
 _ORTHO_TOL = 1e-10
@@ -41,11 +41,12 @@ class SimilarityIFS:
     of the attractor.
 
     A cylinder node is (c, psi, A): the enclosure f_w(ball) has center c
-    and radius psi * radius, and A is the linear part of f_w.  Child s of
-    that node is (c + A steps[s], psi ratios[s], A linear[s]), where
-    steps[s] = f_s(center) - center and linear[s] = ratios[s] O_s are
-    computed once per system; `child` applies that rule, and the root is
-    (center, 1, I).
+    and radius psi * radius, and A is the linear part of f_w.  The root is
+    (center, 1, I), and child s of a node is (c + A steps[s], psi ratios[s],
+    A linear[s]), where steps[s] = f_s(center) - center and linear[s] =
+    ratios[s] O_s are computed once per system.  `_prefix_maps` gives the
+    psi and A of every prefix of a word by that rule, and `_apply_maps`
+    applies them.
     """
 
     ratios: np.ndarray
@@ -96,11 +97,11 @@ class SimilarityIFS:
         # invariance certificate: f_i(B(c, r)) inside B(c, r)
         if np.any(shifts + lam * r > r + _BALL_SLACK):
             raise EstimationError("bounding ball failed its invariance check")
+        linear = lam[:, None, None] * orth
         object.__setattr__(self, "center", freeze(c))
         object.__setattr__(self, "radius", r)
-        steps = [self.map_point(s, self.center) - self.center for s in range(lam.size)]
-        object.__setattr__(self, "steps", freeze(np.array(steps)))
-        object.__setattr__(self, "linear", freeze(lam[:, None, None] * orth))
+        object.__setattr__(self, "steps", freeze(linear @ c + trans - c))
+        object.__setattr__(self, "linear", freeze(linear))
 
     @property
     def m(self):
@@ -119,36 +120,50 @@ class SimilarityIFS:
         mats = np.eye(self.ambient_dim) - self.ratios[:, None, None] * self.orthogonal
         return np.linalg.solve(mats, self.translations[..., None])[..., 0]
 
-    def map_point(self, i, x):
-        return self.ratios[i] * self.orthogonal[i] @ x + self.translations[i]
-
-    def child(self, s, c, psi, amat):
-        """Child s of the cylinder node (c, psi, amat)."""
-        return c + amat @ self.steps[s], psi * self.ratios[s], amat @ self.linear[s]
-
     def map_points(self, idx, x):
         """Apply maps idx[k] to the single point x."""
         imgs = np.einsum("mij,j->mi", self.orthogonal[idx], np.asarray(x, dtype=float))
         return self.ratios[idx][:, None] * imgs + self.translations[idx]
 
-    def word_map(self, word):
-        """Affine composite of f along the word: x -> A x + b."""
-        return self._compose(as_word(word, self.m))
-
-    def _compose(self, word):
-        """word_map of a validated word."""
-        n = self.ambient_dim
-        a = np.eye(n)
-        b = np.zeros(n)
-        for s in word:
-            b = a @ self.translations[s] + b
-            a = self.ratios[s] * (a @ self.orthogonal[s])
-        return a, b
-
     def _straight(self):
         return bool(
             np.all(np.abs(self.orthogonal - np.eye(self.ambient_dim)) == 0)
         )
+
+
+def _prefix_maps(ifs, sym):
+    """psi and linear part of f_{w|k} for k = 0..len(w), of a validated int array.
+
+    psi is one cumprod from 1.0.  A straight system's map is psi times the
+    identity and carries no matrix (None); a rotated one gives A_0 = I,
+    A_{k+1} = A_k @ linear[w_k], one product per symbol.
+    """
+    psi = np.cumprod(np.concatenate(([1.0], ifs.ratios[sym])))
+    if ifs._straight():
+        return psi, None
+    amats = np.empty((sym.size + 1, ifs.ambient_dim, ifs.ambient_dim))
+    amats[0] = np.eye(ifs.ambient_dim)
+    for k, s in enumerate(sym.tolist()):
+        amats[k + 1] = amats[k] @ ifs.linear[s]
+    return psi, amats
+
+
+def _apply_maps(psi, amats, v, count=None):
+    """A_k v[k] for the first count (len(v) by default) maps of _prefix_maps.
+
+    v is (count or 1, ..., n): one row serves every map, and the middle axes
+    all take the same map.  On a straight system psi * v has the bits of the
+    product psi I v, whose off-diagonal terms are exact zeros.
+    """
+    lead = (slice(len(v) if count is None else count),) + (None,) * (v.ndim - 2)
+    if amats is None:
+        return psi[lead + (None,)] * v
+    return np.matmul(amats[lead], v[..., None])[..., 0]
+
+
+def _sum_in_order(rows):
+    """Sum of the rows of a 2-d array, added in order from +0."""
+    return np.add.accumulate(np.concatenate((np.zeros((1, rows.shape[1])), rows)))[-1]
 
 
 def natural_projection(ifs, word, tol):
@@ -166,11 +181,8 @@ def natural_projection(ifs, word, tol):
 def _natural_projection(ifs, sym, tol):
     """natural_projection of a validated int array, for a positive tol.
 
-    On a straight system the composite map of the first k symbols is psi_k
-    times the identity, so f_word(center) is psi(word) center plus the
-    rows psi_k t[w_k] summed in word order from +0: the bits of word_map's
-    forward recurrence, whose off-diagonal products are exact zeros.
-    Rotated systems keep word_map.
+    f_word(center) = A_L center + sum_k A_k t[w_k] over the prefix maps
+    A_k of _prefix_maps, the sum taken in word order from +0.
     """
     psi = float(ifs.metric._prefix_weights(sym, (sym.size,))[0])
     if psi * 2.0 * ifs.radius > tol:
@@ -178,15 +190,9 @@ def _natural_projection(ifs, sym, tol):
             f"word of length {sym.size} cannot reach tolerance {tol:.3g}",
             required_length=max(_projection_depth(ifs, tol), sym.size + 1),
         )
-    if ifs._straight():
-        scale = np.cumprod(np.concatenate(([1.0], ifs.ratios[sym])))
-        rows = scale[:-1, None] * ifs.translations[sym]
-        b = np.add.accumulate(np.concatenate((np.zeros((1, ifs.ambient_dim)), rows)))[-1]
-        x = scale[-1] * ifs.center + b
-    else:
-        a, b = ifs._compose(sym)
-        x = a @ ifs.center + b
-    return x, psi * ifs.radius
+    v = np.concatenate((ifs.translations[sym], ifs.center[None]))
+    rows = _apply_maps(*_prefix_maps(ifs, sym), v)
+    return rows[-1] + _sum_in_order(rows[:-1]), psi * ifs.radius
 
 
 def lyapunov_exponent(measure, ifs):
@@ -259,6 +265,7 @@ def sample_points(ifs, measure, count, tol, seed, workers=1):
     is allocated before any chunk runs; a count too large to allocate
     raises BudgetExceededError.
     """
+    count = _integer(count, "point count")
     if count < 1:
         raise PreconditionError("need at least one point")
     if not (tol > 0):
@@ -328,19 +335,19 @@ class TranslationFamily:
 def _affine_decomposition(ifs, word):
     """Pi_t(word) = c + sum_i M_i delta_i, truncated with a tail bound.
 
-    M_i collects the partial similarity composites at the positions where
-    symbol i occurs; the remainder after the truncation depth is bounded
-    by psi(word) / (1 - gamma) times the largest admissible offset norm.
+    M_i sums, in word order, the prefix maps A_k of _prefix_maps at the
+    positions k where symbol i occurs, and c = sum_k A_k t[w_k]; the
+    remainder after the truncation depth is bounded by psi(word) / (1 -
+    gamma) times the largest admissible offset norm.
     """
     word = as_word(word, ifs.m)
+    sym = np.array(word, dtype=np.intp)
     n = ifs.ambient_dim
+    psi, amats = _prefix_maps(ifs, sym)
+    maps = psi[:-1, None, None] * np.eye(n) if amats is None else amats[:-1]
     mats = np.zeros((ifs.m, n, n))
-    const = np.zeros(n)
-    a = np.eye(n)
-    for s in word:
-        mats[s] += a
-        const = const + a @ ifs.translations[s]
-        a = ifs.ratios[s] * (a @ ifs.orthogonal[s])
+    np.add.at(mats, sym, maps)
+    const = _sum_in_order(_apply_maps(psi, amats, ifs.translations[sym]))
     tail_scale = ifs.metric.weight(word) / (1.0 - ifs.metric.gamma)
     return const, mats, tail_scale
 
@@ -377,6 +384,7 @@ def transversality_exponent(
     steps = radii[1:] / radii[:-1]
     if np.any(np.abs(steps - 0.5) > 1e-12):
         raise PreconditionError("radius grid must be dyadic decreasing")
+    param_samples = _integer(param_samples, "parameter sample count")
     if param_samples < 1:
         raise PreconditionError("need at least one parameter sample")
     check_budget(param_samples, "transversality parameter samples")
@@ -431,5 +439,5 @@ def transversality_exponent(
         used=freeze(used),
         degenerate=degenerate,
         constraint_satisfied=family.constraint_satisfied,
-        samples=int(param_samples),
+        samples=param_samples,
     )

@@ -327,6 +327,8 @@ def _solve_q(problem, alpha):
 
 def _classify_alpha(problem, alpha):
     alpha = float(alpha)
+    if not math.isfinite(alpha):
+        raise PreconditionError(f"alpha must be finite, got {alpha}")
     if problem.degenerate:
         s0 = problem.similarity_dim
         if abs(alpha - s0) > 1e-9 * (1.0 + s0):

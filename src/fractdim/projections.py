@@ -27,8 +27,11 @@ from .errors import (
     EstimationError,
     PreconditionError,
 )
-from .ifs import _natural_projection, _project_batch, sample_points, symbolic_dimension
-from .runtime import check_budget, enumeration_budget, substream
+from .ifs import (
+    _apply_maps, _natural_projection, _prefix_maps, _project_batch, sample_points,
+    symbolic_dimension,
+)
+from .runtime import _integer, check_budget, enumeration_budget, substream
 from .symbolic import as_word
 
 _FRAME_TOL = 1e-10
@@ -82,6 +85,8 @@ def sample_subspace(n, d, seed, index=0):
     under the orthogonal group; column signs are fixed by the R diagonal
     so the frame itself is a deterministic function of the draw.
     """
+    n = _integer(n, "ambient dimension")
+    d = _integer(d, "subspace dimension")
     if not 1 <= d < n:
         raise PreconditionError("need 1 <= d < n for a proper subspace")
     rng = substream(seed, _STREAM_FRAMES, index)
@@ -137,17 +142,6 @@ def _projection_schedule(points, truncation_error, predicted, max_pairs):
     if floor > 0:
         levels = min(levels, int(math.floor(math.log2(r0 / floor))))
     return RadiusSchedule(r0=r0, levels=levels, fit_lo=_FIT_SKIP, fit_hi=levels)
-
-
-def _integer(value, what):
-    """value as an int; a non-integral or non-finite value is refused by name."""
-    try:
-        integral = value == int(value)
-    except (TypeError, ValueError, OverflowError):
-        integral = False
-    if not integral:
-        raise PreconditionError(f"{what} must be an integer, got {value}")
-    return int(value)
 
 
 def _direction_error(j, exc):
@@ -288,27 +282,16 @@ class EDEReport:
         return bool(self.passed.all()) and not self.partial
 
 
-def _child_steps(ifs, psi, amats):
-    """amat @ steps[s] for each of K nodes and each s, shape (K, m, n).
+def _child_block(ifs, x, c, psi, amats):
+    """The m children of the first K = len(c) nodes (c, psi, amats), with bounds.
 
-    A straight system's composite map is psi times the identity, and carries
-    no matrix (amats is None): psi * steps[s] has the bits of that product,
-    whose off-diagonal terms are exact zeros.
+    psi and amats are maps as _prefix_maps gives them.  The block is
+    (centers c[k] + A_k steps[s] (K, m, n), ratios psi (K, m), the parents'
+    maps or None); child (k, s) takes the map amats[k] @ linear[s] when it
+    is itself expanded.  Bounds are |x - center| - psi * radius, (K, m).
     """
-    if amats is None:
-        return psi[:, None, None] * ifs.steps
-    return np.matmul(amats[:, None], ifs.steps[:, :, None])[..., 0]
-
-
-def _child_block(ifs, x, c, psi, amats, steps):
-    """The m children of K nodes (c, psi, amats) as one block, with their bounds.
-
-    The block is (centers (K, m, n), ratios psi (K, m), the K parents' maps
-    or None); child (k, s) takes the map amats[k] @ linear[s] when it is
-    itself expanded.  Bounds are |x - center| - psi * radius, a (K, m) array.
-    """
-    centers = c[:, None, :] + steps
-    psis = psi[:, None] * ifs.ratios
+    centers = c[:, None, :] + _apply_maps(psi, amats, ifs.steps[None], len(c))
+    psis = psi[: len(c), None] * ifs.ratios
     bounds = _norms(x - centers) - psis * ifs.radius
     return (centers, psis, amats), bounds
 
@@ -328,29 +311,20 @@ def _enemy_distance_bounds(ifs, word, x, depths, budget, spent):
     keeps what it builds, so the budget also bounds its memory.
 
     The path and all its children, down to the deepest level the depths
-    and the budget allow, are built in one pass: psi by cumprod, the path
-    maps (rotated systems only) one product per level, and the path
-    centers by a running sum of the steps taken.  A heap entry is (bound,
-    depth, order, block, k, s), child (k, s) of a block of siblings that
-    holds no arrays of its own; an expanded node builds its m children as
-    one block.  Every center, psi and map has the bits SimilarityIFS.child
-    gives it.
+    and the budget allow, are built in one pass: psi and the maps by
+    _prefix_maps, and the path centers by a running sum of the steps
+    taken.  A heap entry is (bound, depth, order, block, k, s), child (k, s)
+    of a block of siblings that holds no arrays of its own; an expanded
+    node builds its m children as one block.  Every center is its parent's
+    plus A steps[s], and every map its parent's A @ linear[s].
     """
     m = ifs.m
     sym = np.array(word[: min(depths[-1], budget // m)], dtype=np.intp)
-    psi = np.cumprod(np.concatenate(([1.0], ifs.ratios[sym])))
+    psi, amats = _prefix_maps(ifs, sym)
     skips = sym.tolist()
-    if ifs._straight():
-        amats = None
-    else:
-        amats = np.empty((sym.size, ifs.ambient_dim, ifs.ambient_dim))
-        amats[:1] = np.eye(ifs.ambient_dim)
-        for k in range(1, sym.size):
-            amats[k] = amats[k - 1] @ ifs.linear[skips[k - 1]]
-    steps = _child_steps(ifs, psi[:-1], amats)
-    taken = steps[np.arange(sym.size), sym]
+    taken = _apply_maps(psi, amats, ifs.steps[sym])
     path = np.add.accumulate(np.concatenate((ifs.center[None], taken)))
-    path_block, path_bounds = _child_block(ifs, x, path[:-1], psi[:-1], amats, steps)
+    path_block, path_bounds = _child_block(ifs, x, path[:-1], psi, amats)
     heap = []
     # equal bounds pop in push order, so blocks themselves never compare
     order = itertools.count()
@@ -370,9 +344,7 @@ def _enemy_distance_bounds(ifs, word, x, depths, budget, spent):
                 _, depth, _, (centers, psis, maps), k, s = heapq.heappop(heap)
                 node_c, node_psi = centers[k, s : s + 1], psis[k, s : s + 1]
                 node_map = None if maps is None else (maps[k] @ ifs.linear[s])[None]
-                block, (bounds,) = _child_block(
-                    ifs, x, node_c, node_psi, node_map, _child_steps(ifs, node_psi, node_map)
-                )
+                block, (bounds,) = _child_block(ifs, x, node_c, node_psi, node_map)
                 k, skip = 0, None
             for s, bound in enumerate(bounds.tolist()):
                 if s != skip:
@@ -521,10 +493,9 @@ def _greedy_enemy_leaves(ifs, base, x, max_depth):
     enclosure ball sits closest to x[i], the first one on ties.  All rows
     descend together, one tree level per step.  Purely deterministic;
     gives an empirical (not certified) nearest enemy for the Holder ratio.
-    Each level's children come from the separation search's _child_steps
-    and _child_block, so a straight system carries no map.  Returns symbols
-    of shape (count, max_depth, length) for base words of shape (count,
-    length).
+    Each level's children come from the separation search's _child_block,
+    so a straight system carries no map.  Returns symbols of shape (count,
+    max_depth, length) for base words of shape (count, length).
     """
     count, length = base.shape
     n = ifs.ambient_dim
@@ -538,9 +509,7 @@ def _greedy_enemy_leaves(ifs, base, x, max_depth):
     amat = None if ifs._straight() else np.broadcast_to(np.eye(n), (rows, n, n))
     leaves = np.empty((rows, length), dtype=np.int64)
     for j in range(length):
-        (cand, psis, _), val = _child_block(
-            ifs, target, c, psi, amat, _child_steps(ifs, psi, amat)
-        )
+        (cand, psis, _), val = _child_block(ifs, target, c, psi, amat)
         at = deviate == j
         val[every[at], words[at, j]] = math.inf
         sym = np.where(deviate > j, words[:, j], np.argmin(val, axis=1))

@@ -51,6 +51,17 @@ def enumeration_budget():
     return value
 
 
+def _integer(value, what):
+    """A count argument as an int (3.0 is 3); a non-integral value is refused by name."""
+    try:
+        integral = value == int(value)
+    except (TypeError, ValueError, OverflowError):
+        integral = False
+    if not integral:
+        raise PreconditionError(f"{what} must be an integer, got {value}")
+    return int(value)
+
+
 def check_budget(requested, what="enumeration"):
     budget = enumeration_budget()
     if requested > budget:

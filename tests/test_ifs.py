@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import logsumexp
 
+from fractdim import ifs as ifs_module
 from fractdim.errors import (
     AlphabetMismatchError,
     EstimationError,
@@ -17,6 +18,7 @@ from fractdim.errors import (
 from fractdim.ifs import (
     SimilarityIFS,
     TranslationFamily,
+    _affine_decomposition,
     lyapunov_exponent,
     natural_projection,
     sample_points,
@@ -24,6 +26,8 @@ from fractdim.ifs import (
     transversality_exponent,
 )
 from fractdim.measures import BernoulliMeasure, MarkovMeasure, _log_moment
+from fractdim.runtime import substream
+from fractdim.symbolic import as_word
 
 
 def cantor():
@@ -190,13 +194,33 @@ class TestSymbolicDimension:
             lyapunov_exponent(mu, cantor())
 
 
+# Verbatim copies of the deleted SimilarityIFS.child and word_map (with its
+# _compose), the oracles of the enclosure walk below.
+
+
+def child(F, s, c, psi, amat):
+    """Child s of the cylinder node (c, psi, amat)."""
+    return c + amat @ F.steps[s], psi * F.ratios[s], amat @ F.linear[s]
+
+
+def word_map(F, word):
+    """Affine composite of f along the word: x -> A x + b."""
+    n = F.ambient_dim
+    a = np.eye(n)
+    b = np.zeros(n)
+    for s in word:
+        b = a @ F.translations[s] + b
+        a = F.ratios[s] * (a @ F.orthogonal[s])
+    return a, b
+
+
 def enclosures(F, depth):
     """(word, center, radius) of every depth-n enclosure f_word(ball), in
-    lexicographic order, each node grown from its parent by F.child."""
+    lexicographic order, each node grown from its parent by child."""
     nodes = [((), F.center, 1.0, np.eye(F.ambient_dim))]
     for _ in range(depth):
         nodes = [
-            (word + (s,), *F.child(s, c, psi, amat))
+            (word + (s,), *child(F, s, c, psi, amat))
             for word, c, psi, amat in nodes
             for s in range(F.m)
         ]
@@ -249,7 +273,7 @@ class TestCylinderBalls:
         balls = enclosures(F, 3)
         for k in (0, 17, 42, 63):
             word, center, _ = balls[k]
-            a, b = F.word_map(word)
+            a, b = word_map(F, word)
             assert center == pytest.approx(a @ F.center + b, abs=1e-13)
         c, s = math.cos(0.4), math.sin(0.4)
         rotated = SimilarityIFS(
@@ -257,7 +281,7 @@ class TestCylinderBalls:
             orthogonal=[[[c, -s], [s, c]], [[c, s], [-s, c]]],
         )
         for k, (word, center, _) in enumerate(enclosures(rotated, 6)):
-            a, b = rotated.word_map(word)
+            a, b = word_map(rotated, word)
             assert center == pytest.approx(a @ rotated.center + b, abs=1e-13), k
 
 
@@ -332,6 +356,16 @@ class TestSamplePoints:
             xs = cloud.points[:, axis]
             assert np.all((xs >= -tol) & (xs <= 1 + tol))
             assert not np.any((xs > 1 / 3 + tol) & (xs < 2 / 3 - tol))
+
+    @pytest.mark.parametrize("count", [2.5, math.nan, math.inf, "3"])
+    def test_non_integral_count_rejected(self, count):
+        with pytest.raises(PreconditionError, match="point count must be an integer, got"):
+            sample_points(cantor(), UNIFORM2, count, tol=1e-6, seed=0)
+
+    def test_integral_float_count_accepted(self):
+        a = sample_points(cantor(), UNIFORM2, 300.0, tol=1e-6, seed=2)
+        b = sample_points(cantor(), UNIFORM2, 300, tol=1e-6, seed=2)
+        assert a.points.tobytes() == b.points.tobytes()
 
     def test_deterministic_and_worker_independent(self):
         a = sample_points(cantor(), UNIFORM2, 200_000, tol=1e-8, seed=3, workers=1)
@@ -440,6 +474,24 @@ class TestTransversality:
                 fam, (0,) * 5, (1,) * 5, dyadic_grid(0.5, 8), 1000, seed=0
             )
 
+    @pytest.mark.parametrize("samples", [100_000.5, math.nan, math.inf, "1000"])
+    def test_non_integral_sample_count_rejected(self, samples):
+        # 100000.5 used to draw 100000 samples and divide their hits by 100000.5
+        fam = TranslationFamily(cantor(), low=np.zeros(2), high=np.ones(2))
+        with pytest.raises(
+            PreconditionError, match="parameter sample count must be an integer, got"
+        ):
+            transversality_exponent(fam, (0,) * 40, (1,) * 40, dyadic_grid(0.5, 6), samples, 0)
+
+    def test_integral_float_sample_count_accepted(self):
+        fam = TranslationFamily(cantor(), low=np.zeros(2), high=np.ones(2))
+        args = fam, (0,) * 40, (1,) * 40, dyadic_grid(0.5, 6)
+        a = transversality_exponent(*args, 20_000.0, seed=4)
+        b = transversality_exponent(*args, 20_000, seed=4)
+        assert a.measures.tobytes() == b.measures.tobytes()
+        assert same_bits(a.exponent, b.exponent)
+        assert a.samples == 20_000 and type(a.samples) is int
+
     def test_worker_independent_counts(self):
         fam = TranslationFamily(cantor(), low=np.zeros(2), high=np.ones(2))
         kw = dict(param_samples=300_000, seed=11)
@@ -448,3 +500,139 @@ class TestTransversality:
         b = transversality_exponent(fam, (0,) * 40, (1,) * 40, r, workers=3, **kw)
         assert np.array_equal(a.hits, b.hits)
         assert a.exponent == b.exponent
+
+
+# Oracle copy of _affine_decomposition as it stood before it took its maps
+# from ifs._prefix_maps: one loop whose rotated map is ratios[s] * (A @ O_s).
+# Straight systems must keep its bits.  Rotated ones now grow A by A @
+# linear[s], the separation search's rule, and must agree with it within
+# ROTATED_ULPS units in the last place of the largest entry.
+
+ROTATED_ULPS = 8
+
+
+def reference_affine_decomposition(ifs, word):
+    word = as_word(word, ifs.m)
+    n = ifs.ambient_dim
+    mats = np.zeros((ifs.m, n, n))
+    const = np.zeros(n)
+    a = np.eye(n)
+    for s in word:
+        mats[s] += a
+        const = const + a @ ifs.translations[s]
+        a = ifs.ratios[s] * (a @ ifs.orthogonal[s])
+    tail_scale = ifs.metric.weight(word) / (1.0 - ifs.metric.gamma)
+    return const, mats, tail_scale
+
+
+def same_bits(a, b):
+    return np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+def assert_within_ulps(got, ref):
+    bound = ROTATED_ULPS * np.spacing(np.max(np.abs(ref)))
+    assert np.max(np.abs(got - ref)) <= bound, (np.max(np.abs(got - ref)), bound)
+
+
+def rotation(angle):
+    return [[math.cos(angle), -math.sin(angle)], [math.sin(angle), math.cos(angle)]]
+
+
+def random_orthogonal(rng, m, n):
+    qr = [np.linalg.qr(rng.normal(size=(n, n))) for _ in range(m)]
+    return np.array([q * np.sign(np.diag(r)) for q, r in qr])
+
+
+DECOMPOSITION_STRAIGHT = {
+    "cantor": cantor,
+    "square": square_corners,
+    "signed-zero": lambda: SimilarityIFS(
+        ratios=[0.2, 0.45, 0.3], translations=[[-0.2, -0.0], [0.6, -0.0], [0.1, -0.9]]
+    ),
+    "space": lambda: SimilarityIFS(
+        ratios=[0.25, 0.3, 0.15], translations=[[0.0, -0.5, 0.2], [-0.7, 0.1, 0.0], [0.2, 0.6, 0.5]]
+    ),
+}
+
+DECOMPOSITION_ROTATED = {
+    "plane": lambda: SimilarityIFS(
+        ratios=[0.3] * 3,
+        translations=[[0.0, 0.0], [0.7, 0.0], [0.35, 0.6]],
+        orthogonal=[rotation(a) for a in (0.7, 2.1, -1.3)],
+    ),
+    "space": lambda: SimilarityIFS(
+        ratios=[0.25, 0.35],
+        translations=[[0.0, 0.1, -0.3], [0.8, -0.2, 0.4]],
+        orthogonal=random_orthogonal(substream(5, 1), 2, 3),
+    ),
+}
+
+
+def decomposition_words(F, seed):
+    rng = substream(seed, 2)
+    for length in (1, 2, 40, 65, 200):
+        yield tuple(int(s) for s in rng.integers(0, F.m, length))
+
+
+class TestAffineDecompositionOracle:
+    @pytest.mark.parametrize("name", sorted(DECOMPOSITION_STRAIGHT))
+    def test_straight_matches_the_loop_bitwise(self, name):
+        F = DECOMPOSITION_STRAIGHT[name]()
+        assert F._straight()
+        for word in decomposition_words(F, 31):
+            const, mats, tail = _affine_decomposition(F, word)
+            ref_const, ref_mats, ref_tail = reference_affine_decomposition(F, word)
+            assert const.tobytes() == ref_const.tobytes(), word
+            assert mats.tobytes() == ref_mats.tobytes(), word
+            assert same_bits(tail, ref_tail)
+
+    @pytest.mark.parametrize("name", sorted(DECOMPOSITION_ROTATED))
+    def test_rotated_matches_the_loop_within_ulps(self, name):
+        F = DECOMPOSITION_ROTATED[name]()
+        assert not F._straight()
+        for word in decomposition_words(F, 37):
+            const, mats, tail = _affine_decomposition(F, word)
+            ref_const, ref_mats, ref_tail = reference_affine_decomposition(F, word)
+            assert_within_ulps(const, ref_const)
+            assert_within_ulps(mats, ref_mats)
+            assert same_bits(tail, ref_tail)
+
+
+def transversality_pair(F, monkeypatch, r0, **kw):
+    """transversality_exponent, and the same call on the oracle decomposition."""
+    box = np.zeros((F.m, F.ambient_dim)), np.ones((F.m, F.ambient_dim))
+    fam = TranslationFamily(F, *box)
+    args = (fam, (0,) + (1,) * 39, (1,) + (0,) * 39, dyadic_grid(r0, 8), 100_000)
+    got = transversality_exponent(*args, **kw)
+    monkeypatch.setattr(ifs_module, "_affine_decomposition", reference_affine_decomposition)
+    ref = transversality_exponent(*args, **kw)
+    return got, ref
+
+
+class TestTransversalityOracle:
+    @pytest.mark.parametrize("name", sorted(DECOMPOSITION_STRAIGHT))
+    def test_straight_matches_the_loop_bitwise(self, name, monkeypatch):
+        got, ref = transversality_pair(DECOMPOSITION_STRAIGHT[name](), monkeypatch, 0.5, seed=3)
+        assert got.hits.tobytes() == ref.hits.tobytes()
+        assert got.measures.tobytes() == ref.measures.tobytes()
+        assert same_bits(got.exponent, ref.exponent)
+        assert same_bits(got.k_hat, ref.k_hat)
+
+    @pytest.mark.parametrize("name, r0", [("plane", 0.5), ("space", 2.0)])
+    def test_rotated_family_matches_the_loop(self, name, r0, monkeypatch):
+        # the decompositions differ by a few ulps (see above), far below the
+        # radii, so no sample changes side and every count is kept
+        got, ref = transversality_pair(DECOMPOSITION_ROTATED[name](), monkeypatch, r0, seed=9)
+        assert got.hits.tobytes() == ref.hits.tobytes()
+        assert same_bits(got.exponent, ref.exponent)
+        assert not got.degenerate
+
+    def test_rotated_plane_family_has_slope_two(self):
+        # the difference of the two coded points is affine and onto R^2 in
+        # the offsets, so small balls have measure about r^2
+        F = DECOMPOSITION_ROTATED["plane"]()
+        fam = TranslationFamily(F, low=np.zeros((3, 2)), high=np.ones((3, 2)))
+        res = transversality_exponent(
+            fam, (0,) + (1,) * 39, (1,) + (0,) * 39, dyadic_grid(0.5, 8), 100_000, seed=9
+        )
+        assert res.exponent == pytest.approx(2.0, abs=0.1)

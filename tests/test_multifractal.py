@@ -406,6 +406,14 @@ class TestLegendre:
             with pytest.raises(PreconditionError):
                 legendre(THIRDS, a)
 
+    @pytest.mark.parametrize("problem", [THIRDS, HALVES], ids=["thirds", "degenerate"])
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("solve", [legendre, optimal_measure])
+    def test_non_finite_alpha_rejected(self, solve, alpha, problem):
+        # NaN fails every range compare, so it used to fall to an endpoint
+        with pytest.raises(PreconditionError, match=f"alpha must be finite, got {alpha}"):
+            solve(problem, alpha)
+
     def test_degenerate_point(self):
         assert legendre(HALVES, 1.0) == pytest.approx(1.0, abs=1e-12)
         with pytest.raises(PreconditionError):

@@ -1,5 +1,6 @@
 """Grassmannian draws, projections, separation and Holder checks."""
 
+import hashlib
 import heapq
 import itertools
 import math
@@ -87,6 +88,19 @@ class TestSubspace:
             sample_subspace(3, 3, 0)
         with pytest.raises(PreconditionError):
             sample_subspace(3, 0, 0)
+
+    @pytest.mark.parametrize("n, d, what", [
+        (2.5, 1, "ambient dimension"), (math.nan, 1, "ambient dimension"),
+        (3, 1.5, "subspace dimension"), (3, "1", "subspace dimension"),
+    ])
+    def test_non_integral_dimensions_rejected(self, n, d, what):
+        with pytest.raises(PreconditionError, match=f"{what} must be an integer, got"):
+            sample_subspace(n, d, 0)
+
+    def test_integral_float_dimensions_accepted(self):
+        a = sample_subspace(5.0, 2.0, 13, index=7)
+        b = sample_subspace(5, 2, 13, index=7)
+        assert a.basis.tobytes() == b.basis.tobytes()
 
     def test_deterministic(self):
         a = sample_subspace(5, 2, 13, index=7)
@@ -231,6 +245,11 @@ class TestMarstrand:
     def test_non_integral_direction_count_rejected(self, num_directions):
         with pytest.raises(PreconditionError, match="direction count must be an integer, got"):
             marstrand_experiment(square_corners(), UNIFORM4, 1, num_directions, 1000, 0)
+
+    @pytest.mark.parametrize("count", [2.5, math.nan, "3"])
+    def test_non_integral_point_count_rejected(self, count):
+        with pytest.raises(PreconditionError, match="point count must be an integer, got"):
+            marstrand_experiment(square_corners(), UNIFORM4, 1, 2, count, 0)
 
     def test_worker_independent(self):
         kw = dict(num_directions=4, count=20_000, seed=7, max_pairs=200_000)
@@ -424,14 +443,14 @@ class TestHolder:
     @pytest.mark.parametrize("name, straight", [("line", True), ("rotated", False)])
     def test_descent_carries_a_map_only_on_rotated_systems(self, name, straight, monkeypatch):
         F = SYSTEMS[name]()
-        child_steps = projections._child_steps
+        apply_maps = projections._apply_maps
         maps = []
 
-        def spy(ifs, psi, amats):
+        def spy(psi, amats, *rest):
             maps.append(amats)
-            return child_steps(ifs, psi, amats)
+            return apply_maps(psi, amats, *rest)
 
-        monkeypatch.setattr(projections, "_child_steps", spy)
+        monkeypatch.setattr(projections, "_apply_maps", spy)
         holder_inverse_check(F, BernoulliMeasure(np.full(F.m, 1.0 / F.m)), [0.5], 3, seed=0)
         assert maps
         assert all((amats is None) == straight for amats in maps)
@@ -463,6 +482,31 @@ class TestHolder:
     def test_needs_samples(self):
         with pytest.raises(PreconditionError):
             holder_inverse_check(cantor(), UNIFORM2, [0.5], 0, seed=0)
+
+
+# Verbatim copies of the SimilarityIFS methods that the oracles below were
+# written on: map_point, child, and word_map with its _compose.  The library
+# dropped them when every word walk took its maps from ifs._prefix_maps.
+
+
+def map_point(ifs, i, x):
+    return ifs.ratios[i] * ifs.orthogonal[i] @ x + ifs.translations[i]
+
+
+def child(ifs, s, c, psi, amat):
+    """Child s of the cylinder node (c, psi, amat)."""
+    return c + amat @ ifs.steps[s], psi * ifs.ratios[s], amat @ ifs.linear[s]
+
+
+def word_map(ifs, word):
+    """Affine composite of f along the word: x -> A x + b."""
+    n = ifs.ambient_dim
+    a = np.eye(n)
+    b = np.zeros(n)
+    for s in as_word(word, ifs.m):
+        b = a @ ifs.translations[s] + b
+        a = ifs.ratios[s] * (a @ ifs.orthogonal[s])
+    return a, b
 
 
 # Oracle copies of the cylinder-tree walkers as they stood before they were
@@ -497,7 +541,7 @@ def reference_enemy_distance_bound(ifs, word, depth, x, budget, spent):
             continue
         children = []
         for s in range(m):
-            img = ifs.map_point(s, center)
+            img = map_point(ifs, s, center)
             if straight:
                 child_c = c + psi * (img - center)
                 child_a = None
@@ -528,7 +572,7 @@ def reference_greedy_enemy_leaf(ifs, word, deviate_at, x, length):
         for s in range(m):
             if j == deviate_at - 1 and s == word[j]:
                 continue
-            img = ifs.map_point(s, center)
+            img = map_point(ifs, s, center)
             child_c = c + (psi * (img - center) if straight else amat @ (img - center))
             val = float(np.linalg.norm(x - child_c)) - psi * ratios[s] * radius
             if val < best_val:
@@ -536,7 +580,7 @@ def reference_greedy_enemy_leaf(ifs, word, deviate_at, x, length):
         if j < deviate_at - 1:
             # stay on the base path until the forced deviation
             best_s = word[j]
-            img = ifs.map_point(best_s, center)
+            img = map_point(ifs, best_s, center)
             best_c = c + (
                 psi * (img - center) if straight else amat @ (img - center)
             )
@@ -674,7 +718,7 @@ class TestTreeWalkOracle:
         balls = {}
         for depth in range(1, 7):
             words = list(itertools.product(range(F.m), repeat=depth))
-            centers = np.array([a @ F.center + b for a, b in map(F.word_map, words)])
+            centers = np.array([a @ F.center + b for a, b in (word_map(F, w) for w in words)])
             radii = np.array([F.metric.weight(w) for w in words]) * F.radius
             balls[depth] = words, centers, radii
         for word, x in coded_points(F, 47):
@@ -711,7 +755,7 @@ def reference_heap_enemy_distance_bounds(ifs, word, x, depths, budget, spent):
                 )
             spent[0] += ifs.m
             for s in range(ifs.m):
-                c, psi, amat = ifs.child(s, *node)
+                c, psi, amat = child(ifs, s, *node)
                 if s == skip:
                     path, level = (c, psi, amat), k + 1
                 else:
@@ -813,6 +857,83 @@ class TestStraightNaturalProjection:
         assert same_bits(trunc, ref_trunc)
 
 
+# Rotated systems now grow the prefix maps by A @ linear[s], the separation
+# search's rule, where word_map took ratios[s] * (A @ O_s): the coded points
+# move by a few ulps, within ROTATED_ULPS units in the last place of their
+# largest coordinate.
+
+ROTATED_ULPS = 8
+
+
+def exact_rotated():
+    """The rotated system of the benchmark's closed-form workload."""
+    rot = [[[math.cos(a), -math.sin(a)], [math.sin(a), math.cos(a)]] for a in (0.7, 2.1, -1.3)]
+    return SimilarityIFS(
+        ratios=[0.3] * 3, translations=[[0.0, 0.0], [0.7, 0.0], [0.35, 0.6]], orthogonal=rot
+    )
+
+
+ROTATED_SYSTEMS = {
+    "rotated": rotated_pair,
+    "exact": exact_rotated,
+    **{f"random-{seed}": (lambda seed=seed: random_system("rotated", seed)) for seed in range(3)},
+}
+
+
+class TestStepsOracle:
+    @pytest.mark.parametrize("name", sorted({**SYSTEMS, **ROTATED_SYSTEMS}))
+    def test_steps_equal_the_map_point_loop(self, name):
+        F = {**SYSTEMS, **ROTATED_SYSTEMS}[name]()
+        ref = np.array([map_point(F, s, F.center) - F.center for s in range(F.m)])
+        assert F.steps.tobytes() == ref.tobytes()
+
+
+class TestRotatedNaturalProjection:
+    @pytest.mark.parametrize("length", [1, 2, 40, 65, 300])
+    @pytest.mark.parametrize("name", sorted(ROTATED_SYSTEMS))
+    def test_matches_word_map_within_ulps(self, name, length):
+        F = ROTATED_SYSTEMS[name]()
+        assert not F._straight()
+        rng = substream(19, length)
+        for _ in range(5):
+            word = tuple(int(s) for s in rng.integers(0, F.m, length))
+            x, trunc = natural_projection(F, word, 1e3)
+            ref_x, ref_trunc = reference_natural_projection(F, word, 1e3)
+            bound = ROTATED_ULPS * np.spacing(np.max(np.abs(ref_x)))
+            assert np.max(np.abs(x - ref_x)) <= bound, word
+            assert same_bits(trunc, ref_trunc)
+
+
+def exact_words(seed):
+    """The 40-symbol words the benchmark's closed-form workload draws for the
+    rotated system at this seed."""
+    rng = np.random.default_rng([seed, 3])
+    words = BernoulliMeasure(np.full(3, 1.0 / 3.0)).sample_batch(60, 40, rng)
+    return [tuple(int(s) for s in w) for w in words]
+
+
+# sha256 of x, dist_lower, expansions and passed of every word, in order
+ROTATED_DIGEST = "83e833c697f65d4bc31e3b37293e3fe4c811cbab3a71036ea0eeb608d8a9f26c"
+
+
+class TestRotatedDigest:
+    def test_exact_rotated_bits_are_pinned(self):
+        # the rotated bits of ede_check and natural_projection; a change that
+        # moves them is a drift to name, as in tests/test_config_digests.py
+        F = exact_rotated()
+        digest = hashlib.sha256()
+        expansions = 0
+        for word in exact_words(3001):
+            x, _ = natural_projection(F, word, 1e-12)
+            rep = ede_check(F, word, range(1, 21), 0.1, 1e-12)
+            assert rep.all_passed
+            expansions += rep.expansions
+            for arr in (x, rep.dist_lower, np.int64(rep.expansions), rep.passed):
+                digest.update(np.asarray(arr).tobytes())
+        assert expansions == 3600
+        assert digest.hexdigest() == ROTATED_DIGEST
+
+
 # Oracle copies of the scalar Holder descent, one base word and one depth at
 # a time, as it stood before the descent was batched; the batched check must
 # agree with it bitwise.
@@ -832,13 +953,13 @@ def scalar_greedy_enemy_leaf(ifs, word, deviate_at, x, length):
         if j < deviate_at - 1:
             # stay on the base path until the forced deviation
             best_s = word[j]
-            best = ifs.child(best_s, *node)
+            best = child(ifs, best_s, *node)
         else:
             best_s, best, best_val = None, None, math.inf
             for s in range(ifs.m):
                 if j == deviate_at - 1 and s == word[j]:
                     continue
-                cand = ifs.child(s, *node)
+                cand = child(ifs, s, *node)
                 val = float(np.linalg.norm(x - cand[0])) - cand[1] * ifs.radius
                 if val < best_val:
                     best_s, best, best_val = s, cand, val

@@ -1,4 +1,5 @@
-"""The package's public surface, pinned so that a new export is a visible change."""
+"""The package's public surface and SimilarityIFS's members, pinned so that a
+new or removed name is a visible change."""
 
 import types
 
@@ -64,3 +65,25 @@ def test_public_names_are_pinned():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     )
     assert names == PUBLIC_NAMES
+
+
+SIMILARITY_IFS_MEMBERS = [
+    "ambient_dim",
+    "center",
+    "fixed_points",
+    "linear",
+    "m",
+    "map_points",
+    "metric",
+    "orthogonal",
+    "radius",
+    "ratios",
+    "steps",
+    "translations",
+]
+
+
+def test_similarity_ifs_members_are_pinned():
+    # an instance, so that the fields set in __post_init__ are listed too
+    ifs = fractdim.SimilarityIFS(ratios=[0.5, 0.5], translations=[0.0, 0.5])
+    assert [name for name in dir(ifs) if not name.startswith("_")] == SIMILARITY_IFS_MEMBERS
