@@ -46,7 +46,8 @@ class SimilarityIFS:
     A linear[s]), where steps[s] = f_s(center) - center and linear[s] =
     ratios[s] O_s are computed once per system.  `_prefix_maps` gives the
     psi and A of every prefix of a word by that rule, and `_apply_maps`
-    applies them.
+    applies them.  Kept out of repr and ==: `_straight`, True when every
+    O_i is exactly I, and `_witness_gap`, the least gap between two f_i(ball).
     """
 
     ratios: np.ndarray
@@ -102,6 +103,7 @@ class SimilarityIFS:
         object.__setattr__(self, "radius", r)
         object.__setattr__(self, "steps", freeze(linear @ c + trans - c))
         object.__setattr__(self, "linear", freeze(linear))
+        object.__setattr__(self, "_straight", bool(np.all(np.abs(orth - np.eye(n)) == 0)))
 
     @property
     def m(self):
@@ -125,10 +127,11 @@ class SimilarityIFS:
         imgs = np.einsum("mij,j->mi", self.orthogonal[idx], np.asarray(x, dtype=float))
         return self.ratios[idx][:, None] * imgs + self.translations[idx]
 
-    def _straight(self):
-        return bool(
-            np.all(np.abs(self.orthogonal - np.eye(self.ambient_dim)) == 0)
-        )
+    @functools.cached_property
+    def _witness_gap(self):
+        c, r = self.map_points(np.arange(self.m), self.center), self.ratios * self.radius
+        gap = np.linalg.norm(c[:, None] - c[None], axis=2) - r[:, None] - r[None]
+        return float(gap[np.triu_indices(self.m, k=1)].min())
 
 
 def _prefix_maps(ifs, sym):
@@ -139,7 +142,7 @@ def _prefix_maps(ifs, sym):
     A_{k+1} = A_k @ linear[w_k], one product per symbol.
     """
     psi = np.cumprod(np.concatenate(([1.0], ifs.ratios[sym])))
-    if ifs._straight():
+    if ifs._straight:
         return psi, None
     amats = np.empty((sym.size + 1, ifs.ambient_dim, ifs.ambient_dim))
     amats[0] = np.eye(ifs.ambient_dim)
@@ -175,14 +178,15 @@ def natural_projection(ifs, word, tol):
     """
     if not (tol > 0):
         raise PreconditionError("tolerance must be positive")
-    return _natural_projection(ifs, np.array(as_word(word, ifs.m), dtype=np.intp), tol)
+    return _natural_projection(ifs, np.array(as_word(word, ifs.m), dtype=np.intp), tol)[:2]
 
 
 def _natural_projection(ifs, sym, tol):
-    """natural_projection of a validated int array, for a positive tol.
+    """natural_projection of a validated int array, for a positive tol, and its maps.
 
     f_word(center) = A_L center + sum_k A_k t[w_k] over the prefix maps
-    A_k of _prefix_maps, the sum taken in word order from +0.
+    A_k of _prefix_maps, the sum taken in word order from +0.  Those maps
+    come back as the third item, for callers that walk the same word.
     """
     psi = float(ifs.metric._prefix_weights(sym, (sym.size,))[0])
     if psi * 2.0 * ifs.radius > tol:
@@ -191,8 +195,9 @@ def _natural_projection(ifs, sym, tol):
             required_length=max(_projection_depth(ifs, tol), sym.size + 1),
         )
     v = np.concatenate((ifs.translations[sym], ifs.center[None]))
-    rows = _apply_maps(*_prefix_maps(ifs, sym), v)
-    return rows[-1] + _sum_in_order(rows[:-1]), psi * ifs.radius
+    maps = _prefix_maps(ifs, sym)
+    rows = _apply_maps(*maps, v)
+    return rows[-1] + _sum_in_order(rows[:-1]), psi * ifs.radius, maps
 
 
 def lyapunov_exponent(measure, ifs):
@@ -240,11 +245,10 @@ def _project_batch(ifs, words, out=None):
     x = np.empty((count, ifs.ambient_dim)) if out is None else out
     x[...] = ifs.center
     ratios, trans = ifs.ratios, ifs.translations
-    straight = ifs._straight()
     scale = ratios[0] if np.all(ratios == ratios[0]) else None
     for j in range(length - 1, -1, -1):
         sym = words[:, j]
-        if straight:
+        if ifs._straight:
             x *= ratios.take(sym)[:, None] if scale is None else scale
             x += trans.take(sym, axis=0)
         else:

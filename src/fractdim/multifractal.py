@@ -14,9 +14,11 @@ At an interior alpha the Legendre transform needs the exponent q with
 alpha(q) = -T'(q) = alpha.  It is found by Newton steps on the pair
 (q, T), which solve the moment equation and alpha(q) = alpha together
 from one moment evaluation per step, inside a bracket taken from a batched
-ladder of exponents 0, +-1, +-2, ..., +-2^59.
+ladder of exponents 0, +-1, +-2, ..., +-2^59.  Each problem solves each
+batch of rungs at most once and keeps it, so later alphas only read it.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -98,7 +100,8 @@ class SpectrumProblem:
 
     similarity_dim is the root of sum lambda_i^s = 1; the problem is
     degenerate when p_i = lambda_i^similarity_dim for every symbol, in
-    which case T is linear and the spectrum collapses to one point.
+    which case T is linear and the spectrum collapses to one point.  What
+    depends on the fields alone is cached privately, out of repr and ==.
     """
 
     p: np.ndarray
@@ -122,16 +125,24 @@ class SpectrumProblem:
     def m(self):
         return self.p.size
 
+    @functools.cached_property
+    def _logs(self):
+        """log p, log lambda and the local dimensions, their quotient; p > 0 only."""
+        logp, loglam = np.log(self.p), np.log(self.ratios)
+        return freeze(logp), freeze(loglam), freeze(logp / loglam)
+
+    @functools.cached_property
+    def _rungs(self):
+        return {}  # _q_ladder's solved batches by top: at most len(_LADDER)
+
 
 def _supported_logs(problem, q_min):
     """Log weights/ratios, restricted to the positive-p symbols for q > 0."""
     pos = problem.p > 0
     if np.all(pos):
-        return np.log(problem.p), np.log(problem.ratios)
+        return problem._logs[:2]
     if q_min <= 0:
-        raise PreconditionError(
-            "zero weights admit no moment equation at q <= 0"
-        )
+        raise PreconditionError("zero weights admit no moment equation at q <= 0")
     return np.log(problem.p[pos]), np.log(problem.ratios[pos])
 
 
@@ -184,14 +195,12 @@ def alpha_range(problem):
     """Extremal local dimensions [min, max] of log p_i / log lambda_i."""
     if np.any(problem.p <= 0):
         raise PreconditionError("alpha range needs strictly positive weights")
-    exponents = np.log(problem.p) / np.log(problem.ratios)
-    return float(np.min(exponents)), float(np.max(exponents))
+    return float(np.min(problem._logs[2])), float(np.max(problem._logs[2]))
 
 
 def _endpoint_set(problem, alpha_end):
-    exponents = np.log(problem.p) / np.log(problem.ratios)
     tol = _EXPONENT_ATOL * (1.0 + abs(alpha_end))
-    return np.abs(exponents - alpha_end) <= tol
+    return np.abs(problem._logs[2] - alpha_end) <= tol
 
 
 def _endpoint_value(problem, alpha_end):
@@ -207,22 +216,29 @@ def _endpoint_value(problem, alpha_end):
 _LADDER = (7, 15, 31, 59)
 
 
-def _q_ladder(logp, loglam, alpha):
+def _q_ladder(problem, alpha):
     """Tightest rung bracket [lo, hi] of the root of alpha(q) = alpha, and a start.
 
     alpha(q) is non-increasing, so lo is the last rung with alpha(q) > alpha
     and hi the first rung after it with alpha(q) <= alpha.  Each batch of
-    rungs is one row-wise root solve and one moment evaluation.  The start
-    is the rung in [lo, hi] whose alpha is nearest the target, returned as
-    (q, T(q), F, *moments) as in _evaluate, with the residual F certified by
-    the root solve.  None when no batch brackets alpha.
+    rungs is one row-wise root solve and one moment evaluation, made when
+    an alpha first needs it and kept in problem._rungs as (q, T(q), F,
+    *moments, alpha(q)).  The start is the rung in [lo, hi] whose alpha is
+    nearest the target, returned as (q, T(q), F, *moments) as in _evaluate,
+    with the residual F certified by the root solve.  None when no batch
+    brackets alpha.
     """
     for top in _LADDER:
-        side = 2.0 ** np.arange(top + 1)
-        qs = np.concatenate([-side[::-1], [0.0], side])
-        ts = _root_of_log_moment(qs[:, None] * logp, loglam)
-        values, moments = _evaluate(logp, loglam, qs, ts)
-        gap = moments[0] / moments[1] - alpha
+        if top not in problem._rungs:
+            logp, loglam = problem._logs[:2]
+            side = 2.0 ** np.arange(top + 1)
+            qs = np.concatenate([-side[::-1], [0.0], side])
+            ts = _root_of_log_moment(qs[:, None] * logp, loglam)
+            values, moments = _evaluate(logp, loglam, qs, ts)
+            batch = (qs, ts, values, *moments, moments[0] / moments[1])
+            problem._rungs[top] = tuple(freeze(x) for x in batch)
+        *batch, alphas = problem._rungs[top]
+        gap = alphas - alpha
         above = np.flatnonzero(gap > 0)
         if above.size == 0:
             continue
@@ -232,8 +248,7 @@ def _q_ladder(logp, loglam, alpha):
             continue
         j = i + 1 + below[0]
         k = i + int(np.argmin(np.abs(gap[i : j + 1])))
-        start = [float(x[k]) for x in (qs, ts, values, *moments)]
-        return float(qs[i]), float(qs[j]), start
+        return float(batch[0][i]), float(batch[0][j]), [float(x[k]) for x in batch]
     return None
 
 
@@ -274,26 +289,27 @@ def _solve_q(problem, alpha):
     """(q, T) with T = T(q) and alpha(q) = alpha, or None when outside all brackets.
 
     alpha(q) = -T'(q) is non-increasing, so the rung bracket of _q_ladder is
-    certified for interior alpha.  From its start rung, Newton steps on the
-    pair (q, T) solve F = log sum p^q lambda^T = 0 and alpha(q) = alpha
-    together (see _joint_step), one moment evaluation per step, and converge
-    quadratically.  A bracket end moves only to a point whose residual F
-    certifies, by the sign of _gap, which is also the sign of the step in q:
-    a step from a bracket end never leaves the bracket by rounding.  A step
-    that leaves it, or that _joint_step rejects, is replaced by a bisection
-    with a root solve for T, started on the tangent of T at the rejected
-    point.  The loop stops on the root solve's rule, applied to the step
-    scaled by (1 + |q|, 1 + |T|), at a certified point, or on a collapsed
-    bracket (near an endpoint a rounding-level step can stay above the
-    stall bound), and returns that point without taking the final step:
-    alpha q + T(q) is stationary in q, so that step would move T*(alpha)
-    only at second order.
+    certified for interior alpha, and its rungs are solved once per problem
+    and kept, so a later alpha pays only for its own steps.  From its start
+    rung, Newton steps on the pair (q, T) solve F = log sum p^q lambda^T = 0
+    and alpha(q) = alpha together (see _joint_step), one moment evaluation
+    per step, and converge quadratically.  A bracket end moves only to a
+    point whose residual F certifies, by the sign of _gap, which is also the
+    sign of the step in q: a step from a bracket end never leaves the
+    bracket by rounding.  A step that leaves it, or that _joint_step rejects,
+    is replaced by a bisection with a root solve for T, started on the
+    tangent of T at the rejected point.  The loop stops on the root solve's
+    rule, applied to the step scaled by (1 + |q|, 1 + |T|), at a certified
+    point, or on a collapsed bracket (near an endpoint a rounding-level step
+    can stay above the stall bound), and returns that point without taking
+    the final step: alpha q + T(q) is stationary in q, so that step would
+    move T*(alpha) only at second order.
     """
-    logp, loglam = np.log(problem.p), np.log(problem.ratios)
-    ladder = _q_ladder(logp, loglam, alpha)
+    ladder = _q_ladder(problem, alpha)
     if ladder is None:
         return None
     lo, hi, (q, t, value, *moments) = ladder
+    logp, loglam = problem._logs[:2]
     prev = math.inf
     for _ in range(200):
         certified = abs(value) <= _RESIDUAL_TOL * (1.0 + abs(t))
@@ -380,7 +396,7 @@ def optimal_measure(problem, alpha):
         w = mask / mask.sum()
         return BernoulliMeasure(w)
     q, t = datum
-    w = np.exp(q * np.log(problem.p) + t * np.log(problem.ratios))
+    w = np.exp(q * problem._logs[0] + t * problem._logs[1])
     total = w.sum()
     # the exponents cancel terms of size ~|T|, whose rounding moves the sum
     if abs(total - 1.0) > 1e-12 * (1.0 + abs(t)):

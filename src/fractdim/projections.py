@@ -28,10 +28,9 @@ from .errors import (
     PreconditionError,
 )
 from .ifs import (
-    _apply_maps, _natural_projection, _prefix_maps, _project_batch, sample_points,
-    symbolic_dimension,
+    _apply_maps, _natural_projection, _project_batch, sample_points, symbolic_dimension,
 )
-from .runtime import _integer, check_budget, enumeration_budget, substream
+from .runtime import _integer, check_budget, enumeration_budget, freeze, substream
 from .symbolic import as_word
 
 _FRAME_TOL = 1e-10
@@ -66,8 +65,7 @@ class Subspace:
             raise PreconditionError(
                 f"basis rows not orthonormal (defect {defect:.3g})"
             )
-        basis.flags.writeable = False
-        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "basis", freeze(basis))
 
     @property
     def ambient(self):
@@ -231,18 +229,14 @@ def marstrand_experiment(
     within = np.abs(estimates - predicted) <= tol
     below = estimates < predicted - tol
     qs = np.quantile(estimates, [0.05, 0.25, 0.5, 0.75, 0.95])
-    estimates.flags.writeable = False
-    stderrs.flags.writeable = False
-    below.flags.writeable = False
-    qs.flags.writeable = False
     return MarstrandReport(
-        estimates=estimates,
-        stderrs=stderrs,
+        estimates=freeze(estimates),
+        stderrs=freeze(stderrs),
         predicted=predicted,
         tolerance=float(tol),
         fraction_within=float(within.mean()),
-        below=below,
-        quantiles=qs,
+        below=freeze(below),
+        quantiles=freeze(qs),
         directions=directions,
     )
 
@@ -296,7 +290,7 @@ def _child_block(ifs, x, c, psi, amats):
     return (centers, psis, amats), bounds
 
 
-def _enemy_distance_bounds(ifs, word, x, depths, budget, spent):
+def _enemy_distance_bounds(ifs, word, x, psi, amats, depths, budget, spent):
     """Min over enemy depth-n cylinders of |x - center| - radius, per n in depths.
 
     One best-first branch and bound (Land-Doig) over the cylinder tree
@@ -311,16 +305,16 @@ def _enemy_distance_bounds(ifs, word, x, depths, budget, spent):
     keeps what it builds, so the budget also bounds its memory.
 
     The path and all its children, down to the deepest level the depths
-    and the budget allow, are built in one pass: psi and the maps by
-    _prefix_maps, and the path centers by a running sum of the steps
-    taken.  A heap entry is (bound, depth, order, block, k, s), child (k, s)
-    of a block of siblings that holds no arrays of its own; an expanded
-    node builds its m children as one block.  Every center is its parent's
-    plus A steps[s], and every map its parent's A @ linear[s].
+    and the budget allow, are built in one pass: psi and amats are the
+    word's prefix maps as _prefix_maps gives them, read only up to that
+    level, and the path centers a running sum of the steps taken.  A heap
+    entry is (bound, depth, order, block, k, s), child (k, s) of a block
+    of siblings that holds no arrays of its own; an expanded node builds
+    its m children as one block.  Every center is its parent's plus A
+    steps[s], and every map its parent's A @ linear[s].
     """
     m = ifs.m
     sym = np.array(word[: min(depths[-1], budget // m)], dtype=np.intp)
-    psi, amats = _prefix_maps(ifs, sym)
     skips = sym.tolist()
     taken = _apply_maps(psi, amats, ifs.steps[sym])
     path = np.add.accumulate(np.concatenate((ifs.center[None], taken)))
@@ -386,12 +380,12 @@ def ede_check(ifs, word, depth_range, epsilon, tol):
     if not (tol > 0):
         raise PreconditionError("tolerance must be positive")
     sym = np.array(word, dtype=np.intp)
-    x, trunc = _natural_projection(ifs, sym, tol)
+    x, trunc, maps = _natural_projection(ifs, sym, tol)
     spent = [0]
     dist_lower = []
     done = []
     partial = False
-    bounds = _enemy_distance_bounds(ifs, word, x, depths, enumeration_budget(), spent)
+    bounds = _enemy_distance_bounds(ifs, word, x, *maps, depths, enumeration_budget(), spent)
     try:
         for n, bound in zip(depths, bounds):
             dist_lower.append(bound - trunc)
@@ -399,21 +393,11 @@ def ede_check(ifs, word, depth_range, epsilon, tol):
     except BudgetExceededError:
         partial = True
     if not done:
-        raise BudgetExceededError(
-            "budget exhausted before the coarsest requested depth"
-        )
+        raise BudgetExceededError("budget exhausted before the coarsest requested depth")
     dist_lower = np.array(dist_lower)
     diam = ifs.metric._prefix_weights(sym, done) * 2.0 * ifs.radius
-    level_c = ifs.map_points(np.arange(ifs.m), ifs.center)
-    level_r = ifs.ratios * ifs.radius
-    pair_gap = (
-        np.linalg.norm(level_c[:, None, :] - level_c[None, :, :], axis=2)
-        - level_r[:, None]
-        - level_r[None, :]
-    )
-    gap = float(pair_gap[np.triu_indices(ifs.m, k=1)].min())
     with np.errstate(all="ignore"):
-        constant = max(gap, 0.0) / (2.0 * ifs.radius) / diam[0] ** epsilon
+        constant = max(ifs._witness_gap, 0.0) / (2.0 * ifs.radius) / diam[0] ** epsilon
     if not math.isfinite(constant):
         raise PreconditionError(
             f"witness constant {constant} is not finite: diam ** {epsilon:g} underflows"
@@ -431,14 +415,12 @@ def ede_check(ifs, word, depth_range, epsilon, tol):
     expo = np.where(dist_lower > 0, expo, math.inf)
     worst = float(np.max(expo[fine])) if fine.any() else math.nan
     overlap = bool(np.all(dist_lower <= trunc))
-    for arr in (dist_lower, diam, passed):
-        arr.flags.writeable = False
     return EDEReport(
         constant=float(constant),
         depths=np.array(done),
-        dist_lower=dist_lower,
-        diam=diam,
-        passed=passed,
+        dist_lower=freeze(dist_lower),
+        diam=freeze(diam),
+        passed=freeze(passed),
         worst_exponent=worst,
         truncation=trunc,
         partial=partial,
@@ -506,7 +488,7 @@ def _greedy_enemy_leaves(ifs, base, x, max_depth):
     every = np.arange(rows)
     c = np.broadcast_to(ifs.center, (rows, n))
     psi = np.ones(rows)
-    amat = None if ifs._straight() else np.broadcast_to(np.eye(n), (rows, n, n))
+    amat = None if ifs._straight else np.broadcast_to(np.eye(n), (rows, n, n))
     leaves = np.empty((rows, length), dtype=np.int64)
     for j in range(length):
         (cand, psis, _), val = _child_block(ifs, target, c, psi, amat)
@@ -585,9 +567,7 @@ def holder_inverse_check(
         running = np.maximum.accumulate(ratio, axis=1)
         worst = np.maximum(worst, running.max(axis=0).T)
     overall = worst.max(axis=1)
-    out = (alphas, np.arange(1, max_depth + 1), worst, overall, skipped, pairs)
-    for arr in out:
-        arr.flags.writeable = False
+    out = [freeze(a) for a in (alphas, np.arange(1, max_depth + 1), worst, overall, skipped, pairs)]
     return HolderReport(
         alphas=out[0],
         depths=out[1],

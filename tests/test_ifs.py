@@ -578,7 +578,7 @@ class TestAffineDecompositionOracle:
     @pytest.mark.parametrize("name", sorted(DECOMPOSITION_STRAIGHT))
     def test_straight_matches_the_loop_bitwise(self, name):
         F = DECOMPOSITION_STRAIGHT[name]()
-        assert F._straight()
+        assert F._straight
         for word in decomposition_words(F, 31):
             const, mats, tail = _affine_decomposition(F, word)
             ref_const, ref_mats, ref_tail = reference_affine_decomposition(F, word)
@@ -589,7 +589,7 @@ class TestAffineDecompositionOracle:
     @pytest.mark.parametrize("name", sorted(DECOMPOSITION_ROTATED))
     def test_rotated_matches_the_loop_within_ulps(self, name):
         F = DECOMPOSITION_ROTATED[name]()
-        assert not F._straight()
+        assert not F._straight
         for word in decomposition_words(F, 37):
             const, mats, tail = _affine_decomposition(F, word)
             ref_const, ref_mats, ref_tail = reference_affine_decomposition(F, word)

@@ -1,6 +1,9 @@
 """Structure function, Legendre spectrum, endpoint devices, optimal measures."""
 
+import copy
 import math
+import pickle
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -14,6 +17,7 @@ from fractdim.ifs import SimilarityIFS
 from fractdim.measures import BernoulliMeasure, _log_moment
 from fractdim.multifractal import (
     _EDGE_ATOL,
+    _LADDER,
     _RESIDUAL_TOL,
     SpectrumProblem,
     _root_of_log_moment,
@@ -646,3 +650,124 @@ class TestCurve:
         gap = curve.alpha[fin] - curve.f[fin]
         assert gap.min() >= -1e-9
         assert gap.min() <= 1e-6
+
+
+# Two-symbol problems whose local dimensions nearly tie: near their
+# endpoints the root of alpha(q) = alpha lies past 2^15 (equal ratios 1/3)
+# or past 2^31 (equal ratios 0.9999), so the far batches of the ladder run.
+FAR_RUNG_PROBLEMS = [
+    ([0.5 + 1e-7, 0.5 - 1e-7], [1 / 3, 1 / 3]),
+    ([0.5 + 1e-9, 0.5 - 1e-9], [0.9999, 0.9999]),
+]
+
+
+def memo_problems():
+    """THIRDS, the hard oracle problems and the far-rung problems."""
+    problems = oracle_problems()
+    hard = problems[: len(HARD_PROBLEMS)]
+    # oracle_problems draws 4 problems per (m, concentration), m = 2..6,
+    # concentrations 0.1, 1, 10 in turn: keep the concentration-0.1 ones
+    sparse = [problems[len(HARD_PROBLEMS) + 12 * k + j] for k in range(5) for j in range(4)]
+    return [(THIRDS.p, THIRDS.ratios)] + hard + sparse + FAR_RUNG_PROBLEMS
+
+
+def memo_alphas(prob):
+    """Interior alphas, alphas near both ends and the edge-band endpoints."""
+    lo, hi = alpha_range(prob)
+    edge = _EDGE_ATOL * (1.0 + hi - lo)
+    near = np.array([0.0, 0.5 * edge, edge, 1.001 * edge, 2 * edge, 10 * edge, 1e3 * edge,
+                     1e-9, 1e-8, 1e-6])
+    alphas = np.concatenate([lo + (hi - lo) * np.arange(1, 10) / 10, lo + near, hi - near])
+    return alphas[(alphas >= lo) & (alphas <= hi)]
+
+
+def spectrum_bits(legendre_prob, alpha, measure_prob=None):
+    """Bytes of legendre and of optimal_measure's weights at alpha."""
+    return (
+        np.float64(legendre(legendre_prob, alpha)).tobytes(),
+        optimal_measure(measure_prob or legendre_prob, alpha).p.tobytes(),
+    )
+
+
+def assert_memo_matches_fresh(p, lam):
+    """Each alpha gives the bits of a fresh problem per call on one shared
+    problem visited forward, reversed and shuffled; returns the last one."""
+    alphas = memo_alphas(SpectrumProblem(p=p, ratios=lam))
+    fresh = [
+        spectrum_bits(SpectrumProblem(p=p, ratios=lam), a, SpectrumProblem(p=p, ratios=lam))
+        for a in alphas
+    ]
+    order = np.arange(alphas.size)
+    shuffled = np.random.default_rng(29).permutation(order)
+    for visit in (order, order[::-1], shuffled):
+        shared = SpectrumProblem(p=p, ratios=lam)
+        for i in visit:
+            assert spectrum_bits(shared, alphas[i]) == fresh[i], alphas[i]
+            # the ladder in force, which a test may shorten
+            assert set(shared._rungs) <= set(mf._LADDER)
+            assert len(shared._rungs) <= len(mf._LADDER)
+    return shared
+
+
+class TestKeptLadder:
+    @pytest.mark.parametrize("p, lam", memo_problems())
+    def test_shared_problem_gives_the_bits_of_fresh_ones(self, p, lam):
+        shared = assert_memo_matches_fresh(p, lam)
+        for batch in shared._rungs.values():
+            assert not any(x.flags.writeable for x in batch)
+
+    def test_far_rungs_are_reached_and_solve_alpha(self):
+        tops = set()
+        for p, lam in FAR_RUNG_PROBLEMS:
+            lo, hi = alpha_range(SpectrumProblem(p=p, ratios=lam))
+            edge = _EDGE_ATOL * (1.0 + hi - lo)
+            for a in memo_alphas(SpectrumProblem(p=p, ratios=lam)):
+                prob = SpectrumProblem(p=p, ratios=lam)
+                if not lo + edge < a < hi - edge:
+                    continue
+                q, t = _solve_q(prob, a)
+                if len(prob._rungs) > 2:
+                    # a root past 2^15 that the kept far rungs bracketed
+                    assert abs(q) > 2.0**15
+                    assert abs(-T_derivative(prob, q) - a) <= 1e-13 * (1.0 + abs(a))
+                    assert legendre(prob, a) == q * a + t
+                tops |= set(prob._rungs)
+        assert tops == set(_LADDER)
+
+    @pytest.mark.parametrize("p, lam", [(THIRDS.p, THIRDS.ratios)] + FAR_RUNG_PROBLEMS)
+    def test_exhausted_ladder_falls_through_to_an_endpoint(self, p, lam, monkeypatch):
+        # a ladder of rungs up to 2^2 and 2^3 brackets no alpha near the ends,
+        # so _q_ladder returns None there and the endpoint branch answers
+        monkeypatch.setattr(mf, "_LADDER", (2, 3))
+        prob = SpectrumProblem(p=p, ratios=lam)
+        lo, hi = alpha_range(prob)
+        a = lo + 1e-6 * (hi - lo)
+        assert mf._q_ladder(prob, a) is None
+        assert legendre(prob, a) == legendre(prob, lo)
+        assert set(prob._rungs) == {2, 3}
+        assert_memo_matches_fresh(p, lam)
+
+
+class TestProblemInvariantsStayPrivate:
+    def test_repr_and_equality_are_unchanged(self):
+        prob = SpectrumProblem(p=[0.2, 0.3, 0.5], ratios=[0.3, 0.25, 0.4])
+        text, twin = repr(prob), copy.copy(prob)
+        lo, hi = alpha_range(prob)
+        for a in np.linspace(lo, hi, 7):
+            legendre(prob, a)
+            optimal_measure(prob, a)
+        assert prob._rungs
+        assert repr(prob) == text
+        assert prob == twin and prob == prob
+        assert [f.name for f in fields(prob)] == ["p", "ratios", "similarity_dim", "degenerate"]
+
+    def test_pickle_round_trip_keeps_the_bits(self):
+        lo, hi = alpha_range(THIRDS)
+        alphas = lo + (hi - lo) * np.array([1e-9, 0.3, 0.5, 0.9, 1 - 1e-7])
+        prob = SpectrumProblem(p=THIRDS.p, ratios=THIRDS.ratios)
+        cold = pickle.loads(pickle.dumps(prob))
+        want = [spectrum_bits(prob, a) for a in alphas]
+        warm = pickle.loads(pickle.dumps(prob))
+        assert warm._rungs.keys() == prob._rungs.keys()
+        assert [spectrum_bits(cold, a) for a in alphas] == want
+        assert [spectrum_bits(warm, a) for a in alphas] == want

@@ -1,9 +1,12 @@
 """Grassmannian draws, projections, separation and Holder checks."""
 
+import copy
 import hashlib
 import heapq
 import itertools
 import math
+import pickle
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -11,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import kstest, ks_2samp
 
+from fractdim import ifs as ifs_module
 from fractdim import projections
 from fractdim.errors import (
     AlphabetMismatchError,
@@ -20,6 +24,7 @@ from fractdim.errors import (
 )
 from fractdim.ifs import (
     SimilarityIFS,
+    _prefix_maps,
     _project_batch,
     natural_projection,
     sample_points,
@@ -518,7 +523,7 @@ def reference_enemy_distance_bound(ifs, word, depth, x, budget, spent):
     m = ifs.m
     ratios, orth, trans = ifs.ratios, ifs.orthogonal, ifs.translations
     center, radius = ifs.center, ifs.radius
-    straight = ifs._straight()
+    straight = ifs._straight
     base = np.eye(ifs.ambient_dim)
     best = math.inf
     # node: (depth, center, scale, composite map or None, on excluded path)
@@ -561,7 +566,7 @@ def reference_enemy_distance_bound(ifs, word, depth, x, budget, spent):
 
 def reference_greedy_enemy_leaf(ifs, word, deviate_at, x, length):
     ratios, center, radius = ifs.ratios, ifs.center, ifs.radius
-    straight = ifs._straight()
+    straight = ifs._straight
     m = ifs.m
     c = center.copy()
     psi = 1.0
@@ -645,6 +650,12 @@ def coded_points(ifs, seed, count=3):
         yield word, natural_projection(ifs, word, 1e-6)[0]
 
 
+def enemy_bounds(ifs, word, x, depths, budget, spent):
+    """_enemy_distance_bounds on the prefix maps of the whole word, as ede_check passes them."""
+    maps = _prefix_maps(ifs, np.array(word, dtype=np.intp))
+    return _enemy_distance_bounds(ifs, word, x, *maps, depths, budget, spent)
+
+
 def random_system(kind, seed):
     """Seeded 2-4 map system: straight or rotated in the plane, or overlapping on the line.
 
@@ -678,7 +689,7 @@ def same_bits(a, b):
 def assert_bounds_match_reference(F, seed, depths):
     """The one search yields, depth by depth, the bits of the per-depth oracle."""
     for word, x in coded_points(F, seed):
-        bounds = list(_enemy_distance_bounds(F, word, x, depths, 10**7, [0]))
+        bounds = list(enemy_bounds(F, word, x, depths, 10**7, [0]))
         assert len(bounds) == len(depths)
         for depth, bound in zip(depths, bounds):
             ref = reference_enemy_distance_bound(F, word, depth, x, 10**7, [0])
@@ -722,7 +733,7 @@ class TestTreeWalkOracle:
             radii = np.array([F.metric.weight(w) for w in words]) * F.radius
             balls[depth] = words, centers, radii
         for word, x in coded_points(F, 47):
-            bounds = _enemy_distance_bounds(F, word, x, sorted(balls), 10**7, [0])
+            bounds = enemy_bounds(F, word, x, sorted(balls), 10**7, [0])
             for (depth, (words, centers, radii)), bound in zip(balls.items(), bounds):
                 gaps = np.linalg.norm(x - centers, axis=1) - radii
                 brute = float(np.delete(gaps, words.index(word[:depth])).min())
@@ -793,7 +804,7 @@ class TestHeapSearchOracle:
             if name == "random-rotated":
                 assert need > F.m * depths[-1]
             for budget in range(F.m, need + 1):
-                got = run_search(_enemy_distance_bounds, F, word, x, depths, budget)
+                got = run_search(enemy_bounds, F, word, x, depths, budget)
                 ref = run_search(reference_heap_enemy_distance_bounds, F, word, x, depths, budget)
                 assert got[1:] == ref[1:], (word, budget)
                 assert len(got[0]) == len(ref[0]), (word, budget)
@@ -805,7 +816,7 @@ class TestHeapSearchOracle:
     def test_sparse_depths_match_the_heap_of_nodes(self, name):
         F = SEARCH_SYSTEMS[name]()
         for word, x in coded_points(F, 71):
-            got = run_search(_enemy_distance_bounds, F, word, x, [3, 4, 9, 17], 10**7)
+            got = run_search(enemy_bounds, F, word, x, [3, 4, 9, 17], 10**7)
             ref = run_search(
                 reference_heap_enemy_distance_bounds, F, word, x, [3, 4, 9, 17], 10**7
             )
@@ -835,7 +846,7 @@ class TestStraightNaturalProjection:
     @pytest.mark.parametrize("name", sorted(STRAIGHT_SYSTEMS))
     def test_matches_word_map(self, name, length):
         F = STRAIGHT_SYSTEMS[name]()
-        assert F._straight()
+        assert F._straight
         rng = substream(17, length)
         for _ in range(5):
             word = tuple(int(s) for s in rng.integers(0, F.m, length))
@@ -893,7 +904,7 @@ class TestRotatedNaturalProjection:
     @pytest.mark.parametrize("name", sorted(ROTATED_SYSTEMS))
     def test_matches_word_map_within_ulps(self, name, length):
         F = ROTATED_SYSTEMS[name]()
-        assert not F._straight()
+        assert not F._straight
         rng = substream(19, length)
         for _ in range(5):
             word = tuple(int(s) for s in rng.integers(0, F.m, length))
@@ -932,6 +943,79 @@ class TestRotatedDigest:
                 digest.update(np.asarray(arr).tobytes())
         assert expansions == 3600
         assert digest.hexdigest() == ROTATED_DIGEST
+
+
+def inline_witness_gap(ifs):
+    """The level-1 witness gap as ede_check once computed it for every word."""
+    level_c = ifs.map_points(np.arange(ifs.m), ifs.center)
+    level_r = ifs.ratios * ifs.radius
+    pair_gap = (
+        np.linalg.norm(level_c[:, None, :] - level_c[None, :, :], axis=2)
+        - level_r[:, None]
+        - level_r[None, :]
+    )
+    return float(pair_gap[np.triu_indices(ifs.m, k=1)].min())
+
+
+def signed_zero_rotation():
+    """Identity orthogonal parts written with negative zeros: still straight."""
+    eye = [[1.0, -0.0], [-0.0, 1.0]]
+    return SimilarityIFS(
+        ratios=[0.3, 0.4], translations=[[0.0, -0.0], [0.6, 0.2]], orthogonal=[eye, eye]
+    )
+
+
+INVARIANT_SYSTEMS = {**SYSTEMS, **ROTATED_SYSTEMS, "signed-zero-rotation": signed_zero_rotation}
+
+
+class TestSystemInvariants:
+    @pytest.mark.parametrize("name", sorted(SYSTEMS))
+    def test_witness_gap_matches_the_inline_formula(self, name):
+        F = SYSTEMS[name]()
+        assert same_bits(F._witness_gap, inline_witness_gap(F))
+
+    @pytest.mark.parametrize("name", sorted(INVARIANT_SYSTEMS))
+    def test_straight_flag_matches_the_identity_test(self, name):
+        F = INVARIANT_SYSTEMS[name]()
+        want = bool(np.all(np.abs(F.orthogonal - np.eye(F.ambient_dim)) == 0))
+        assert F._straight is want is (name not in ROTATED_SYSTEMS)
+
+    @pytest.mark.parametrize("name", ["cantor", "rotated", "exact"])
+    def test_ede_check_builds_the_prefix_maps_once(self, name, monkeypatch):
+        F = {**WALK_SYSTEMS, **ROTATED_SYSTEMS}[name]()
+        sizes = []
+        real = ifs_module._prefix_maps
+
+        def spy(ifs, sym):
+            sizes.append(sym.size)
+            return real(ifs, sym)
+
+        monkeypatch.setattr(ifs_module, "_prefix_maps", spy)
+        # the search takes its maps from natural projection's walk
+        assert not hasattr(projections, "_prefix_maps")
+        for word, _ in coded_points(F, 83):
+            del sizes[:]
+            ede_check(F, word, range(1, 21), 0.1, 1e-12)
+            assert sizes == [len(word)]
+
+    @pytest.mark.parametrize("name", ["cantor", "overlap", "rotated"])
+    def test_filled_invariants_change_nothing_visible(self, name):
+        F = WALK_SYSTEMS[name]()
+        text, twin = repr(F), copy.copy(F)
+        cold = pickle.loads(pickle.dumps(F))
+        words = [word for word, _ in coded_points(F, 89)]
+        reports = [ede_check(F, word, range(1, 13), 0.1, 1e-12) for word in words]
+        assert "_witness_gap" in vars(F)
+        assert repr(F) == text
+        assert F == twin and F == F
+        assert "_straight" not in [f.name for f in fields(F)]
+        warm = pickle.loads(pickle.dumps(F))
+        for G in (cold, warm):
+            for word, rep in zip(words, reports):
+                again = ede_check(G, word, range(1, 13), 0.1, 1e-12)
+                assert same_bits(again.constant, rep.constant)
+                assert again.dist_lower.tobytes() == rep.dist_lower.tobytes()
+                assert again.expansions == rep.expansions
 
 
 # Oracle copies of the scalar Holder descent, one base word and one depth at

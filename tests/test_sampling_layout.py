@@ -30,7 +30,7 @@ def oracle_project_batch(ifs, words):
     """Apply f_w(center) for a batch of equal-length words (rows)."""
     count = words.shape[0]
     x = np.broadcast_to(ifs.center, (count, ifs.ambient_dim)).copy()
-    straight = ifs._straight()
+    straight = ifs._straight
     for j in range(words.shape[1] - 1, -1, -1):
         sym = words[:, j]
         if straight:
