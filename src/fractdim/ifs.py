@@ -134,14 +134,25 @@ class SimilarityIFS:
         return float(gap[np.triu_indices(self.m, k=1)].min())
 
 
+def _prefix_weights(ifs, sym):
+    """Weight of every prefix, lengths 0..L, of each word along sym's last axis.
+
+    One cumprod from 1.0 in word order: the running product that
+    AdaptedMetric.weight takes one word at a time, with the same bits.
+    sym is a validated int array; the result has one more column.
+    """
+    ones = np.ones(sym.shape[:-1] + (1,))
+    return np.cumprod(np.concatenate((ones, ifs.ratios[sym]), axis=-1), axis=-1)
+
+
 def _prefix_maps(ifs, sym):
     """psi and linear part of f_{w|k} for k = 0..len(w), of a validated int array.
 
-    psi is one cumprod from 1.0.  A straight system's map is psi times the
+    psi is _prefix_weights.  A straight system's map is psi times the
     identity and carries no matrix (None); a rotated one gives A_0 = I,
     A_{k+1} = A_k @ linear[w_k], one product per symbol.
     """
-    psi = np.cumprod(np.concatenate(([1.0], ifs.ratios[sym])))
+    psi = _prefix_weights(ifs, sym)
     if ifs._straight:
         return psi, None
     amats = np.empty((sym.size + 1, ifs.ambient_dim, ifs.ambient_dim))
@@ -185,17 +196,18 @@ def _natural_projection(ifs, sym, tol):
     """natural_projection of a validated int array, for a positive tol, and its maps.
 
     f_word(center) = A_L center + sum_k A_k t[w_k] over the prefix maps
-    A_k of _prefix_maps, the sum taken in word order from +0.  Those maps
-    come back as the third item, for callers that walk the same word.
+    A_k of _prefix_maps, the sum taken in word order from +0, and the
+    truncation radius is the psi of the whole word times the ball's.  Those
+    maps come back as the third item, for callers that walk the same word.
     """
-    psi = float(ifs.metric._prefix_weights(sym, (sym.size,))[0])
+    maps = _prefix_maps(ifs, sym)
+    psi = float(maps[0][-1])
     if psi * 2.0 * ifs.radius > tol:
         raise WordTooShortError(
             f"word of length {sym.size} cannot reach tolerance {tol:.3g}",
             required_length=max(_projection_depth(ifs, tol), sym.size + 1),
         )
     v = np.concatenate((ifs.translations[sym], ifs.center[None]))
-    maps = _prefix_maps(ifs, sym)
     rows = _apply_maps(*maps, v)
     return rows[-1] + _sum_in_order(rows[:-1]), psi * ifs.radius, maps
 
@@ -342,17 +354,17 @@ def _affine_decomposition(ifs, word):
     M_i sums, in word order, the prefix maps A_k of _prefix_maps at the
     positions k where symbol i occurs, and c = sum_k A_k t[w_k]; the
     remainder after the truncation depth is bounded by psi(word) / (1 -
-    gamma) times the largest admissible offset norm.
+    gamma) times the largest admissible offset norm, psi(word) being the
+    last psi of those maps.
     """
-    word = as_word(word, ifs.m)
-    sym = np.array(word, dtype=np.intp)
+    sym = np.array(as_word(word, ifs.m), dtype=np.intp)
     n = ifs.ambient_dim
     psi, amats = _prefix_maps(ifs, sym)
     maps = psi[:-1, None, None] * np.eye(n) if amats is None else amats[:-1]
     mats = np.zeros((ifs.m, n, n))
     np.add.at(mats, sym, maps)
     const = _sum_in_order(_apply_maps(psi, amats, ifs.translations[sym]))
-    tail_scale = ifs.metric.weight(word) / (1.0 - ifs.metric.gamma)
+    tail_scale = float(psi[-1]) / (1.0 - ifs.metric.gamma)
     return const, mats, tail_scale
 
 

@@ -28,7 +28,8 @@ from .errors import (
     PreconditionError,
 )
 from .ifs import (
-    _apply_maps, _natural_projection, _project_batch, sample_points, symbolic_dimension,
+    _apply_maps, _natural_projection, _prefix_weights, _project_batch, sample_points,
+    symbolic_dimension,
 )
 from .runtime import _integer, check_budget, enumeration_budget, freeze, substream
 from .symbolic import as_word
@@ -249,11 +250,11 @@ class EDEReport:
     to the union of all other depth-n cylinder images (enclosure-ball
     bound minus projection truncation); diam[i] is the adapted diameter
     of the point's own cylinder, AdaptedMetric.weight of the word's first
-    n symbols times the enclosure diameter, bit for bit (one running
-    product serves every depth up to 64 symbols).  The witness constant
-    comes from the level-1 enclosure gap, normalized so the coarsest
-    requested depth passes whenever that gap is positive; freezing it
-    makes the deeper verdicts falsifiable.  expansions counts the
+    n symbols times the enclosure diameter, bit for bit: the word's psi
+    from _prefix_maps, one running product for every depth.  The witness
+    constant comes from the level-1 enclosure gap, normalized so the
+    coarsest requested depth passes whenever that gap is positive; freezing
+    it makes the deeper verdicts falsifiable.  expansions counts the
     cylinder nodes the search built, m per expanded node, counted before
     they are built; partial is set when the enumeration budget ran out
     before the deepest requested depth, and depths then lists only the
@@ -395,7 +396,7 @@ def ede_check(ifs, word, depth_range, epsilon, tol):
     if not done:
         raise BudgetExceededError("budget exhausted before the coarsest requested depth")
     dist_lower = np.array(dist_lower)
-    diam = ifs.metric._prefix_weights(sym, done) * 2.0 * ifs.radius
+    diam = maps[0][done] * 2.0 * ifs.radius
     with np.errstate(all="ignore"):
         constant = max(ifs._witness_gap, 0.0) / (2.0 * ifs.radius) / diam[0] ** epsilon
     if not math.isfinite(constant):
@@ -518,8 +519,7 @@ def holder_inverse_check(
         raise AlphabetMismatchError(
             f"measure alphabet {measure.m} != system alphabet {ifs.m}"
         )
-    metric = ifs.metric
-    length = max(4, math.ceil(-12.0 * math.log(10.0) / math.log(metric.gamma)))
+    length = max(4, math.ceil(-12.0 * math.log(10.0) / math.log(ifs.metric.gamma)))
     if base_words is None:
         pair_samples = _integer(pair_samples, "base sample count")
         if pair_samples < 1:
@@ -537,8 +537,7 @@ def holder_inverse_check(
     if not 1 <= max_depth < length:
         raise PreconditionError("enemy depth must sit inside the word length")
     x_base = _project_batch(ifs, base)
-    log_lam = np.log(ifs.ratios)
-    base_psi = np.exp(np.cumsum(log_lam[base], axis=1))
+    base_psi = _prefix_weights(ifs, base)
     trunc = float(np.max(base_psi[:, -1])) * ifs.radius
     n_base = base.shape[0]
     worst = np.zeros((alphas.size, max_depth))
@@ -550,12 +549,10 @@ def holder_inverse_check(
         x = x_base[lo : lo + _HOLDER_BLOCK]
         leaves = _greedy_enemy_leaves(ifs, block, x, max_depth).reshape(-1, length)
         y = _project_batch(ifs, leaves).reshape(-1, max_depth, ifs.ambient_dim)
-        # libm exp per leaf: numpy's vector exp may round differently
-        e_leaf = np.array(
-            [math.exp(v) for v in np.sum(log_lam[leaves], axis=1).tolist()]
-        ).reshape(-1, max_depth) * ifs.radius
+        e_leaf = _prefix_weights(ifs, leaves)[:, -1].reshape(-1, max_depth) * ifs.radius
         gap = _norms(x[:, None, :] - y)
-        rho = np.array([metric._prefix_weights(w, range(max_depth)) for w in block])
+        # rho at depth d is the weight of the first d - 1 symbols
+        rho = base_psi[lo : lo + _HOLDER_BLOCK, :max_depth]
         e_base = base_psi[lo : lo + _HOLDER_BLOCK, -1] * ifs.radius
         # a partner deviating at level j <= d is an enemy at depth d, so the
         # per-depth ratio accumulates over deviation levels; once a partner

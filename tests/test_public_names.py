@@ -1,5 +1,5 @@
-"""The package's public surface and SimilarityIFS's members, pinned so that a
-new or removed name is a visible change."""
+"""The package's public surface and the members of SimilarityIFS and
+AdaptedMetric, pinned so that a new or removed name is a visible change."""
 
 import types
 
@@ -87,3 +87,12 @@ def test_similarity_ifs_members_are_pinned():
     # an instance, so that the fields set in __post_init__ are listed too
     ifs = fractdim.SimilarityIFS(ratios=[0.5, 0.5], translations=[0.0, 0.5])
     assert [name for name in dir(ifs) if not name.startswith("_")] == SIMILARITY_IFS_MEMBERS
+
+
+ADAPTED_METRIC_MEMBERS = ["gamma", "ratios", "weight"]
+
+
+def test_adapted_metric_members_are_pinned():
+    # an instance, so that the attributes set in __init__ are listed too
+    metric = fractdim.AdaptedMetric([0.5, 0.25])
+    assert [name for name in dir(metric) if not name.startswith("_")] == ADAPTED_METRIC_MEMBERS
