@@ -238,13 +238,14 @@ def _pair_sample(n, seed, max_pairs, workers=1):
     truncated to respect max_pairs and self-pairs are dropped.  The
     sample depends on (n, seed, max_pairs) only, so one draw serves every
     cloud of that size, such as all projections of one sample.  Returns
-    one (a, b) pair of index arrays per stratum, views of one buffer that
-    is allocated before any stratum is drawn; a sample too large to
-    allocate raises BudgetExceededError, and a sample that keeps no pair
-    (a budget of one self-pair) raises EstimationError.  Strata are drawn
-    in parallel, each into its own slot of the buffer, and one ordered
-    pass then packs the slots to the left, so the sample is the same for
-    any worker count.
+    one (partner, self_pairs) per stratum: partner is row t of one
+    (strata, per_stratum) intp buffer, whose left column is the implicit
+    arange(per_stratum), and self_pairs the sorted positions i with
+    partner[i] == i.  The buffer is allocated before any stratum is drawn;
+    a sample too large to allocate raises BudgetExceededError, and a
+    sample that keeps no pair (a budget of one self-pair) raises
+    EstimationError.  Strata are drawn in parallel, each into its own row,
+    so the sample is the same for any worker count.
     """
     if n < _MIN_PAIR_POINTS:
         raise PreconditionError(f"need at least {_MIN_PAIR_POINTS} points")
@@ -252,39 +253,21 @@ def _pair_sample(n, seed, max_pairs, workers=1):
         raise PreconditionError("pair budget must be at least 1")
     n_strata = max(1, min(max_pairs // n, n - 1))
     per_stratum = min(n, max_pairs)
-    index = np.int32 if n <= np.iinfo(np.int32).max else np.int64
     try:
-        buf = np.empty((2, n_strata * per_stratum), dtype=index)
+        buf = np.empty((n_strata, per_stratum), dtype=np.intp)
     except (MemoryError, ValueError):
         raise BudgetExceededError(
             f"a sample of {n_strata * per_stratum} pairs cannot be allocated"
         ) from None
-    left = np.arange(per_stratum, dtype=index)
+    left = np.arange(per_stratum)
 
     def draw(t, start, stop):
-        partner = substream(seed, _STREAM_PAIRS, t).permutation(n)[:per_stratum]
-        # self-pairs are rare (one per stratum on average), so the pairs
-        # between them are copied run by run, with no gathered temporaries
-        at = t * per_stratum
-        self_pairs = np.flatnonzero(partner == left)
-        for lo, hi in itertools.pairwise([-1, *self_pairs, per_stratum]):
-            buf[0, at : at + hi - lo - 1] = left[lo + 1 : hi]
-            buf[1, at : at + hi - lo - 1] = partner[lo + 1 : hi]
-            at += hi - lo - 1
-        return at - t * per_stratum
+        partner = buf[t]
+        partner[...] = substream(seed, _STREAM_PAIRS, t).permutation(n)[:per_stratum]
+        return partner, np.flatnonzero(partner == left)
 
-    pairs = []
-    end = 0
-    for t, kept in enumerate(run_chunks(draw, n_strata, workers=workers, chunk=1)):
-        lo = t * per_stratum
-        if lo > end:
-            # row by row: a 1-d overlapping move to the left needs no copy
-            for row in buf:
-                row[end : end + kept] = row[lo : lo + kept]
-        a, b = buf[:, end : end + kept]
-        end += kept
-        pairs.append((a, b))
-    if end == 0:
+    pairs = run_chunks(draw, n_strata, workers=workers, chunk=1)
+    if all(self_pairs.size == per_stratum for _, self_pairs in pairs):
         raise EstimationError(
             f"a pair budget of {max_pairs} kept no pair: every drawn pair was a self-pair"
         )
@@ -336,13 +319,14 @@ def _pair_profile(cloud, radii, powers, pairs, workers, views):
     schedule.  The cloud's uniform measure gives every pair the same mass,
     so pairs are counted and consumers divide counts; the cloud itself is
     not read, and stays the first argument because the benchmark tracer
-    takes the cloud's size from it.  A stratum's indices are made once for
-    all views; each view gathers its distances, bins them and sums.
-    Strata are the parallel unit and are combined in stratum order, so the
-    results do not depend on the worker count or on how views are grouped.
+    takes the cloud's size from it.  Strata are the parallel unit and are
+    combined in stratum order, so the results do not depend on the worker
+    count or on how views are grouped.
 
-    Per view and stratum: two gathers and a subtract give the coordinate
-    steps.  A one-coordinate view's distance is |step|, the same bits as
+    Per view and stratum: one gather of _pair_sample's partner column,
+    subtracted from the view's first k rows, gives the steps of all k
+    drawn pairs, each kept pair's with the bits of a packed (a, b) gather.
+    A one-coordinate view's distance is |step|, the same bits as
     sqrt(step * step) wherever the square neither overflows nor goes
     subnormal (2^-511 <= |step| < 2^512) and the exact distance outside;
     a wider view sums the squared steps in place, which rounds as a row
@@ -351,10 +335,12 @@ def _pair_profile(cloud, radii, powers, pairs, workers, views):
     radii below it, from its float bits (_radii_below, which needs the
     schedule to be _dyadic_radii's, finest radius normal), so d <= r stays
     the exact test; one bincount over the whole stratum counts the bins,
-    the only thing the correlation fit reads.  With powers, _cut_rows
-    adds the rows the energy divergence detector compares; without them
-    the segments are never cut, so a correlation-only view (every
-    Marstrand direction) pays for none of it.
+    the only thing the correlation fit reads, less a bincount of the
+    self-pairs' own bins (not always bin 0: an inf coordinate gives a NaN
+    self-distance).  With powers, _cut_rows adds the rows the energy
+    divergence detector compares, over the distances with the self-pairs
+    deleted; without powers the segments are never cut, so a
+    correlation-only view (every Marstrand direction) pays for none of it.
 
     Returns one (total, hits, cuts) per view: the sampled pairs, hits[j]
     the pairs within radii[j], and cuts one (pairs, zero-distance pairs,
@@ -366,29 +352,37 @@ def _pair_profile(cloud, radii, powers, pairs, workers, views):
     radii = [np.asarray(r, dtype=float) for r in radii]
 
     def stratum(t, start, stop):
-        a, b = (i.astype(np.intp, copy=False) for i in pairs[t])
+        partner, self_pairs = pairs[t]
+        k = partner.size
         profiles = []
         for (first, *rest), r in zip(views, radii):
-            d = first[a]
-            d -= first[b]
+            d = first.take(partner)
+            np.subtract(first[:k], d, out=d)
             if rest:
                 # coordinate-wise accumulation, in place: the same rounding
                 # as a row sum for ambient dimension below 8
                 d *= d
                 for c in rest:
-                    step = c[a]
-                    step -= c[b]
+                    step = c.take(partner)
+                    np.subtract(c[:k], step, out=step)
                     step *= step
                     d += step
                 np.sqrt(d, out=d)
             else:
                 np.abs(d, out=d)
-            bins = np.bincount(_radii_below(d, r), minlength=r.size + 1) if r.size else None
-            profiles.append((bins, _cut_rows(d, powers) if powers else None))
+            bins = cuts = None
+            if r.size:
+                below = _radii_below(d, r)
+                bins = np.bincount(below, minlength=r.size + 1)
+                bins -= np.bincount(below[self_pairs], minlength=r.size + 1)
+            if powers:
+                kept = np.delete(d, self_pairs) if self_pairs.size else d
+                cuts = _cut_rows(kept, powers)
+            profiles.append((bins, cuts))
         return profiles
 
     results = run_chunks(stratum, len(pairs), workers=workers, chunk=1)
-    total = float(sum(a.size for a, _ in pairs))
+    total = float(sum(partner.size - self_pairs.size for partner, self_pairs in pairs))
     out = []
     for j, r in enumerate(radii):
         hits = np.zeros(0)

@@ -200,13 +200,21 @@ class BernoulliMeasure(MarkovMeasure):
     def sample_batch(self, count, length, rng):
         """count words of the given length, in the symbol-column layout of
         `MarkovMeasure.sample_batch`, drawn from one (count, length) block
-        of uniforms."""
-        cdf = np.cumsum(self.p)
-        u = rng.random((int(count), int(length)))
+        of uniforms; a Philox generator's are compared as raw words."""
+        shape = (int(count), int(length))
         # symbol = #{j < m - 1 : cdf[j] <= u}, the inverse-CDF draw with
         # u >= cdf[-1] (rounding) sent to the last symbol
-        idx = np.zeros(u.shape, dtype=_symbol_dtype(self.m))
-        for c in cdf[:-1]:
+        cdf = np.cumsum(self.p)[:-1]
+        bits = getattr(rng, "bit_generator", None)
+        if isinstance(bits, np.random.Philox):
+            # Philox's u is (raw >> 11) * 2**-53, so u >= c exactly when
+            # raw >= ceil(c * 2**53) << 11, and no u reaches c > 1 - 2**-53
+            u = bits.random_raw(shape)
+            cdf = [np.uint64(k << 11) for k in map(math.ceil, cdf * 2**53) if k < 2**53]
+        else:
+            u = rng.random(shape)
+        idx = np.zeros(shape, dtype=_symbol_dtype(self.m))
+        for c in cdf:
             idx += u >= c
         return np.ascontiguousarray(idx.T).T
 

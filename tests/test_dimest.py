@@ -19,6 +19,7 @@ from fractdim.dimest import (
     RadiusSchedule,
     _GridIndex,
     _box_masses,
+    _cut_rows,
     _dyadic_radii,
     _radii_below,
     box_counting,
@@ -252,11 +253,83 @@ def reference_pair_sample(n, seed, max_pairs):
     return pairs
 
 
+def unpack(stratum):
+    """A (partner, self_pairs) stratum as packed (a, b) columns: (left[keep], partner[keep])."""
+    partner, self_pairs = stratum
+    left = np.arange(partner.size)
+    keep = np.ones(partner.size, dtype=bool)
+    keep[self_pairs] = False
+    return left[keep], partner[keep]
+
+
+def packed_pair_profile(cloud, radii, powers, pairs, workers, views):
+    """The pair profile over a packed (a, b) sample, its stratum loop kept verbatim.
+
+    Each stratum gathers both columns, so its distances are the kept
+    pairs' only; it is the oracle of the partner-column engine.
+    """
+    views = [[np.ascontiguousarray(c) for c in v.T] for v in views]
+    radii = [np.asarray(r, dtype=float) for r in radii]
+
+    def stratum(t, start, stop):
+        a, b = (i.astype(np.intp, copy=False) for i in pairs[t])
+        profiles = []
+        for (first, *rest), r in zip(views, radii):
+            d = first[a]
+            d -= first[b]
+            if rest:
+                # coordinate-wise accumulation, in place: the same rounding
+                # as a row sum for ambient dimension below 8
+                d *= d
+                for c in rest:
+                    step = c[a]
+                    step -= c[b]
+                    step *= step
+                    d += step
+                np.sqrt(d, out=d)
+            else:
+                np.abs(d, out=d)
+            bins = np.bincount(_radii_below(d, r), minlength=r.size + 1) if r.size else None
+            profiles.append((bins, _cut_rows(d, powers) if powers else None))
+        return profiles
+
+    results = run_chunks(stratum, len(pairs), workers=workers, chunk=1)
+    total = float(sum(a.size for a, _ in pairs))
+    out = []
+    for j, r in enumerate(radii):
+        hits = np.zeros(0)
+        if r.size:
+            bins = sum(per_view[j][0] for per_view in results)
+            # d <= radii[j] iff fewer than r.size - j radii lie below d
+            hits = np.cumsum(bins, dtype=float)[-2::-1]
+        cuts = ()
+        if powers:
+            # stratum order; 0 + x is x for these nonnegative sums
+            sums = sum(per_view[j][1] for per_view in results)
+            cuts = tuple((row[0], row[1], row[2:]) for row in sums)
+        out.append((total, hits, cuts))
+    return out
+
+
+def assert_same_as_packed(got, ref):
+    """Two pair profiles equal bit for bit: totals, hits and every cut row."""
+    assert len(got) == len(ref)
+    for (total, hits, cuts), (ref_total, ref_hits, ref_cuts) in zip(got, ref):
+        assert total == ref_total
+        assert hits.dtype == ref_hits.dtype and hits.tobytes() == ref_hits.tobytes()
+        assert len(cuts) == len(ref_cuts)
+        for row, ref_row in zip(cuts, ref_cuts):
+            for field, ref_field in zip(row, ref_row, strict=True):
+                assert np.asarray(field).tobytes() == np.asarray(ref_field).tobytes()
+
+
 def reference_correlation_dimension(cloud, schedule, seed, max_pairs):
     """The separate correlation call: its own draw and a pass with no powers."""
     pairs = reference_pair_sample(cloud.size, seed, max_pairs)
     schedule.check_floor(cloud)
-    ((total, hits, _),) = _pair_profile(cloud, [schedule.radii], (), pairs, 1, [cloud.points])
+    ((total, hits, _),) = packed_pair_profile(
+        cloud, [schedule.radii], (), pairs, 1, [cloud.points]
+    )
     return _correlation_fit(schedule, total, hits)
 
 
@@ -267,7 +340,7 @@ def reference_empirical_energy(cloud, s, seed, max_pairs):
             f"energy exponent must be finite and nonnegative, got {s}"
         )
     pairs = reference_pair_sample(cloud.size, seed, max_pairs)
-    ((_, _, blocks),) = _pair_profile(cloud, [()], (s,), pairs, 1, [cloud.points])
+    ((_, _, blocks),) = packed_pair_profile(cloud, [()], (s,), pairs, 1, [cloud.points])
 
     def mean(block):
         total, zero, energies = block
@@ -414,7 +487,9 @@ class TestOneCoordinateDistance:
         with np.errstate(over="ignore"):
             assert np.sqrt(d * d)[0] != step
         view = np.array([[0.0], [sign * step]])
-        pairs = [(np.array([1], dtype=np.int32), np.array([0], dtype=np.int32))]
+        # partners [0, 0]: point 1 pairs with point 0, point 0's self-pair is left out
+        pairs = [(np.array([0, 0]), np.array([0]))]
+        assert [tuple(c) for c in unpack(pairs[0])] == [(1,), (0,)]
         # every normal radius, from 2^1023 down to the smallest normal
         radii = _dyadic_radii(2.0**1023, 2045)
         powers = (0.0, 0.5)
@@ -448,11 +523,15 @@ class TestPairEngine:
         pairs = _pair_sample(n, 9, max_pairs)
         per_stratum = min(n, max_pairs)
         assert len(pairs) == max(1, min(max_pairs // n, n - 1))
-        for t, (a, b) in enumerate(pairs):
+        for t, stratum in enumerate(pairs):
             partner = substream(9, _STREAM_PAIRS, t).permutation(n)[:per_stratum]
             left = np.arange(partner.size)
             keep = partner != left
-            assert a.dtype == np.int32 and b.dtype == np.int32
+            got_partner, self_pairs = stratum
+            assert got_partner.dtype == np.intp and self_pairs.dtype == np.intp
+            assert np.array_equal(got_partner, partner)
+            assert np.array_equal(self_pairs, np.flatnonzero(~keep))
+            a, b = unpack(stratum)
             assert np.array_equal(a, left[keep])
             assert np.array_equal(b, partner[keep])
 
@@ -465,15 +544,18 @@ class TestPairEngine:
         ref = reference_pair_sample(n, 9, max_pairs)
         got = _pair_sample(n, 9, max_pairs, workers)
         assert len(got) == len(ref)
-        for (a, b), (ref_a, ref_b) in zip(got, ref):
-            assert a.dtype == ref_a.dtype and b.dtype == ref_b.dtype
-            assert np.array_equal(a, ref_a) and np.array_equal(b, ref_b)
-        # every stratum is a view of one buffer, packed as the serial loop wrote it
-        buf, ref_buf = got[0][0].base, ref[0][0].base
-        assert buf.shape == ref_buf.shape and buf.dtype == ref_buf.dtype
-        assert all(a.base is buf and b.base is buf for a, b in got)
-        end = sum(a.size for a, _ in got)
-        assert np.array_equal(buf[:, :end], ref_buf[:, :end])
+        for stratum, (ref_a, ref_b) in zip(got, ref):
+            # the packed columns, bit for bit in the reference's index type
+            a, b = unpack(stratum)
+            assert a.astype(ref_a.dtype).tobytes() == ref_a.tobytes()
+            assert b.astype(ref_b.dtype).tobytes() == ref_b.tobytes()
+        # every stratum's partners are a row of one (strata, per_stratum)
+        # intp buffer, 8 bytes per drawn pair as the two int32 columns were
+        buf = got[0][0].base
+        assert buf.shape == (len(got), min(n, max_pairs)) and buf.dtype == np.intp
+        assert buf.nbytes == ref[0][0].base.nbytes
+        assert all(partner.base is buf for partner, _ in got)
+        assert all(np.shares_memory(partner, buf[t]) for t, (partner, _) in enumerate(got))
 
     def test_threads_fill_disjoint_slots_under_frequent_switches(self):
         # more workers than cores and a short switch interval interleave the
@@ -487,7 +569,8 @@ class TestPairEngine:
             assert time.perf_counter() - start < 30.0
         finally:
             sys.setswitchinterval(interval)
-        for (a, b), (ref_a, ref_b) in zip(got, ref, strict=True):
+        for stratum, (ref_a, ref_b) in zip(got, ref, strict=True):
+            a, b = unpack(stratum)
             assert np.array_equal(a, ref_a) and np.array_equal(b, ref_b)
 
     def test_a_sample_that_keeps_no_pair_is_refused(self):
@@ -496,7 +579,8 @@ class TestPairEngine:
         for workers in (1, 2):
             with pytest.raises(EstimationError, match="pair budget of 1 kept no pair"):
                 _pair_sample(1000, 5891, 1, workers)
-        assert sum(a.size for a, _ in _pair_sample(1000, 5890, 1)) == 1
+        (stratum,) = _pair_sample(1000, 5890, 1)
+        assert [a.size for a in unpack(stratum)] == [1, 1]
 
     def test_sample_preconditions(self):
         with pytest.raises(PreconditionError):
@@ -534,6 +618,55 @@ class TestPairEngine:
             np.testing.assert_allclose(energies, cut_ref[3], rtol=1e-14, atol=0)
         if kind.startswith("coincident"):
             assert ref[-1][2] > 0
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("max_pairs", [35_000, 1_500, 1_000])
+    @pytest.mark.parametrize(
+        "kind", ["uniform-1d", "dirichlet-2d", "coincident-2d", "coincident-1d"]
+    )
+    def test_profile_matches_packed_oracle(self, kind, max_pairs, workers):
+        # the partner-column engine against the packed stratum loop over the
+        # serial reference sample, budgets below the cloud's size included
+        cloud = oracle_cloud(kind)
+        radii = RadiusSchedule(r0=0.5, levels=10, fit_lo=0, fit_hi=10).radii
+        pairs = _pair_sample(cloud.size, 3, max_pairs, workers)
+        packed = reference_pair_sample(cloud.size, 3, max_pairs)
+        for powers in [(), (0.0, 0.4, 1.3)]:
+            got = _pair_profile(cloud, [radii], powers, pairs, workers, [cloud.points])
+            ref = packed_pair_profile(cloud, [radii], powers, packed, 1, [cloud.points])
+            assert_same_as_packed(got, ref)
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("view_kind", ["inf-coordinate", "coincident-lattice"])
+    def test_self_pairs_leave_the_bins_they_land_in(self, view_kind, workers):
+        if view_kind == "coincident-lattice":
+            cloud = oracle_cloud("coincident-2d")
+            view = cloud.points
+        else:
+            cloud = oracle_cloud("uniform-1d")
+            view = np.array(cloud.points)
+        pairs = _pair_sample(cloud.size, 3, 40_000, workers)
+        self_pairs = np.concatenate([sp for _, sp in pairs])
+        assert sum(sp.size > 0 for _, sp in pairs) >= 2
+        radii = RadiusSchedule(r0=0.5, levels=10, fit_lo=0, fit_hi=10).radii
+        if view_kind == "inf-coordinate":
+            # a self-pair at an inf coordinate has distance |inf - inf|, a
+            # NaN that bins above every radius, not in bin 0
+            view[self_pairs] = math.inf
+            nan = np.abs(view[self_pairs] - view[self_pairs])
+            assert np.isnan(nan).all() and (_radii_below(nan, radii) == radii.size).all()
+        else:
+            # every self-pair sits at distance 0, among true coincidences
+            assert (_radii_below(np.zeros(1), radii) == 0).all()
+        packed = [unpack(stratum) for stratum in pairs]
+        for powers in [(), (0.0, 0.4, 1.3)]:
+            got = _pair_profile(cloud, [radii], powers, pairs, workers, [view])
+            ref = packed_pair_profile(cloud, [radii], powers, packed, 1, [view])
+            assert_same_as_packed(got, ref)
+            if powers and view_kind == "coincident-lattice":
+                # zero-distance pairs are the kept ones only
+                assert got[0][2][-1][1] == ref[0][2][-1][1] > 0
 
     @pytest.mark.parametrize("workers", [1, 3])
     @pytest.mark.parametrize(
@@ -627,7 +760,7 @@ def per_direction_pair_profile(cloud, radii, powers, pairs, workers):
         return [d.size, *hits, d.size - np.count_nonzero(nz), *energies]
 
     def stratum(t, start, stop):
-        a, b = pairs[t]
+        a, b = unpack(pairs[t])
         # coordinate-wise accumulation: the same rounding as a row sum
         # for ambient dimension below 8
         squares = [(c[a] - c[b]) ** 2 for c in cols]

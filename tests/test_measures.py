@@ -587,6 +587,57 @@ class TestSampling:
         assert np.array_equal(got, searchsorted_batch(mu.p, 1, draws.size, Fixed()))
         assert got[0, -1] == mu.m - 1
 
+    @pytest.mark.parametrize(
+        "p",
+        [[0.5, 0.5], [0.0, 1.0], [0.5, 0.5, 0.0], [1 / 3] * 3, "dirichlet"],
+        ids=["halves", "zero-first", "zero-last", "thirds", "dirichlet"],
+    )
+    @pytest.mark.parametrize("count, length", [(4001, 15), (3, 7), (1, 1), (0, 5), (5, 0)])
+    def test_philox_words_match_the_float_draw(self, p, count, length):
+        # a Philox generator's raw words against its uniforms, read through
+        # random() alone; counts * lengths off a multiple of 4 end mid-block
+        if p == "dirichlet":
+            p = np.random.default_rng(5).dirichlet(np.ones(6))
+        mu = BernoulliMeasure(p)
+        rng, float_rng = substream(3, 2), substream(3, 2)
+
+        class FloatDraws:
+            random = float_rng.random
+
+        got = mu.sample_batch(count, length, rng)
+        ref = mu.sample_batch(count, length, FloatDraws())
+        assert got.dtype == ref.dtype and got.strides == ref.strides
+        assert np.array_equal(got, ref)
+        # both consumed the same words
+        assert rng.random(9).tobytes() == float_rng.random(9).tobytes()
+
+    @pytest.mark.parametrize(
+        "p", [[0.5, 0.5], [0.0, 1.0], [1 / 3] * 3, [0.25, 0.75 - 2**-53, 2**-53]]
+    )
+    def test_raw_words_at_each_threshold(self, p):
+        # the raw words on either side of each cdf entry's threshold, and the
+        # extremes, fed to the raw path; u = (raw >> 11) * 2**-53 is Philox's
+        mu = BernoulliMeasure(p)
+        ks = [math.ceil(c * 2**53) for c in np.cumsum(mu.p)[:-1]]
+        edges = [0, 2**11 - 1, 2**64 - 1]
+        edges += [w for k in ks for w in ((k << 11) - 1, k << 11) if 0 <= w < 2**64]
+        words = np.array(edges, dtype=np.uint64)
+
+        class Words(np.random.Philox):
+            def random_raw(self, size=None, output=True):
+                return words.reshape(size)
+
+        class Draws:
+            bit_generator = Words(0)
+
+        class FloatDraws:
+            def random(self, shape):
+                return ((words >> np.uint64(11)) * 2.0**-53).reshape(shape)
+
+        got = mu.sample_batch(1, words.size, Draws())
+        assert np.array_equal(got, mu.sample_batch(1, words.size, FloatDraws()))
+        assert np.array_equal(got, searchsorted_batch(mu.p, 1, words.size, FloatDraws()))
+
 
 def brute_birkhoff_bounds(pot, word):
     """Exact min/max of the length-n Birkhoff sum over the cylinder [word]."""
