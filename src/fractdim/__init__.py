@@ -54,7 +54,6 @@ from .dimest import (
     coarse_spectrum,
     correlation_dimension,
     empirical_energy,
-    relative_dimension_bound,
 )
 from .projections import (
     Subspace,

@@ -1,11 +1,10 @@
 """Empirical dimension estimators over point clouds.
 
 Correlation dimension, s-energy with a divergence detector, box
-counting, the coarse multifractal spectrum, and the exact symbolic
-bound on relative dimension.  All estimators are deterministic in
-(cloud, schedule, seed) and reproducible for any worker count:
-randomness flows through per-stratum substreams and reductions are
-associative sums combined in stratum order.
+counting and the coarse multifractal spectrum.  All estimators are
+deterministic in (cloud, schedule, seed) and reproducible for any worker
+count: randomness flows through per-stratum substreams and reductions
+are associative sums combined in stratum order.
 """
 
 import itertools
@@ -15,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetExceededError, EstimationError, PreconditionError
-from .measures import relative_entropy
 from .runtime import check_budget, freeze, run_chunks, substream
 
 _MAX_PAIRS = 10**7
@@ -612,10 +610,3 @@ def coarse_spectrum(cloud, r, delta=0.05):
         peak_f=float(f_hat.max()),
         occupied=int(masses.size),
     )
-
-
-def relative_dimension_bound(mu, nu, gamma):
-    """Exact symbolic bound h(mu || nu) / (-log gamma) on relative dimension."""
-    if not (0 < gamma < 1):
-        raise PreconditionError("metric ratio gamma must lie in (0, 1)")
-    return relative_entropy(mu, nu) / (-math.log(gamma))

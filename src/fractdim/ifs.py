@@ -22,7 +22,7 @@ from .errors import (
     WordTooShortError,
 )
 from .runtime import _integer, check_budget, freeze, run_chunks, substream
-from .symbolic import AdaptedMetric, as_word
+from .symbolic import as_word
 
 _ORTHO_TOL = 1e-10
 _BALL_SLACK = 1e-12
@@ -38,7 +38,9 @@ class SimilarityIFS:
     The bounding ball is grown from the fixed points by the contraction
     bound radius >= max ||f_i(c) - c|| / (1 - lambda_i) and then verified
     invariant, so every f_word(ball) encloses the corresponding cylinder
-    of the attractor.
+    of the attractor.  gamma is the largest contraction ratio: a depth-n
+    cylinder's enclosure has radius at most gamma**n * radius, which
+    certifies every truncation depth.
 
     A cylinder node is (c, psi, A): the enclosure f_w(ball) has center c
     and radius psi * radius, and A is the linear part of f_w.  The root is
@@ -55,6 +57,7 @@ class SimilarityIFS:
     orthogonal: np.ndarray = None
     center: np.ndarray = field(init=False)
     radius: float = field(init=False)
+    gamma: float = field(init=False)
     steps: np.ndarray = field(init=False)
     linear: np.ndarray = field(init=False)
 
@@ -101,6 +104,7 @@ class SimilarityIFS:
         linear = lam[:, None, None] * orth
         object.__setattr__(self, "center", freeze(c))
         object.__setattr__(self, "radius", r)
+        object.__setattr__(self, "gamma", float(lam.max()))
         object.__setattr__(self, "steps", freeze(linear @ c + trans - c))
         object.__setattr__(self, "linear", freeze(linear))
         object.__setattr__(self, "_straight", bool(np.all(np.abs(orth - np.eye(n)) == 0)))
@@ -112,10 +116,6 @@ class SimilarityIFS:
     @property
     def ambient_dim(self):
         return self.translations.shape[1]
-
-    @functools.cached_property
-    def metric(self):
-        return AdaptedMetric(self.ratios)
 
     def fixed_points(self):
         """Fixed point of each map: (I - lambda_i O_i)^-1 t_i, one solve."""
@@ -236,11 +236,10 @@ def symbolic_dimension(measure, ifs):
 def _projection_depth(ifs, tol):
     if ifs.radius == 0.0:
         return 1
-    gamma = ifs.metric.gamma
     need = tol / (2.0 * ifs.radius)
     if need >= 1.0:
         return 1
-    return max(1, math.ceil(math.log(need) / math.log(gamma)))
+    return max(1, math.ceil(math.log(need) / math.log(ifs.gamma)))
 
 
 def _project_batch(ifs, words, out=None):
@@ -304,7 +303,7 @@ def sample_points(ifs, measure, count, tol, seed, workers=1):
         _project_batch(ifs, words, out=pts[start:stop])
 
     run_chunks(chunk, count, workers=workers)
-    return PointCloud._own(pts, ifs.metric.gamma**depth * ifs.radius)
+    return PointCloud._own(pts, ifs.gamma**depth * ifs.radius)
 
 
 @dataclass(frozen=True)
@@ -364,7 +363,7 @@ def _affine_decomposition(ifs, word):
     mats = np.zeros((ifs.m, n, n))
     np.add.at(mats, sym, maps)
     const = _sum_in_order(_apply_maps(psi, amats, ifs.translations[sym]))
-    tail_scale = float(psi[-1]) / (1.0 - ifs.metric.gamma)
+    tail_scale = float(psi[-1]) / (1.0 - ifs.gamma)
     return const, mats, tail_scale
 
 

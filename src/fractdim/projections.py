@@ -16,6 +16,7 @@ import numpy as np
 from .dimest import (
     PointCloud,
     RadiusSchedule,
+    _RESOLUTION_FACTOR,
     _RUN_PAIRS,
     _correlation_fit,
     _pair_profile,
@@ -137,7 +138,7 @@ def _projection_schedule(points, truncation_error, predicted, max_pairs):
     r0 = spread / 4.0
     depth = math.log2(max_pairs / _MIN_TAIL_HITS) / max(predicted, 0.5)
     levels = int(min(16, max(_FIT_SKIP + 3, math.floor(depth))))
-    floor = 10.0 * truncation_error
+    floor = _RESOLUTION_FACTOR * truncation_error
     if floor > 0:
         levels = min(levels, int(math.floor(math.log2(r0 / floor))))
     return RadiusSchedule(r0=r0, levels=levels, fit_lo=_FIT_SKIP, fit_hi=levels)
@@ -519,7 +520,7 @@ def holder_inverse_check(
         raise AlphabetMismatchError(
             f"measure alphabet {measure.m} != system alphabet {ifs.m}"
         )
-    length = max(4, math.ceil(-12.0 * math.log(10.0) / math.log(ifs.metric.gamma)))
+    length = max(4, math.ceil(-12.0 * math.log(10.0) / math.log(ifs.gamma)))
     if base_words is None:
         pair_samples = _integer(pair_samples, "base sample count")
         if pair_samples < 1:

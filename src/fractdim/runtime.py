@@ -84,18 +84,6 @@ def check_table_budget(m, n, what):
     return check_budget(m**n, what)
 
 
-def chunk_ranges(n_items, chunk=CHUNK):
-    """Yield (chunk_index, start, stop) covering range(n_items)."""
-    n_items = int(n_items)
-    idx = 0
-    start = 0
-    while start < n_items:
-        stop = min(start + chunk, n_items)
-        yield idx, start, stop
-        idx += 1
-        start = stop
-
-
 def run_chunks(fn, n_items, workers=1, chunk=CHUNK):
     """Run fn(chunk_index, start, stop) over all chunks; results in chunk order.
 
@@ -103,7 +91,9 @@ def run_chunks(fn, n_items, workers=1, chunk=CHUNK):
     collected by index, so the returned list is identical for any worker
     count.  fn must be pure given its arguments.
     """
-    jobs = list(chunk_ranges(n_items, chunk))
+    n_items = int(n_items)
+    jobs = [(idx, lo, min(lo + chunk, n_items))
+            for idx, lo in enumerate(range(0, n_items, chunk))]
     if workers <= 1 or len(jobs) <= 1:
         return [fn(idx, lo, hi) for idx, lo, hi in jobs]
     out = [None] * len(jobs)

@@ -6,6 +6,10 @@ failure, the offending comparison rows.  The same bundles back the
 """
 
 import inspect
+import math
+import types
+
+import numpy as np
 
 from fractdim import acceptance
 
@@ -56,6 +60,25 @@ def test_09_separation_and_holder():
 
 def test_10_transversality_exponent():
     _gate("transversality exponent", acceptance.transversality_suite())
+
+
+def test_separation_gate_fails_a_nan_exponent(monkeypatch):
+    # the builtin max drops a NaN unless it comes first; the gate must keep it
+    calls = []
+
+    def ede_check(ifs, word, depths, epsilon, tol):
+        calls.append(word)
+        worst = math.nan if len(calls) == 2 else 0.5
+        return types.SimpleNamespace(
+            all_passed=True, worst_exponent=worst,
+            passed=np.zeros(1, dtype=bool), overlap_suspected=True,
+        )
+
+    monkeypatch.setattr(acceptance, "ede_check", ede_check)
+    rows = {r.name: r for r in acceptance.separation_suite()}
+    row = rows["worst separation exponent stays below 1 + eps"]
+    assert math.isnan(row.got)
+    assert not row.passed
 
 
 def test_11_worker_determinism():

@@ -27,7 +27,6 @@ from fractdim.dimest import (
     correlation_dimension,
     empirical_energy,
     pair_estimates,
-    relative_dimension_bound,
     _linear_fit,
     _pair_profile,
     _pair_sample,
@@ -1070,16 +1069,3 @@ class TestCoarseSpectrum:
         for a, f in zip(spec.alpha, spec.f):
             n_in = int(np.sum((expo >= a - 0.07) & (expo <= a + 0.07)))
             assert f == pytest.approx(math.log(n_in) / math.log(1 / r), abs=1e-12)
-
-
-class TestRelativeDimension:
-    def test_symbolic_bound_value(self):
-        mu = BernoulliMeasure([0.45, 0.55])
-        nu = BernoulliMeasure([0.5, 0.5])
-        kl = 0.45 * math.log(0.9) + 0.55 * math.log(1.1)
-        assert relative_dimension_bound(mu, nu, 1 / 3) == pytest.approx(
-            kl / math.log(3), abs=1e-14
-        )
-        with pytest.raises(PreconditionError):
-            relative_dimension_bound(mu, nu, 1.0)
-

@@ -27,7 +27,7 @@ from fractdim.ifs import (
 )
 from fractdim.measures import BernoulliMeasure, MarkovMeasure, _log_moment
 from fractdim.runtime import substream
-from fractdim.symbolic import as_word
+from fractdim.symbolic import AdaptedMetric, as_word
 
 
 def cantor():
@@ -66,14 +66,12 @@ class TestConstruction:
         )
         assert F.ambient_dim == 2
 
-    def test_metric_built_once_and_kept_out_of_repr(self):
-        F = cantor()
-        before = repr(F)
-        assert F.metric is F.metric
-        assert F.metric.ratios == (1 / 3, 1 / 3)
-        assert repr(F) == before
-        assert "metric" not in before
-        assert cantor().metric is not F.metric
+    @pytest.mark.parametrize("ratios", [[1 / 3, 1 / 3], [0.2, 0.7, 0.4], [0.3, 0.9 - 2**-52, 0.9 - 2**-51]])
+    def test_gamma_is_the_largest_ratio_bitwise(self, ratios):
+        F = SimilarityIFS(ratios=ratios, translations=np.arange(len(ratios), dtype=float))
+        assert type(F.gamma) is float
+        assert same_bits(F.gamma, max(ratios))
+        assert same_bits(F.gamma, AdaptedMetric(ratios).gamma)
 
     def test_non_orthogonal_rejected(self):
         bad = [[[1, 0], [0.5, 1]], [[1, 0], [0, 1]]]
@@ -521,7 +519,8 @@ def reference_affine_decomposition(ifs, word):
         mats[s] += a
         const = const + a @ ifs.translations[s]
         a = ifs.ratios[s] * (a @ ifs.orthogonal[s])
-    tail_scale = ifs.metric.weight(word) / (1.0 - ifs.metric.gamma)
+    metric = AdaptedMetric(ifs.ratios)
+    tail_scale = metric.weight(word) / (1.0 - metric.gamma)
     return const, mats, tail_scale
 
 

@@ -347,7 +347,7 @@ class TestEDE:
         rep = ede_check(F, word, range(1, 101), 0.1, tol=1e-12)
         assert rep.depths.tolist() == list(range(1, 101))
         for n, diam in zip(rep.depths.tolist(), rep.diam):
-            assert same_bits(diam, F.metric.weight(word[:n]) * 2.0 * F.radius), n
+            assert same_bits(diam, AdaptedMetric(F.ratios).weight(word[:n]) * 2.0 * F.radius), n
 
     def test_budget_partial_then_error(self, monkeypatch):
         # this word costs 2 nodes per depth, the children of its path node
@@ -730,7 +730,7 @@ class TestTreeWalkOracle:
         for depth in range(1, 7):
             words = list(itertools.product(range(F.m), repeat=depth))
             centers = np.array([a @ F.center + b for a, b in (word_map(F, w) for w in words)])
-            radii = np.array([F.metric.weight(w) for w in words]) * F.radius
+            radii = np.array([AdaptedMetric(F.ratios).weight(w) for w in words]) * F.radius
             balls[depth] = words, centers, radii
         for word, x in coded_points(F, 47):
             bounds = enemy_bounds(F, word, x, sorted(balls), 10**7, [0])
@@ -830,7 +830,7 @@ class TestHeapSearchOracle:
 
 def reference_natural_projection(ifs, word, tol):
     word = as_word(word, ifs.m)
-    psi = ifs.metric.weight(word)
+    psi = AdaptedMetric(ifs.ratios).weight(word)
     assert psi * 2.0 * ifs.radius <= tol
     n = ifs.ambient_dim
     a = np.eye(n)
@@ -1068,7 +1068,7 @@ def scalar_holder_inverse_check(
         raise AlphabetMismatchError(
             f"measure alphabet {measure.m} != system alphabet {ifs.m}"
         )
-    metric = ifs.metric
+    metric = AdaptedMetric(ifs.ratios)
     length = max(4, math.ceil(-12.0 * math.log(10.0) / math.log(metric.gamma)))
     if base_words is None:
         if pair_samples < 1:

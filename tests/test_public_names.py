@@ -43,7 +43,6 @@ PUBLIC_NAMES = [
     "natural_projection",
     "optimal_measure",
     "project_cloud",
-    "relative_dimension_bound",
     "relative_entropy",
     "run_chunks",
     "sample_points",
@@ -71,10 +70,10 @@ SIMILARITY_IFS_MEMBERS = [
     "ambient_dim",
     "center",
     "fixed_points",
+    "gamma",
     "linear",
     "m",
     "map_points",
-    "metric",
     "orthogonal",
     "radius",
     "ratios",

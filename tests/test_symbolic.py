@@ -161,10 +161,11 @@ class TestExactProductOracle:
     @pytest.mark.parametrize("name", sorted(ORACLE_SYSTEMS))
     def test_weight_and_psi_are_the_running_product(self, name):
         F, word = _oracle_case(name)
-        seq, exact = _sequential(F.metric.ratios, word)
+        metric = AdaptedMetric(F.ratios)
+        seq, exact = _sequential(metric.ratios, word)
         psi, _ = _prefix_maps(F, np.array(word, dtype=np.intp))
         for n in range(ORACLE_LENGTH + 1):
-            assert same_bits(F.metric.weight(word[:n]), seq[n]), n
+            assert same_bits(metric.weight(word[:n]), seq[n]), n
             assert same_bits(psi[n], seq[n]), n
             slack = n * (exact[n] / 2**53 + Fraction(1, 2**1074))
             assert abs(Fraction(seq[n]) - exact[n]) <= slack, n
@@ -172,7 +173,7 @@ class TestExactProductOracle:
     @pytest.mark.parametrize("name", sorted(ORACLE_SYSTEMS))
     def test_holder_rho_is_the_running_product(self, name, monkeypatch):
         F, word = _oracle_case(name)
-        seq, _ = _sequential(F.metric.ratios, word)
+        seq, _ = _sequential(AdaptedMetric(F.ratios).ratios, word)
         calls = []
 
         def spy(ifs, sym):
@@ -198,7 +199,7 @@ class TestExactProductOracle:
         monkeypatch.setenv("FRACTDIM_BUDGET", "20000")
         F, _ = _oracle_case(name)
         word = (0,) * ORACLE_LENGTH
-        seq, _ = _sequential(F.metric.ratios, word)
+        seq, _ = _sequential(AdaptedMetric(F.ratios).ratios, word)
         rep = projections.ede_check(F, word, range(1, ORACLE_LENGTH + 1), 0.1, tol=1e-12)
         assert rep.depths.size > 30
         assert name != "0.75-0.2" or rep.depths.size == ORACLE_LENGTH
